@@ -19,7 +19,6 @@ import numpy as np
 from .cfar import GroundTruthBox
 from .core import RadarConfig, range_resolution
 from .recordings import RunManifest
-from .scoring import ConfusionCounts, SweepResult, sweep_k
 from .sim import ClutterSpec, SceneSpec, TargetSpec
 
 BOX_HALF = (0.45, math.radians(10.0))
@@ -93,7 +92,7 @@ def occupied_benchmark_scenes(n: int = 20, seed: int = 2024) -> list[SceneSpec]:
     return scenes
 
 
-def candidate_boxes_by_view(scenes=None) -> dict[str, tuple]:
+def candidate_boxes_by_view() -> dict[str, tuple]:
     """Scoring boxes at the fixed subject spots of each view."""
     out = {}
     for view, spots in POSITIONS.items():
@@ -112,7 +111,8 @@ def empty_benchmark_scenes(candidates: dict[str, tuple] | None = None, n: int = 
     reflector (whose response points at its own wall-side azimuth) or by
     the noise floor; overlapping-reflector rows would alias to arbitrary
     apparent azimuths with a two-channel baseline, parking phantom returns
-    inside the scoring boxes.
+    inside the scoring boxes. ``candidates`` is unused; positional callers
+    still pass it.
     """
     scenes = []
     views = sorted(POSITIONS)
@@ -148,27 +148,3 @@ def localization_scenes(n: int = 100, seed: int = 31337, snr_db: float = 20.0) -
                                 box_half_extents=BOX_HALF))
     return scenes
 
-
-def counts_from_flags(occupied_flags, empty_flags) -> ConfusionCounts:
-    """Pool per-frame flags of occupied and empty trials into confusion counts."""
-    tp = fn = fp = tn = 0
-    for flags in occupied_flags:
-        hits = int(np.asarray(flags).sum())
-        tp += hits
-        fn += int(np.asarray(flags).size) - hits
-    for flags in empty_flags:
-        alarms = int(np.asarray(flags).sum())
-        fp += alarms
-        tn += int(np.asarray(flags).size) - alarms
-    return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
-
-
-def tune_on_cached(occupied_cached, empty_cached, k_grid, fpr_cap: float) -> SweepResult:
-    """Sweep sensitivity over cached trials and select by Macro-F1 under the cap."""
-    from .pipeline import flags_at_k
-    counts_by_k = []
-    for k in k_grid:
-        occ = [flags_at_k(c, k) for c in occupied_cached]
-        emp = [flags_at_k(c, k) for c in empty_cached]
-        counts_by_k.append((k, counts_from_flags(occ, emp)))
-    return sweep_k(counts_by_k, fpr_cap)

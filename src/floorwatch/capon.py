@@ -81,11 +81,15 @@ def spatial_covariance(snapshots: np.ndarray) -> SpatialCovariance:
     return SpatialCovariance(matrix=r, pseudo_inverse=rinv)
 
 
-def capon_steering(theta: float) -> np.ndarray:
-    """Two-element azimuth steering vector [1, exp(-j pi sin(theta))]."""
-    if abs(theta) > np.pi / 2:
+def capon_steering(theta) -> np.ndarray:
+    """Two-element azimuth steering vector [1, exp(-j pi sin(theta))].
+
+    An array of angles gives a (2, n) matrix with one column per angle.
+    """
+    theta = np.asarray(theta, dtype=float)
+    if np.any(np.abs(theta) > np.pi / 2):
         raise ValueError("theta must satisfy |theta| <= pi/2")
-    return np.array([1.0, np.exp(-1j * np.pi * np.sin(theta))])
+    return np.stack([np.ones_like(theta), np.exp(-1j * np.pi * np.sin(theta))])
 
 
 def steering_matrix(grid: SteeringGrid, num_channels: int,
@@ -98,7 +102,7 @@ def steering_matrix(grid: SteeringGrid, num_channels: int,
     """
     az = grid.azimuth_angles
     if num_channels == 2:
-        return np.vstack([np.ones_like(az), np.exp(-1j * np.pi * np.sin(az))])
+        return capon_steering(az)
     if geom is None:
         raise ValueError("geometry required for more than two channels")
     phases = element_phases(geom, az, np.zeros_like(az))  # (n_az, rx)

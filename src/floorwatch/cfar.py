@@ -125,49 +125,42 @@ def training_stats(power: np.ndarray, cfg: CfarConfig):
     return mean, evaluable, skipped
 
 
+def threshold(power: np.ndarray, base: np.ndarray, evaluable: np.ndarray, k: float,
+              frame_index: int = 0, skipped: int = 0) -> DetectionSet:
+    """Evaluable cells strictly above k * base, with their thresholds."""
+    rs, cs = np.nonzero(evaluable & (power > k * base))
+    dets = tuple(Detection(int(r), int(c), float(power[r, c]), float(k * base[r, c]))
+                 for r, c in zip(rs, cs))
+    return DetectionSet(detections=dets, frame_index=frame_index,
+                        map_shape=power.shape, skipped_cells=skipped)
+
+
 def cfar_mask(power: np.ndarray, cfg: CfarConfig) -> np.ndarray:
     """Boolean detection mask: cell strictly above k * training mean."""
-    mean, evaluable, _ = training_stats(power, cfg)
-    return evaluable & (power > cfg.k * mean)
+    return ca_cfar_2d(power, cfg).mask()
 
 
 def ca_cfar_2d(ra_map: RangeAzimuthMap | np.ndarray, cfg: CfarConfig,
                frame_index: int | None = None) -> DetectionSet:
     """Run the detector over a map and list the detections with their thresholds."""
     if isinstance(ra_map, RangeAzimuthMap):
-        power = ra_map.power
-        if frame_index is None:
-            frame_index = ra_map.frame_index
+        power, map_index = ra_map.power, ra_map.frame_index
     else:
-        power = np.asarray(ra_map, dtype=float)
+        power, map_index = np.asarray(ra_map, dtype=float), 0
         if power.ndim != 2:
             raise ValueError("map must be 2-d")
         if not np.all(np.isfinite(power)) or np.any(power < 0):
             raise ValueError("map must be finite and non-negative")
-        if frame_index is None:
-            frame_index = 0
     mean, evaluable, skipped = training_stats(power, cfg)
-    mask = evaluable & (power > cfg.k * mean)
-    rs, cs = np.nonzero(mask)
-    dets = tuple(Detection(int(r), int(c), float(power[r, c]), float(cfg.k * mean[r, c]))
-                 for r, c in zip(rs, cs))
-    return DetectionSet(detections=dets, frame_index=frame_index,
-                        map_shape=power.shape, skipped_cells=skipped)
+    return threshold(power, mean, evaluable, cfg.k,
+                     map_index if frame_index is None else frame_index, skipped)
 
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
 
 
-def suppress(dets: DetectionSet, policy: str = "max_per_component") -> DetectionSet:
-    """Reduce clustered detections.
-
-    'max_per_component' keeps the strongest cell of each 8-connected group;
-    'identity' returns the set unchanged.
-    """
-    if policy == "identity":
-        return dets
-    if policy != "max_per_component":
-        raise ValueError("policy must be 'max_per_component' or 'identity'")
+def suppress(dets: DetectionSet) -> DetectionSet:
+    """Keep the strongest cell of each 8-connected group of detections."""
     if len(dets) == 0:
         return dets
     labels, n_groups = ndimage.label(dets.mask(), structure=_EIGHT_CONNECTED)

@@ -19,12 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from . import scoring
-from .bench import counts_from_flags
 from .core import RadarConfig, config_from_dict, default_geometry
 from .pipeline import (build_axes, build_grid, cache_recording, flags_at_k,
                        process_recording, score_recording)
 from .recordings import (RunManifest, dump_json, load_json, manifest_from_dict,
-                         manifest_to_dict, read_recording, write_recording)
+                         read_recording, write_recording)
 from .sim import scene_from_dict, synthesize_recording
 
 DETECTION_COLUMNS = ("frame_index", "range_bin", "azimuth_bin", "range_m",
@@ -48,8 +47,6 @@ def _load_manifest(args) -> RunManifest:
         overrides["method"] = args.method
     if getattr(args, "k", None) is not None:
         overrides["k"] = args.k
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
     return replace(manifest, **overrides) if overrides else manifest
 
 
@@ -96,6 +93,7 @@ def cmd_process(args) -> int:
 
 
 def _candidate_boxes(recordings):
+    """Truth boxes by view: where the empty recordings of each view are scored."""
     by_view: dict[str, list] = {}
     for rec in recordings:
         for box in rec.truth:
@@ -111,20 +109,10 @@ def cmd_tune(args) -> int:
     if not occupied or not empty:
         raise CliError("tuning needs at least one occupied and one empty recording")
     by_view = _candidate_boxes(occupied)
-    for r in empty:
-        if not by_view.get(r.view_tag):
-            raise CliError(f"no occupied recording shares view {r.view_tag!r} "
-                           "to provide candidate boxes for the empty one")
     occ_cached = [cache_recording(r, manifest) for r in occupied]
-    emp_cached = [cache_recording(r, manifest, candidate_boxes=by_view[r.view_tag])
-                  for r in empty]
-    k_grid = _parse_k_grid(args.k_grid)
-    counts_by_k = []
-    for k in k_grid:
-        occ = [flags_at_k(c, k) for c in occ_cached]
-        emp = [flags_at_k(c, k) for c in emp_cached]
-        counts_by_k.append((k, counts_from_flags(occ, emp)))
-    result = scoring.sweep_k(counts_by_k, args.fpr_cap)
+    emp_cached = [cache_recording(r, manifest, by_view.get(r.view_tag)) for r in empty]
+    result = scoring.tune_k(occ_cached, emp_cached, _parse_k_grid(args.k_grid),
+                            args.fpr_cap, flags_at_k)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -182,23 +170,14 @@ def cmd_evaluate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     recordings = [(path, det, read_recording(path)) for path, det in pairs]
-    # empty-room trials score against the candidate boxes of the occupied
-    # trials sharing their view
-    by_view = _candidate_boxes([rec for _, _, rec in recordings if rec.label == "occupied"])
+    by_view = _candidate_boxes(rec for _, _, rec in recordings)
     rows = []
     metrics = []
     for rec_path, det_path, rec in recordings:
         if det_path:
             trial = _trial_from_detections(rec, det_path, manifest)
         else:
-            candidates = None
-            if rec.label == "empty":
-                candidates = by_view.get(rec.view_tag)
-                if not candidates:
-                    raise CliError(
-                        f"no candidate boxes for empty recording {rec_path} "
-                        f"(view {rec.view_tag!r}); list an occupied recording of the same view")
-            trial = score_recording(rec, manifest, candidate_boxes=candidates)
+            trial = score_recording(rec, manifest, by_view.get(rec.view_tag))
         rate = scoring.frame_positive_rate(trial)
         rows.append([trial.view_tag, trial.location_tag, trial.subject_id,
                      trial.method_tag, _fmt(rate)])
@@ -223,8 +202,6 @@ def _trial_from_detections(rec, det_path, manifest):
     """Re-score recorded detections against the recording's truth boxes."""
     if rec.label != "occupied":
         raise CliError("replaying detections requires an occupied recording")
-    grid = build_grid(manifest)
-    axes = build_axes(rec.config, grid)
     hits = np.zeros(rec.n_frames, dtype=bool)
     with open(det_path, newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
@@ -302,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", default=None)
     p.add_argument("--method", choices=("dbf", "capon"), default=None)
     p.add_argument("--k", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--dump-maps", default=None, help="optional .npy dump of RA maps")
     p.add_argument("--out", required=True, help="detections CSV path")
     p.set_defaults(func=cmd_process)
@@ -315,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-grid", default="1.0:6.0:0.2",
                    help="'start:stop:step' or comma-separated values")
     p.add_argument("--fpr-cap", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_tune)
 
@@ -328,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", default=None)
     p.add_argument("--method", choices=("dbf", "capon"), default=None)
     p.add_argument("--k", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_evaluate)
 

@@ -6,7 +6,7 @@ types defined here. All values are SI: Hz, seconds, meters, radians.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -173,32 +173,18 @@ class FrameCube:
 
 
 def config_to_dict(cfg: RadarConfig) -> dict:
-    return {
-        "center_frequency": cfg.center_frequency,
-        "bandwidth": cfg.bandwidth,
-        "chirp_duration": cfg.chirp_duration,
-        "frame_rate": cfg.frame_rate,
-        "chirps_per_frame": cfg.chirps_per_frame,
-        "samples_per_chirp": cfg.samples_per_chirp,
-        "num_rx": cfg.num_rx,
-        "chirp_repetition_interval": cfg.chirp_repetition_interval,
-    }
+    return asdict(cfg)
 
 
 def config_from_dict(d: dict) -> RadarConfig:
-    known = set(config_to_dict(RadarConfig()))
-    extra = set(d) - known
+    extra = set(d) - {f.name for f in fields(RadarConfig)}
     if extra:
         raise ValueError(f"unknown config fields: {sorted(extra)}")
     return RadarConfig(**d)
 
 
 def geometry_to_dict(geom: ArrayGeometry) -> dict:
-    return {
-        "wavelength": geom.wavelength,
-        "element_offsets": [list(o) for o in geom.element_offsets],
-        "azimuth_pair": list(geom.azimuth_pair),
-    }
+    return asdict(geom)
 
 
 def geometry_from_dict(d: dict) -> ArrayGeometry:

@@ -15,7 +15,7 @@ import numpy as np
 from . import capon as capon_mod
 from . import cfar as cfar_mod
 from . import dbf as dbf_mod
-from .cfar import CfarConfig, DetectionSet, Detection, MapAxes
+from .cfar import CfarConfig, DetectionSet, MapAxes
 from .core import RadarConfig, range_resolution
 from .frontend import WindowSpec, process_frame, zero_doppler_window
 from .mti import init_clutter, mti_step
@@ -40,26 +40,19 @@ def build_axes(cfg: RadarConfig, grid: dbf_mod.SteeringGrid) -> MapAxes:
     return cfar_mod.map_axes(range_resolution(cfg), grid.azimuth_angles, cfg.num_range_bins)
 
 
-def normalize_map(power: np.ndarray) -> np.ndarray:
-    """Scale a map to unit maximum; zero maps pass through."""
-    peak = power.max()
-    return power / peak if peak > 0 else power
+def scoring_boxes(rec: Recording, candidate_boxes=None) -> tuple:
+    """The boxes a recording's frames are scored against.
 
-
-class MapSmoother:
-    """Moving average over the last F maps, a stabilizing option (off by default)."""
-
-    def __init__(self, n_frames: int = 3):
-        if n_frames < 1:
-            raise ValueError("n_frames must be >= 1")
-        self.n_frames = n_frames
-        self._history: list[np.ndarray] = []
-
-    def step(self, power: np.ndarray) -> np.ndarray:
-        self._history.append(power)
-        if len(self._history) > self.n_frames:
-            self._history.pop(0)
-        return np.mean(self._history, axis=0)
+    Occupied recordings use their own truth boxes; empty recordings use the
+    candidate boxes of their view (its plausible subject regions).
+    """
+    if rec.label == "occupied":
+        return rec.truth
+    boxes = tuple(candidate_boxes or ())
+    if not boxes:
+        raise ValueError(f"empty recording of view {rec.view_tag!r} has no candidate "
+                         "boxes to score against")
+    return boxes
 
 
 @dataclass(frozen=True)
@@ -87,7 +80,6 @@ def process_recording(rec: Recording, manifest: RunManifest):
 
     state = init_clutter((cfg.num_rx, cfg.num_range_bins, cfg.chirps_per_frame),
                          alpha=manifest.mti_alpha)
-    smoother = MapSmoother(manifest.smooth_frames) if manifest.smooth_frames > 0 else None
 
     for frame in rec.frames:
         rd = process_frame(frame, cfg, win)
@@ -100,10 +92,6 @@ def process_recording(rec: Recording, manifest: RunManifest):
             ra = capon_mod.capon_range_azimuth(filtered, grid, window, channels,
                                                geom=geom, frame_index=frame.frame_index)
         power = ra.power
-        if manifest.normalize_map:
-            power = normalize_map(power)
-        if smoother is not None:
-            power = smoother.step(power)
         base, evaluable, skipped = cfar_mod.training_stats(power, cfar_cfg)
         dets = detections_from_maps(power, base, evaluable, cfar_cfg.k,
                                     frame_index=frame.frame_index, skipped=skipped)
@@ -112,34 +100,19 @@ def process_recording(rec: Recording, manifest: RunManifest):
 
 
 def detections_from_maps(power: np.ndarray, base: np.ndarray, evaluable: np.ndarray,
-                         k: float, frame_index: int = 0, skipped: int = 0,
-                         suppression: str = "max_per_component") -> DetectionSet:
+                         k: float, frame_index: int = 0, skipped: int = 0) -> DetectionSet:
     """Threshold cached maps at sensitivity k and apply suppression."""
-    mask = evaluable & (power > k * base)
-    rs, cs = np.nonzero(mask)
-    dets = tuple(Detection(int(r), int(c), float(power[r, c]), float(k * base[r, c]))
-                 for r, c in zip(rs, cs))
-    raw = DetectionSet(detections=dets, frame_index=frame_index,
-                       map_shape=power.shape, skipped_cells=skipped)
-    return cfar_mod.suppress(raw, policy=suppression)
+    return cfar_mod.suppress(cfar_mod.threshold(power, base, evaluable, k, frame_index, skipped))
 
 
 def score_recording(rec: Recording, manifest: RunManifest,
                     candidate_boxes=None) -> TrialRecord:
-    """Per-frame hit/false-positive flags for one recording.
+    """Per-frame hit/false-positive flags for one recording, frame by frame.
 
-    Occupied recordings score hits against their own truth boxes; empty
-    recordings score detections inside the union of ``candidate_boxes``
-    (the view's plausible subject regions).
+    Frames score against ``scoring_boxes(rec, candidate_boxes)``.
     """
-    grid = build_grid(manifest)
-    axes = build_axes(rec.config, grid)
-    if rec.label == "occupied":
-        boxes = rec.truth
-    else:
-        boxes = tuple(candidate_boxes or ())
-        if not boxes:
-            raise ValueError("empty recordings need candidate ROI boxes to score")
+    boxes = scoring_boxes(rec, candidate_boxes)
+    axes = build_axes(rec.config, build_grid(manifest))
     flags = [cfar_mod.hit_test(out.detections, boxes, axes)
              for out in process_recording(rec, manifest)]
     return TrialRecord(subject_id=rec.subject_tag, view_tag=rec.view_tag,
@@ -160,15 +133,15 @@ class CachedTrial:
 
 
 def cache_recording(rec: Recording, manifest: RunManifest, candidate_boxes=None) -> CachedTrial:
-    grid = build_grid(manifest)
-    axes = build_axes(rec.config, grid)
+    """Process a recording once and keep its maps and ``scoring_boxes``."""
+    boxes = scoring_boxes(rec, candidate_boxes)
+    axes = build_axes(rec.config, build_grid(manifest))
     powers, bases = [], []
     evaluable = None
     for out in process_recording(rec, manifest):
         powers.append(out.power.astype(np.float32))
         bases.append(out.threshold_base.astype(np.float32))
         evaluable = out.evaluable
-    boxes = rec.truth if rec.label == "occupied" else tuple(candidate_boxes or ())
     return CachedTrial(label=rec.label, boxes=boxes, axes=axes,
                        powers=np.stack(powers), bases=np.stack(bases),
                        evaluable=evaluable)

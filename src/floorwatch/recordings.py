@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -132,9 +132,6 @@ class RunManifest:
     fast_time_window: str = "hann"
     slow_time_window: str = "hann"
     capon_channels: str = "pair"     # 'pair' = azimuth baseline, 'all' = every receiver
-    normalize_map: bool = False
-    smooth_frames: int = 0           # moving average over this many maps; 0 disables
-    seed: int = 0
 
     def __post_init__(self):
         if self.method not in ("dbf", "capon"):
@@ -147,59 +144,50 @@ class RunManifest:
             raise ValueError("mti_alpha must be in [0, 1]")
         if self.doppler_half_width < 0:
             raise ValueError("doppler_half_width must be >= 0")
-        if self.smooth_frames < 0:
-            raise ValueError("smooth_frames must be >= 0")
+
+
+# Fields stored in the nested "cfar" and "grid" JSON objects; the rest sit at the top level.
+_GROUP_OF = {"guard_cells": "cfar", "training_cells": "cfar", "edge_policy": "cfar",
+             "theta_max_deg": "grid", "theta_step_deg": "grid", "elevations_deg": "grid"}
 
 
 def manifest_to_dict(m: RunManifest) -> dict:
-    return {
-        "method": m.method,
-        "k": m.k,
-        "cfar": {
-            "guard_cells": list(m.guard_cells),
-            "training_cells": list(m.training_cells),
-            "edge_policy": m.edge_policy,
-        },
-        "grid": {
-            "theta_max_deg": m.theta_max_deg,
-            "theta_step_deg": m.theta_step_deg,
-            "elevations_deg": list(m.elevations_deg),
-        },
-        "doppler_half_width": m.doppler_half_width,
-        "mti_alpha": m.mti_alpha,
-        "fast_time_window": m.fast_time_window,
-        "slow_time_window": m.slow_time_window,
-        "capon_channels": m.capon_channels,
-        "normalize_map": m.normalize_map,
-        "smooth_frames": m.smooth_frames,
-        "seed": m.seed,
-    }
+    out = {}
+    for f in fields(RunManifest):
+        value = getattr(m, f.name)
+        group = _GROUP_OF.get(f.name)
+        target = out.setdefault(group, {}) if group else out
+        target[f.name] = list(value) if isinstance(value, tuple) else value
+    return out
+
+
+def _coerce(default, value):
+    """Convert a JSON value to the type of the field's default."""
+    if isinstance(default, tuple):
+        return tuple(type(default[0])(x) for x in value)
+    if isinstance(default, (int, float)):
+        return type(default)(value)
+    return value
 
 
 def manifest_from_dict(d: dict) -> RunManifest:
+    """Build a manifest from its JSON form; absent fields take their defaults."""
     if not isinstance(d, dict):
         raise ValueError("manifest: expected a JSON object")
-    cfar_d = d.get("cfar", {})
-    grid_d = d.get("grid", {})
+    groups = set(_GROUP_OF.values())
+    entries = [(None, name, value) for name, value in d.items() if name not in groups]
+    for group in sorted(groups & d.keys()):
+        if not isinstance(d[group], dict):
+            raise ValueError(f"manifest: {group!r} must be a JSON object")
+        entries += [(group, name, value) for name, value in d[group].items()]
+    defaults = {f.name: f.default for f in fields(RunManifest)}
+    unknown = [f"{group}.{name}" if group else name for group, name, _ in entries
+               if name not in defaults or _GROUP_OF.get(name) != group]
+    if unknown:
+        raise ValueError(f"manifest: unknown fields {sorted(unknown)}")
     try:
-        return RunManifest(
-            method=d.get("method", "capon"),
-            k=float(d.get("k", 2.4)),
-            guard_cells=tuple(int(x) for x in cfar_d.get("guard_cells", (2, 2))),
-            training_cells=tuple(int(x) for x in cfar_d.get("training_cells", (4, 4))),
-            edge_policy=cfar_d.get("edge_policy", "shrink_window"),
-            theta_max_deg=float(grid_d.get("theta_max_deg", 60.0)),
-            theta_step_deg=float(grid_d.get("theta_step_deg", 1.0)),
-            elevations_deg=tuple(float(x) for x in grid_d.get("elevations_deg", (-10.0, 0.0, 10.0))),
-            doppler_half_width=int(d.get("doppler_half_width", 2)),
-            mti_alpha=float(d.get("mti_alpha", 0.01)),
-            fast_time_window=d.get("fast_time_window", "hann"),
-            slow_time_window=d.get("slow_time_window", "hann"),
-            capon_channels=d.get("capon_channels", "pair"),
-            normalize_map=bool(d.get("normalize_map", False)),
-            smooth_frames=int(d.get("smooth_frames", 0)),
-            seed=int(d.get("seed", 0)),
-        )
+        return RunManifest(**{name: _coerce(defaults[name], value)
+                              for _, name, value in entries})
     except (TypeError, ValueError) as exc:
         raise ValueError(f"manifest: {exc}") from exc
 

@@ -11,6 +11,7 @@ coverage summaries, plus the sliding-window deployment alarm rule.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -57,6 +58,20 @@ class ConfusionCounts:
     def __post_init__(self):
         if min(self.tp, self.fp, self.tn, self.fn) < 0:
             raise ValueError("counts must be >= 0")
+
+
+def counts_from_flags(occupied_flags, empty_flags) -> ConfusionCounts:
+    """Pool per-frame flags of occupied and empty trials into confusion counts."""
+    tp = fn = fp = tn = 0
+    for flags in occupied_flags:
+        hits = int(np.asarray(flags).sum())
+        tp += hits
+        fn += int(np.asarray(flags).size) - hits
+    for flags in empty_flags:
+        alarms = int(np.asarray(flags).sum())
+        fp += alarms
+        tn += int(np.asarray(flags).size) - alarms
+    return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
 
 
 def frame_fpr(counts: ConfusionCounts) -> float:
@@ -135,6 +150,19 @@ def sweep_k(counts_by_k, fpr_cap: float) -> SweepResult:
                 p.macro_f1 == best.macro_f1 and p.k > best.k):
             best = p
     return SweepResult(points=tuple(points), selected=best)
+
+
+def tune_k(occupied, empty, k_grid, fpr_cap: float, flags_at_k) -> SweepResult:
+    """Pool the trials' flags at every k of the grid and pick k with ``sweep_k``.
+
+    ``flags_at_k(trial, k)`` gives one trial's per-frame flags at sensitivity k.
+    """
+    counts_by_k = []
+    for k in k_grid:
+        occ = [flags_at_k(t, k) for t in occupied]
+        emp = [flags_at_k(t, k) for t in empty]
+        counts_by_k.append((k, counts_from_flags(occ, emp)))
+    return sweep_k(counts_by_k, fpr_cap)
 
 
 @dataclass(frozen=True)
@@ -226,7 +254,9 @@ def temporal_alarm(hit_stream, window_seconds: float, fraction: float,
 
     The alarm is active at frame i when the trailing window of
     round(window_seconds * frame_rate) frames contains at least
-    fraction * window hits; contiguous active frames merge into intervals.
+    fraction * window hits, rounded up to a whole hit count (so 55 hits of
+    100 meet a fraction of 0.55 despite 0.55 * 100 rounding above 55);
+    contiguous active frames merge into intervals.
     """
     hits = np.asarray(list(hit_stream), dtype=bool)
     window = int(round(window_seconds * frame_rate))
@@ -235,7 +265,7 @@ def temporal_alarm(hit_stream, window_seconds: float, fraction: float,
     if hits.size < window:
         return AlarmResult(intervals=(), window_frames=window, evaluable=False)
     counts = np.convolve(hits.astype(int), np.ones(window, dtype=int), mode="valid")
-    need = fraction * window
+    need = math.ceil(fraction * window - 1e-9)
     active = counts >= need
     intervals = []
     start = None

@@ -13,9 +13,8 @@ import numpy as np
 import pytest
 
 from floorwatch.bench import (CAPON_K_GRID, DBF_K_GRID, bench_manifest,
-                              candidate_boxes_by_view, counts_from_flags,
-                              empty_benchmark_scenes, localization_scenes,
-                              occupied_benchmark_scenes, tune_on_cached)
+                              candidate_boxes_by_view, empty_benchmark_scenes,
+                              localization_scenes, occupied_benchmark_scenes)
 from floorwatch.capon import capon_range_azimuth, capon_steering, mvdr_weight, spatial_covariance
 from floorwatch.cfar import CfarConfig, cfar_mask
 from floorwatch.cli import main as cli_main
@@ -25,7 +24,7 @@ from floorwatch.frontend import RangeDopplerCube, process_frame, zero_doppler_wi
 from floorwatch.mti import init_clutter, mti_step
 from floorwatch.pipeline import cache_recording, flags_at_k
 from floorwatch.recordings import RunManifest, manifest_to_dict
-from floorwatch.scoring import load_reference_trials, paired_delta, temporal_alarm
+from floorwatch.scoring import load_reference_trials, paired_delta, temporal_alarm, tune_k
 from floorwatch.sim import synthesize_frame, synthesize_recording
 
 
@@ -243,7 +242,7 @@ def bench() -> BenchResults:
                       for r in emp_recs]
         t_emp_proc += time.perf_counter() - t0
         t0 = time.perf_counter()
-        sweep = tune_on_cached(occ_cached[:4], emp_cached[:4], k_grid, fpr_cap=0.1)
+        sweep = tune_k(occ_cached[:4], emp_cached[:4], k_grid, 0.1, flags_at_k)
         t_tune += time.perf_counter() - t0
         assert sweep.feasible, f"no feasible operating point for {method}"
         k = sweep.selected.k

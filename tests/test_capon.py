@@ -113,6 +113,18 @@ def test_capon_steering_values():
         capon_steering(2.0)
 
 
+def test_capon_steering_columns_match_scalar_calls():
+    grid = SteeringGrid(azimuth_angles=np.deg2rad(np.arange(-60.0, 61.0)),
+                        elevation_angles=np.array([0.0]))
+    a = capon_steering(grid.azimuth_angles)
+    assert a.shape == (2, grid.num_azimuth)
+    for i, theta in enumerate(grid.azimuth_angles):
+        assert np.array_equal(a[:, i], capon_steering(float(theta)))
+    assert np.array_equal(steering_matrix(grid, 2), a)
+    with pytest.raises(ValueError):
+        capon_steering(np.array([0.0, 2.0]))
+
+
 def test_steering_matrix_three_channel_mode():
     grid = grid_deg()
     a = steering_matrix(grid, 3, l_geom())

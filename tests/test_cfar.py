@@ -172,13 +172,9 @@ def test_suppress_two_groups():
     assert len(out) == 2
 
 
-def test_suppress_empty_and_identity():
+def test_suppress_empty_set_unchanged():
     empty = det_set([])
     assert suppress(empty) is empty
-    ds = det_set([(1, 1, 1.0, 0.1), (1, 2, 2.0, 0.1)])
-    assert suppress(ds, policy="identity") is ds
-    with pytest.raises(ValueError):
-        suppress(ds, policy="nearest")
 
 
 # --- hit testing ---

@@ -60,6 +60,25 @@ def workspace(tmp_path):
     return tmp_path, cfg, scene, empty, manifest
 
 
+def test_manifest_with_unknown_field_is_a_json_error(workspace, capsys):
+    tmp, cfg, scene, _, _ = workspace
+    rec = tmp / "a.rec"
+    main(["simulate", "--scene", scene, "--config", cfg, "--out", str(rec)])
+    manifest = write_json(tmp / "old.json", {"method": "dbf", "smooth_frames": 3})
+    capsys.readouterr()
+    rc = main(["process", "--recording", str(rec), "--manifest", manifest,
+               "--out", str(tmp / "det.csv")])
+    assert rc != 0
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError" and "smooth_frames" in err["message"]
+
+
+@pytest.mark.parametrize("command", ["process", "tune", "evaluate"])
+def test_seed_is_only_a_simulate_option(command):
+    with pytest.raises(SystemExit):
+        main([command, "--seed", "3", "--out", "x"])
+
+
 def test_simulate_is_deterministic(workspace):
     tmp, cfg, scene, _, _ = workspace
     out1, out2 = tmp / "a.rec", tmp / "b.rec"

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from floorwatch import cfar, pipeline
 from floorwatch.cfar import GroundTruthBox
 from floorwatch.core import RadarConfig, default_geometry
-from floorwatch.pipeline import (MapSmoother, cache_recording, flags_at_k,
-                                 normalize_map, process_recording, score_recording)
+from floorwatch.pipeline import (cache_recording, flags_at_k, process_recording,
+                                 score_recording)
 from floorwatch.recordings import RunManifest
 from floorwatch.sim import ClutterSpec, SceneSpec, TargetSpec, synthesize_recording
 
@@ -58,6 +59,45 @@ def test_score_empty_needs_candidates():
     assert trial.flags.shape == (2,)
 
 
+def test_empty_without_candidates_raises_same_error_when_cached_or_scored():
+    scene = SceneSpec(clutter=(ClutterSpec(range_m=7.0, azimuth_rad=-0.7, amplitude=5.0),),
+                      noise_std=0.05, seed=5, n_frames=2, view_tag="tv")
+    rec = synthesize_recording(scene, CFG, GEOM)
+    manifest = RunManifest(method="dbf", k=2.0, mti_alpha=0.99)
+    messages = []
+    for fn in (score_recording, cache_recording):
+        for candidates in (None, ()):
+            with pytest.raises(ValueError) as info:
+                fn(rec, manifest, candidates)
+            messages.append(str(info.value))
+    assert len(set(messages)) == 1 and "'tv'" in messages[0]
+
+
+@pytest.mark.parametrize("method", ["dbf", "capon"])
+def test_stream_detections_match_standalone_detector(method):
+    rec = occupied_recording(3)
+    manifest = RunManifest(method=method, k=3.0, mti_alpha=0.99)
+    for out in process_recording(rec, manifest):
+        alone = cfar.suppress(cfar.ca_cfar_2d(out.power, pipeline.build_cfar(manifest),
+                                              frame_index=out.frame_index))
+        assert out.detections == alone
+
+
+def test_score_recording_flags_each_frame_before_the_next(monkeypatch):
+    calls = []
+
+    def logged(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((pipeline, "process_frame"), (cfar, "hit_test")):
+        monkeypatch.setattr(module, name, logged(name, getattr(module, name)))
+    score_recording(occupied_recording(3), RunManifest(method="dbf", k=3.0, mti_alpha=0.99))
+    assert calls == ["process_frame", "hit_test"] * 3
+
+
 def test_cached_flags_match_direct_scoring():
     rec = occupied_recording(6)
     manifest = RunManifest(method="capon", k=3.0, mti_alpha=0.99)
@@ -83,31 +123,3 @@ def test_mti_state_reset_between_recordings():
     b = [o.power for o in process_recording(rec, manifest)]
     for pa, pb in zip(a, b):
         assert np.array_equal(pa, pb)
-
-
-def test_normalize_map_and_smoother():
-    rng = np.random.default_rng(0)
-    m = rng.random((4, 5)) + 0.1
-    n = normalize_map(m)
-    assert n.max() == pytest.approx(1.0)
-    assert np.allclose(normalize_map(np.zeros((3, 3))), 0.0)
-    sm = MapSmoother(3)
-    a = sm.step(np.full((2, 2), 1.0))
-    b = sm.step(np.full((2, 2), 3.0))
-    assert np.allclose(a, 1.0)
-    assert np.allclose(b, 2.0)
-    c = sm.step(np.full((2, 2), 5.0))
-    d = sm.step(np.full((2, 2), 5.0))
-    assert np.allclose(c, 3.0)
-    assert np.allclose(d, (3.0 + 5.0 + 5.0) / 3)
-
-
-def test_smoothing_manifest_changes_output():
-    rec = occupied_recording(4)
-    base = RunManifest(method="dbf", k=2.0, mti_alpha=0.99)
-    smooth = RunManifest(method="dbf", k=2.0, mti_alpha=0.99, smooth_frames=3)
-    p0 = [o.power for o in process_recording(rec, base)]
-    p1 = [o.power for o in process_recording(rec, smooth)]
-    assert np.array_equal(p0[0], p1[0])  # first frame: average of itself
-    assert not np.array_equal(p0[2], p1[2])
-    assert np.allclose(p1[2], (p0[0] + p0[1] + p0[2]) / 3, rtol=1e-12)

@@ -85,9 +85,27 @@ def test_manifest_round_trip():
     m = RunManifest(method="dbf", k=1.4, guard_cells=(1, 2), training_cells=(3, 5),
                     edge_policy="skip_cell", theta_max_deg=45.0, theta_step_deg=0.5,
                     elevations_deg=(0.0,), doppler_half_width=3, mti_alpha=0.99,
-                    capon_channels="all", normalize_map=True, smooth_frames=3, seed=9)
+                    capon_channels="all")
     back = manifest_from_dict(manifest_to_dict(m))
     assert back == m
+
+
+@pytest.mark.parametrize("manifest", [
+    {"smooth_frames": 3},                       # a removed option must not be ignored
+    {"normalize_map": True},
+    {"seed": 9},
+    {"cfar": {"k": 2.0}},                       # a field under the wrong object
+    {"guard_cells": [1, 1]},
+    {"grid": {"theta_max_deg": 45.0, "theta_min_deg": -45.0}},
+])
+def test_manifest_unknown_fields_rejected(manifest):
+    with pytest.raises(ValueError, match="unknown fields"):
+        manifest_from_dict(manifest)
+
+
+def test_manifest_nested_objects_must_be_objects():
+    with pytest.raises(ValueError, match="'grid' must be a JSON object"):
+        manifest_from_dict({"grid": [60.0]})
 
 
 def test_manifest_defaults_and_validation():

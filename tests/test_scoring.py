@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from floorwatch.scoring import (ConfusionCounts, TrialRecord,
+from floorwatch.scoring import (ConfusionCounts, TrialRecord, counts_from_flags,
                                 coverage_curve, frame_fpr, frame_positive_rate,
                                 frame_tpr, load_reference_trials, macro_f1,
-                                paired_delta, sweep_k, temporal_alarm,
+                                paired_delta, sweep_k, temporal_alarm, tune_k,
                                 viewpoint_stats)
 
 
@@ -116,6 +118,27 @@ def test_sweep_monotone_rates_from_nested_detections():
     assert all(a >= b for a, b in zip(fprs, fprs[1:]))
     with pytest.raises(ValueError):
         sweep_k([], fpr_cap=0.1)
+
+
+def test_counts_from_flags_pools_trials():
+    counts = counts_from_flags([[1, 1, 0], [0]], [[1, 0, 0, 0]])
+    assert counts == ConfusionCounts(tp=2, fp=1, tn=3, fn=2)
+
+
+def test_tune_k_sweeps_the_flags_function():
+    # each trial maps k to its flags; higher k silences the empty trial first
+    occupied = [{1.0: [1, 1], 2.0: [1, 1], 3.0: [1, 0]}]
+    empty = [{1.0: [1, 1], 2.0: [0, 0], 3.0: [0, 0]}]
+    seen = []
+
+    def flags_at_k(trial, k):
+        seen.append(k)
+        return trial[k]
+
+    result = tune_k(occupied, empty, [3.0, 1.0, 2.0], 0.1, flags_at_k)
+    assert seen == [3.0, 3.0, 1.0, 1.0, 2.0, 2.0]
+    assert [p.k for p in result.points] == [1.0, 2.0, 3.0]
+    assert result.selected.k == 2.0 and result.selected.macro_f1 == 1.0
 
 
 # --- coverage ---
@@ -239,6 +262,30 @@ def test_alarm_strict_boundary():
     for a, b in res.intervals:
         got[a:b + 1] = True
     assert np.array_equal(got, active)
+
+
+@pytest.mark.parametrize("hits, window_seconds", [(55, 10.0), (110, 20.0)])
+def test_alarm_fires_at_exact_fraction(hits, window_seconds):
+    # 0.55 * 100 and 0.55 * 200 round just above 55 and 110
+    window = int(window_seconds * 10)
+    fires = temporal_alarm([True] * hits + [False] * (window - hits), window_seconds, 0.55, 10.0)
+    assert fires.intervals == ((window - 1, window - 1),)
+    quiet = temporal_alarm([True] * (hits - 1) + [False] * (window - hits + 1),
+                           window_seconds, 0.55, 10.0)
+    assert quiet.intervals == ()
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.integers(1, 100), m=st.integers(1, 30))
+def test_alarm_boundary_at_whole_percent_fractions(p, m):
+    window = 100 * m
+    need = p * m
+    stream = [True] * need + [False] * (window - need)
+    res = temporal_alarm(stream, window / 10.0, p / 100, 10.0)
+    assert res.window_frames == window
+    assert res.intervals == ((window - 1, window - 1),)
+    res = temporal_alarm(stream[1:] + [False], window / 10.0, p / 100, 10.0)
+    assert res.intervals == ()
 
 
 def test_alarm_all_false():
