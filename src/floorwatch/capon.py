@@ -1,8 +1,11 @@
 """Adaptive minimum-variance (Capon/MVDR) range-azimuth processing.
 
-For each range bin, near-zero Doppler bins of the clutter-filtered cube are
-stacked as snapshots, the sample spatial covariance R = X X^H / N_D is
-formed, and the spectrum 1 / (a^H R^+ a) is evaluated on the azimuth grid.
+For each range bin, near-zero Doppler bins of the two azimuth-pair receivers
+in the clutter-filtered cube are stacked as snapshots, the sample spatial
+covariance R = X X^H / N_D is formed, and the spectrum 1 / (a^H R^+ a) is
+evaluated on the azimuth grid. The only steering is the pair model
+a = [1, exp(-j pi sin(theta))], which assumes the pair sits half a carrier
+wavelength apart along azimuth.
 R is inverted through its Moore-Penrose pseudoinverse with no diagonal
 loading, so exactly singular look directions are possible; those cells are
 clamped to the finite maximum of their row and counted.
@@ -14,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ArrayGeometry
-from .dbf import RangeAzimuthMap, SteeringGrid, element_phases
+from .dbf import RangeAzimuthMap, SteeringGrid
 from .frontend import RangeDopplerCube
 
 # quadratic forms at or below this are treated as rank-deficient directions
@@ -92,23 +94,6 @@ def capon_steering(theta) -> np.ndarray:
     return np.stack([np.ones_like(theta), np.exp(-1j * np.pi * np.sin(theta))])
 
 
-def steering_matrix(grid: SteeringGrid, num_channels: int,
-                    geom: ArrayGeometry | None = None) -> np.ndarray:
-    """Steering vectors per azimuth grid point as a (channels, n_az) matrix.
-
-    Two channels use the half-wavelength pair model from capon_steering.
-    More channels require the geometry and use the conjugate arrival phases
-    of each receiver offset at zero elevation.
-    """
-    az = grid.azimuth_angles
-    if num_channels == 2:
-        return capon_steering(az)
-    if geom is None:
-        raise ValueError("geometry required for more than two channels")
-    phases = element_phases(geom, az, np.zeros_like(az))  # (n_az, rx)
-    return np.exp(-1j * phases).T
-
-
 def capon_spectrum(cov: SpatialCovariance, steering: np.ndarray) -> tuple[np.ndarray, int]:
     """Adaptive power spectrum 1 / (a^H R^+ a) over the steering columns.
 
@@ -140,15 +125,16 @@ def mvdr_weight(cov: SpatialCovariance, steering: np.ndarray) -> np.ndarray:
 
 
 def capon_range_azimuth(rd: RangeDopplerCube, grid: SteeringGrid, doppler_window: np.ndarray,
-                        channels, geom: ArrayGeometry | None = None,
-                        frame_index: int = 0) -> RangeAzimuthMap:
-    """Per-range snapshot collection, covariance estimation, and spectrum evaluation."""
-    ch = np.asarray(channels, dtype=int)
-    steering = steering_matrix(grid, ch.size, geom)
+                        channels, frame_index: int = 0) -> RangeAzimuthMap:
+    """Per-range snapshot collection, covariance estimation, and spectrum evaluation.
+
+    ``channels`` is the (reference, offset) receiver pair of ``capon_steering``.
+    """
+    steering = capon_steering(grid.azimuth_angles)
     rows = np.empty((rd.num_range_bins, grid.num_azimuth))
     clamped = 0
     for r in range(rd.num_range_bins):
-        x = collect_snapshots(rd, r, doppler_window, ch)
+        x = collect_snapshots(rd, r, doppler_window, channels)
         cov = spatial_covariance(x)
         rows[r], n = capon_spectrum(cov, steering)
         clamped += n

@@ -11,12 +11,11 @@ threshold.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
-
-from .dbf import RangeAzimuthMap
 
 EDGE_POLICIES = ("shrink_window", "skip_cell")
 
@@ -33,8 +32,8 @@ class CfarConfig:
             raise ValueError("guard_cells must be two non-negative counts")
         if len(self.training_cells) != 2 or min(self.training_cells) < 1:
             raise ValueError("training_cells must be >= 1 per dimension")
-        if self.k <= 0:
-            raise ValueError("k must be > 0")
+        if not 0.0 < self.k < math.inf:
+            raise ValueError("k must be finite and > 0")
         if self.edge_policy not in EDGE_POLICIES:
             raise ValueError(f"edge_policy must be one of {EDGE_POLICIES}")
 
@@ -140,20 +139,15 @@ def cfar_mask(power: np.ndarray, cfg: CfarConfig) -> np.ndarray:
     return ca_cfar_2d(power, cfg).mask()
 
 
-def ca_cfar_2d(ra_map: RangeAzimuthMap | np.ndarray, cfg: CfarConfig,
-               frame_index: int | None = None) -> DetectionSet:
+def ca_cfar_2d(power: np.ndarray, cfg: CfarConfig, frame_index: int = 0) -> DetectionSet:
     """Run the detector over a map and list the detections with their thresholds."""
-    if isinstance(ra_map, RangeAzimuthMap):
-        power, map_index = ra_map.power, ra_map.frame_index
-    else:
-        power, map_index = np.asarray(ra_map, dtype=float), 0
-        if power.ndim != 2:
-            raise ValueError("map must be 2-d")
-        if not np.all(np.isfinite(power)) or np.any(power < 0):
-            raise ValueError("map must be finite and non-negative")
+    power = np.asarray(power, dtype=float)
+    if power.ndim != 2:
+        raise ValueError("map must be 2-d")
+    if not np.all(np.isfinite(power)) or np.any(power < 0):
+        raise ValueError("map must be finite and non-negative")
     mean, evaluable, skipped = training_stats(power, cfg)
-    return threshold(power, mean, evaluable, cfg.k,
-                     map_index if frame_index is None else frame_index, skipped)
+    return threshold(power, mean, evaluable, cfg.k, frame_index, skipped)
 
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
@@ -207,9 +201,7 @@ def map_axes(range_resolution_m: float, azimuth_angles: np.ndarray,
 
 
 def hit_test(dets: DetectionSet, boxes, axes: MapAxes) -> bool:
-    """True when any detection's cell center lies inside any of the boxes."""
-    if isinstance(boxes, GroundTruthBox):
-        boxes = (boxes,)
+    """True when any detection's cell center lies inside any box of the tuple."""
     for d in dets.detections:
         r = axes.range_m[d.range_bin]
         th = axes.azimuth_rad[d.azimuth_bin]

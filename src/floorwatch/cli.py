@@ -102,6 +102,8 @@ def _candidate_boxes(recordings):
 
 
 def cmd_tune(args) -> int:
+    if not 0.0 <= args.fpr_cap <= 1.0:
+        raise CliError(f"--fpr-cap must be in [0, 1], got {args.fpr_cap}")
     manifest = _load_manifest(args)
     recs = [read_recording(p) for p in args.recordings]
     occupied = [r for r in recs if r.label == "occupied"]
@@ -144,11 +146,14 @@ def _parse_k_grid(spec: str):
         if len(parts) != 3:
             raise CliError("k grid must be 'start:stop:step' or comma-separated values")
         start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
-            raise CliError("bad k grid bounds")
+        if not (0.0 < step < math.inf and 0.0 < start <= stop < math.inf):
+            raise CliError("bad k grid bounds: need finite 0 < start <= stop and step > 0")
         n = int(math.floor((stop - start) / step + 1e-9)) + 1
         return [round(start + i * step, 10) for i in range(n)]
-    return [float(p) for p in spec.split(",") if p]
+    grid = [float(p) for p in spec.split(",") if p]
+    if not all(0.0 < k < math.inf for k in grid):
+        raise CliError("k grid values must be finite and > 0")
+    return grid
 
 
 def cmd_evaluate(args) -> int:

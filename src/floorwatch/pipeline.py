@@ -17,7 +17,7 @@ from . import cfar as cfar_mod
 from . import dbf as dbf_mod
 from .cfar import CfarConfig, DetectionSet, MapAxes
 from .core import RadarConfig, range_resolution
-from .frontend import WindowSpec, process_frame, zero_doppler_window
+from .frontend import process_frame, zero_doppler_window
 from .mti import init_clutter, mti_step
 from .recordings import RunManifest
 from .scoring import TrialRecord
@@ -70,27 +70,21 @@ def process_recording(rec: Recording, manifest: RunManifest):
     geom = rec.geometry
     grid = build_grid(manifest)
     cfar_cfg = build_cfar(manifest)
-    win = WindowSpec(fast_time_window=manifest.fast_time_window,
-                     slow_time_window=manifest.slow_time_window)
     weights = dbf_mod.dbf_weights(grid, geom) if manifest.method == "dbf" else None
-    if manifest.capon_channels == "pair":
-        channels = np.asarray(geom.azimuth_pair, dtype=int)
-    else:
-        channels = np.arange(geom.num_rx)
 
     state = init_clutter((cfg.num_rx, cfg.num_range_bins, cfg.chirps_per_frame),
                          alpha=manifest.mti_alpha)
 
     for frame in rec.frames:
-        rd = process_frame(frame, cfg, win)
+        rd = process_frame(frame, cfg)
         state, filtered = mti_step(state, rd)
         window = zero_doppler_window(filtered, manifest.doppler_half_width)
         if manifest.method == "dbf":
             spectrum = dbf_mod.dbf_power(filtered, weights, window)
             ra = dbf_mod.dbf_range_azimuth(spectrum, frame_index=frame.frame_index)
         else:
-            ra = capon_mod.capon_range_azimuth(filtered, grid, window, channels,
-                                               geom=geom, frame_index=frame.frame_index)
+            ra = capon_mod.capon_range_azimuth(filtered, grid, window, geom.azimuth_pair,
+                                               frame_index=frame.frame_index)
         power = ra.power
         base, evaluable, skipped = cfar_mod.training_stats(power, cfar_cfg)
         dets = detections_from_maps(power, base, evaluable, cfar_cfg.k,
@@ -124,7 +118,6 @@ def score_recording(rec: Recording, manifest: RunManifest,
 class CachedTrial:
     """Per-frame maps of one processed recording, for cheap k re-thresholding."""
 
-    label: str
     boxes: tuple
     axes: MapAxes
     powers: np.ndarray      # (frames, range, azimuth) float32
@@ -142,7 +135,7 @@ def cache_recording(rec: Recording, manifest: RunManifest, candidate_boxes=None)
         powers.append(out.power.astype(np.float32))
         bases.append(out.threshold_base.astype(np.float32))
         evaluable = out.evaluable
-    return CachedTrial(label=rec.label, boxes=boxes, axes=axes,
+    return CachedTrial(boxes=boxes, axes=axes,
                        powers=np.stack(powers), bases=np.stack(bases),
                        evaluable=evaluable)
 

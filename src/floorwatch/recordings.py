@@ -5,6 +5,10 @@ UTF-8 JSON header (config, geometry, label, truth boxes, tags, seed, frame
 count, format version), and a float32 payload of interleaved (real, imag)
 samples laid out [frame][rx][chirp][sample] row-major. Angles are degrees
 in all external files and radians in memory.
+The reader rejects a bad magic, an unknown format version, a payload whose
+length disagrees with the header, and a geometry whose receiver count differs
+from the config's or whose wavelength is more than 1e-9 (relative) away from
+c / center_frequency: Capon steering assumes a half-wavelength pair.
 """
 
 from __future__ import annotations
@@ -88,6 +92,11 @@ def read_recording(path) -> Recording:
         raise ValueError(f"unsupported format_version {header.get('format_version')}")
     cfg = config_from_dict(header["config"])
     geom = geometry_from_dict(header["geometry"])
+    if geom.num_rx != cfg.num_rx:
+        raise ValueError(f"geometry has {geom.num_rx} receivers, config {cfg.num_rx}")
+    if abs(geom.wavelength - cfg.wavelength) > 1e-9 * cfg.wavelength:
+        raise ValueError(f"geometry wavelength {geom.wavelength} m differs from the "
+                         f"config's c / center_frequency = {cfg.wavelength} m")
     n_frames = int(header["n_frames"])
     payload = raw[8 + header_len:]
     expected = payload_nbytes(cfg, n_frames)
@@ -116,7 +125,9 @@ class RunManifest:
     """Frozen processing parameters for one pipeline run.
 
     k is the per-method operating point; the two pipelines are tuned
-    separately, so a manifest records the method it applies to.
+    separately, so a manifest records the method it applies to. Capon always
+    runs on the geometry's azimuth pair; ``capon_channels`` records that as
+    its only legal value, "pair".
     """
 
     method: str = "capon"
@@ -129,17 +140,17 @@ class RunManifest:
     elevations_deg: tuple = (-10.0, 0.0, 10.0)
     doppler_half_width: int = 2
     mti_alpha: float = 0.01
-    fast_time_window: str = "hann"
-    slow_time_window: str = "hann"
-    capon_channels: str = "pair"     # 'pair' = azimuth baseline, 'all' = every receiver
+    capon_channels: str = "pair"
 
     def __post_init__(self):
         if self.method not in ("dbf", "capon"):
             raise ValueError("method must be 'dbf' or 'capon'")
-        if self.k <= 0:
-            raise ValueError("k must be > 0")
-        if self.capon_channels not in ("pair", "all"):
-            raise ValueError("capon_channels must be 'pair' or 'all'")
+        if not 0.0 < self.k < math.inf:
+            raise ValueError("k must be finite and > 0")
+        if self.capon_channels != "pair":
+            raise ValueError("capon_channels must be 'pair'")
+        if not (0.0 < self.theta_max_deg < math.inf and 0.0 < self.theta_step_deg < math.inf):
+            raise ValueError("theta_max_deg and theta_step_deg must be finite and > 0")
         if not 0.0 <= self.mti_alpha <= 1.0:
             raise ValueError("mti_alpha must be in [0, 1]")
         if self.doppler_half_width < 0:
@@ -161,10 +172,12 @@ def manifest_to_dict(m: RunManifest) -> dict:
     return out
 
 
-def _coerce(default, value):
-    """Convert a JSON value to the type of the field's default."""
+def _coerce(name, default, value):
+    """Convert a JSON value to the type of the field's default; 1.5 is no integer."""
     if isinstance(default, tuple):
-        return tuple(type(default[0])(x) for x in value)
+        return tuple(_coerce(name, default[0], x) for x in value)
+    if isinstance(default, int) and not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     if isinstance(default, (int, float)):
         return type(default)(value)
     return value
@@ -186,7 +199,7 @@ def manifest_from_dict(d: dict) -> RunManifest:
     if unknown:
         raise ValueError(f"manifest: unknown fields {sorted(unknown)}")
     try:
-        return RunManifest(**{name: _coerce(defaults[name], value)
+        return RunManifest(**{name: _coerce(name, defaults[name], value)
                               for _, name, value in entries})
     except (TypeError, ValueError) as exc:
         raise ValueError(f"manifest: {exc}") from exc

@@ -187,10 +187,6 @@ class PairedDeltaSummary:
     mean_dbf: float
     mean_capon: float
 
-    @property
-    def mean_delta(self) -> float:
-        return self.mean_capon - self.mean_dbf
-
 
 def paired_delta(pairs) -> PairedDeltaSummary:
     """Per-trial rate deltas (capon - dbf) sorted by improvement, with means."""
@@ -218,17 +214,11 @@ class FiveNumberSummary:
 def viewpoint_stats(trials) -> dict:
     """Boxplot statistics of trial rates grouped by (view_tag, method_tag).
 
-    ``trials`` is an iterable of (view_tag, method_tag, rate) triples or
-    TrialRecord objects (rates computed from their flags).
+    ``trials`` is an iterable of (view_tag, method_tag, rate) triples.
     """
     groups: dict[tuple, list] = {}
-    for t in trials:
-        if isinstance(t, TrialRecord):
-            key, rate = (t.view_tag, t.method_tag), frame_positive_rate(t)
-        else:
-            view, method, rate = t
-            key = (view, method)
-        groups.setdefault(key, []).append(float(rate))
+    for view, method, rate in trials:
+        groups.setdefault((view, method), []).append(float(rate))
     if not groups:
         raise ValueError("no trials to group")
     out = {}

@@ -11,7 +11,7 @@ by (seed, frame index), so frames synthesize identically in any order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, astuple, dataclass, field, fields, make_dataclass
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .core import (SPEED_OF_LIGHT, ArrayGeometry, FrameCube, RadarConfig,
 from .dbf import element_phases
 
 DEFAULT_BOX_HALF_EXTENTS = (0.45, math.radians(10.0))
+_SIGNED = {"minimum": None}  # field metadata read by the JSON scene schema
 
 
 @dataclass(frozen=True)
@@ -28,8 +29,8 @@ class TargetSpec:
     """Quasi-static subject: a reflector with millimetric sinusoidal range jitter."""
 
     range_m: float
-    azimuth_rad: float
-    elevation_rad: float = 0.0
+    azimuth_rad: float = field(default=0.0, metadata=_SIGNED)
+    elevation_rad: float = field(default=0.0, metadata=_SIGNED)
     amplitude: float = 1.0
     micro_motion_amplitude_m: float = 1e-3
     micro_motion_rate_hz: float = 0.25
@@ -40,8 +41,8 @@ class ClutterSpec:
     """Static reflector (furniture, walls, multipath stand-in)."""
 
     range_m: float
-    azimuth_rad: float
-    elevation_rad: float = 0.0
+    azimuth_rad: float = field(default=0.0, metadata=_SIGNED)
+    elevation_rad: float = field(default=0.0, metadata=_SIGNED)
     amplitude: float = 1.0
 
 
@@ -51,7 +52,7 @@ class SceneSpec:
     clutter: tuple = ()
     noise_std: float = 0.0
     seed: int = 0
-    n_frames: int = 1
+    n_frames: int = field(default=1, metadata={"minimum": 1})
     view_tag: str = ""
     location_tag: str = ""
     subject_tag: str = ""
@@ -179,86 +180,66 @@ def synthesize_recording(scene: SceneSpec, cfg: RadarConfig, geom: ArrayGeometry
                      location_tag=scene.location_tag, subject_tag=scene.subject_tag)
 
 
-# --- JSON scene schema (angles in degrees in external files) ---
+# --- JSON scene schema, derived from the spec fields ---
+# A "*_rad" field is stored in degrees under the "*_deg" key, and a field with
+# a default may be left out. A number must be at least the "minimum" in its
+# field's metadata, which defaults to 0 for floats and to none for integers.
 
-def _path_error(path: str, msg: str) -> ValueError:
-    return ValueError(f"{path}: {msg}")
+_BoxHalfExtents = make_dataclass("_BoxHalfExtents", [("range_m", float), ("azimuth_rad", float)])
+_LISTS = {"targets": TargetSpec, "clutter": ClutterSpec}
 
 
-def _require_number(obj, path, minimum=None):
-    if not isinstance(obj, (int, float)) or isinstance(obj, bool):
-        raise _path_error(path, "expected a number")
-    if minimum is not None and obj < minimum:
-        raise _path_error(path, f"must be >= {minimum}")
-    return float(obj)
+def _json_key(name: str) -> str:
+    return name[:-len("_rad")] + "_deg" if name.endswith("_rad") else name
+
+
+def _to_json(record) -> dict:
+    out = {}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if f.name in _LISTS:
+            value = [_to_json(item) for item in value]
+        elif f.name == "box_half_extents":
+            value = _to_json(_BoxHalfExtents(*value))
+        out[_json_key(f.name)] = math.degrees(value) if f.name.endswith("_rad") else value
+    return out
+
+
+def _from_json(spec, d, path: str):
+    """Build ``spec`` from its JSON object; errors name the path of the bad field."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{path or 'scene'}: expected a JSON object")
+    values = {}
+    for f in fields(spec):
+        key = _json_key(f.name)
+        if key not in d and f.default is not MISSING:
+            continue
+        where, value = f"{path}.{key}" if path else key, d.get(key)
+        if f.name in _LISTS:
+            if not isinstance(value, list):
+                raise ValueError(f"{where}: expected a JSON array")
+            value = tuple(_from_json(_LISTS[f.name], item, f"{where}[{i}]")
+                          for i, item in enumerate(value))
+        elif f.name == "box_half_extents":
+            value = astuple(_from_json(_BoxHalfExtents, value, where))
+        elif isinstance(f.default, str):
+            value = str(value)
+        else:
+            integer = isinstance(f.default, int)
+            if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+                raise ValueError(f"{where}: expected {'an integer' if integer else 'a number'}")
+            minimum = f.metadata.get("minimum", None if integer else 0.0)
+            if minimum is not None and value < minimum:
+                raise ValueError(f"{where}: must be >= {minimum}")
+            if not integer:
+                value = math.radians(value) if f.name.endswith("_rad") else float(value)
+        values[f.name] = value
+    return spec(**values)
 
 
 def scene_from_dict(d: dict) -> SceneSpec:
-    if not isinstance(d, dict):
-        raise ValueError("scene: expected a JSON object")
-    targets = []
-    for i, t in enumerate(d.get("targets", [])):
-        p = f"targets[{i}]"
-        targets.append(TargetSpec(
-            range_m=_require_number(t.get("range_m"), f"{p}.range_m", 0.0),
-            azimuth_rad=math.radians(_require_number(t.get("azimuth_deg", 0.0), f"{p}.azimuth_deg")),
-            elevation_rad=math.radians(_require_number(t.get("elevation_deg", 0.0), f"{p}.elevation_deg")),
-            amplitude=_require_number(t.get("amplitude", 1.0), f"{p}.amplitude", 0.0),
-            micro_motion_amplitude_m=_require_number(
-                t.get("micro_motion_amplitude_m", 1e-3), f"{p}.micro_motion_amplitude_m", 0.0),
-            micro_motion_rate_hz=_require_number(
-                t.get("micro_motion_rate_hz", 0.25), f"{p}.micro_motion_rate_hz", 0.0),
-        ))
-    clutter = []
-    for i, c in enumerate(d.get("clutter", [])):
-        p = f"clutter[{i}]"
-        clutter.append(ClutterSpec(
-            range_m=_require_number(c.get("range_m"), f"{p}.range_m", 0.0),
-            azimuth_rad=math.radians(_require_number(c.get("azimuth_deg", 0.0), f"{p}.azimuth_deg")),
-            elevation_rad=math.radians(_require_number(c.get("elevation_deg", 0.0), f"{p}.elevation_deg")),
-            amplitude=_require_number(c.get("amplitude", 1.0), f"{p}.amplitude", 0.0),
-        ))
-    box = d.get("box_half_extents", None)
-    if box is None:
-        half = DEFAULT_BOX_HALF_EXTENTS
-    else:
-        half = (_require_number(box.get("range_m"), "box_half_extents.range_m", 0.0),
-                math.radians(_require_number(box.get("azimuth_deg"), "box_half_extents.azimuth_deg", 0.0)))
-    n_frames = d.get("n_frames", 1)
-    if not isinstance(n_frames, int) or n_frames < 1:
-        raise _path_error("n_frames", "expected a positive integer")
-    seed = d.get("seed", 0)
-    if not isinstance(seed, int):
-        raise _path_error("seed", "expected an integer")
-    return SceneSpec(
-        targets=tuple(targets), clutter=tuple(clutter),
-        noise_std=_require_number(d.get("noise_std", 0.0), "noise_std", 0.0),
-        seed=seed, n_frames=n_frames,
-        view_tag=str(d.get("view_tag", "")), location_tag=str(d.get("location_tag", "")),
-        subject_tag=str(d.get("subject_tag", "")), box_half_extents=half,
-    )
+    return _from_json(SceneSpec, d, "")
 
 
 def scene_to_dict(scene: SceneSpec) -> dict:
-    return {
-        "targets": [
-            {"range_m": t.range_m, "azimuth_deg": math.degrees(t.azimuth_rad),
-             "elevation_deg": math.degrees(t.elevation_rad), "amplitude": t.amplitude,
-             "micro_motion_amplitude_m": t.micro_motion_amplitude_m,
-             "micro_motion_rate_hz": t.micro_motion_rate_hz}
-            for t in scene.targets
-        ],
-        "clutter": [
-            {"range_m": c.range_m, "azimuth_deg": math.degrees(c.azimuth_rad),
-             "elevation_deg": math.degrees(c.elevation_rad), "amplitude": c.amplitude}
-            for c in scene.clutter
-        ],
-        "noise_std": scene.noise_std,
-        "seed": scene.seed,
-        "n_frames": scene.n_frames,
-        "view_tag": scene.view_tag,
-        "location_tag": scene.location_tag,
-        "subject_tag": scene.subject_tag,
-        "box_half_extents": {"range_m": scene.box_half_extents[0],
-                             "azimuth_deg": math.degrees(scene.box_half_extents[1])},
-    }
+    return _to_json(scene)

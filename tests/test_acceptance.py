@@ -194,7 +194,7 @@ def test_criterion_05_localization():
         ra = dbf_range_azimuth(dbf_power(filt, weights, window))
         r, th = np.unravel_index(np.argmax(ra.power), ra.power.shape)
         ok_dbf += int(abs(r - bin_true) <= 1 and abs(th - theta_true) <= 1)
-        ra = capon_range_azimuth(filt, grid, window, channels, geom=geom)
+        ra = capon_range_azimuth(filt, grid, window, channels)
         r, th = np.unravel_index(np.argmax(ra.power), ra.power.shape)
         ok_capon += int(abs(r - bin_true) <= 1 and abs(th - theta_true) <= 1)
     elapsed = time.perf_counter() - t0

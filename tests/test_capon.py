@@ -1,13 +1,11 @@
-import time
-
 import numpy as np
 import pytest
 
 from floorwatch.capon import (SpatialCovariance, capon_range_azimuth,
                               capon_spectrum, capon_steering, collect_snapshots,
-                              mvdr_weight, spatial_covariance, steering_matrix)
+                              mvdr_weight, spatial_covariance)
 from floorwatch.core import ArrayGeometry
-from floorwatch.dbf import SteeringGrid
+from floorwatch.dbf import SteeringGrid, element_phases
 from floorwatch.frontend import RangeDopplerCube
 
 LAM = 5e-3
@@ -22,6 +20,12 @@ def l_geom():
 def grid_deg(step=2.0, span=60.0):
     az = np.deg2rad(np.arange(-span, span + step / 2, step))
     return SteeringGrid(azimuth_angles=az, elevation_angles=np.array([0.0]))
+
+
+def array_steering(grid, geom):
+    """Zero-elevation steering of every receiver of ``geom``, one column per azimuth."""
+    az = grid.azimuth_angles
+    return np.exp(-1j * element_phases(geom, az, np.zeros_like(az))).T
 
 
 def random_cube(rng, shape=(3, 6, 16)):
@@ -120,20 +124,8 @@ def test_capon_steering_columns_match_scalar_calls():
     assert a.shape == (2, grid.num_azimuth)
     for i, theta in enumerate(grid.azimuth_angles):
         assert np.array_equal(a[:, i], capon_steering(float(theta)))
-    assert np.array_equal(steering_matrix(grid, 2), a)
     with pytest.raises(ValueError):
         capon_steering(np.array([0.0, 2.0]))
-
-
-def test_steering_matrix_three_channel_mode():
-    grid = grid_deg()
-    a = steering_matrix(grid, 3, l_geom())
-    assert a.shape == (3, grid.num_azimuth)
-    assert np.allclose(np.abs(a), 1.0)
-    i0 = int(np.argmin(np.abs(grid.azimuth_angles)))
-    assert np.allclose(a[:, i0], 1.0)
-    with pytest.raises(ValueError):
-        steering_matrix(grid, 3, None)
 
 
 # --- spectrum ---
@@ -142,7 +134,7 @@ def test_spectrum_identity_covariance_is_flat():
     cov = SpatialCovariance(matrix=np.eye(2, dtype=complex),
                             pseudo_inverse=np.eye(2, dtype=complex))
     grid = grid_deg()
-    a = steering_matrix(grid, 2)
+    a = capon_steering(grid.azimuth_angles)
     spec, clamped = capon_spectrum(cov, a)
     assert clamped == 0
     assert np.allclose(spec, 0.5, rtol=1e-12)
@@ -164,7 +156,7 @@ def test_single_target_with_noise_floor_peaks_at_truth():
     amps = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     noise = 1e-5 * (rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5)))
     cov = spatial_covariance(a_star[:, None] * amps[None, :] + noise)
-    a = steering_matrix(grid, 2)
+    a = capon_steering(grid.azimuth_angles)
     spec, _ = capon_spectrum(cov, a)
     assert np.argmax(spec) == 37
     # near the peak the quadratic form cancels catastrophically (entries of
@@ -186,7 +178,7 @@ def test_exactly_rank_one_covariance_dips_at_truth():
     rng = np.random.default_rng(5)
     amps = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     cov = spatial_covariance(a_star[:, None] * amps[None, :])
-    a = steering_matrix(grid, 2)
+    a = capon_steering(grid.azimuth_angles)
     spec, _ = capon_spectrum(cov, a)
     assert np.argmin(spec) == 37
     want = brute_force_spectrum(cov.pseudo_inverse, a)
@@ -200,7 +192,7 @@ def test_two_targets_give_two_local_maxima():
     geom4 = ArrayGeometry(wavelength=LAM,
                           element_offsets=tuple((m * LAM / 2, 0.0) for m in range(4)),
                           azimuth_pair=(0, 1))
-    a = steering_matrix(grid, 4, geom4)
+    a = array_steering(grid, geom4)
     i1, i2 = 30, 85
     rng = np.random.default_rng(6)
     s1 = rng.standard_normal(64) + 1j * rng.standard_normal(64)
@@ -219,7 +211,7 @@ def test_spectrum_scale_equivariance():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))
     grid = grid_deg()
-    a = steering_matrix(grid, 2)
+    a = capon_steering(grid.azimuth_angles)
     cov1 = spatial_covariance(x)
     cov2 = spatial_covariance(2.0 * x)  # R scales by 4
     s1, _ = capon_spectrum(cov1, a)
@@ -232,7 +224,7 @@ def test_spectrum_real_nonnegative_with_small_imaginary_residue():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((3, 9)) + 1j * rng.standard_normal((3, 9))
     cov = spatial_covariance(x)
-    a = steering_matrix(grid_deg(), 3, l_geom())
+    a = array_steering(grid_deg(), l_geom())
     quad = np.einsum("ct,cd,dt->t", a.conj(), cov.pseudo_inverse, a)
     assert np.max(np.abs(quad.imag)) <= 1e-10 * np.max(np.abs(quad.real))
     spec, _ = capon_spectrum(cov, a)
@@ -258,7 +250,7 @@ def test_mvdr_weight_unit_constraint_and_optimality():
 def test_spectrum_dimension_mismatch():
     cov = spatial_covariance(np.eye(2, dtype=complex))
     with pytest.raises(ValueError):
-        capon_spectrum(cov, steering_matrix(grid_deg(), 3, l_geom()))
+        capon_spectrum(cov, array_steering(grid_deg(), l_geom()))
 
 
 # --- full map ---
@@ -278,7 +270,7 @@ def test_rank_deficient_direction_clamped_to_row_max():
     grid = SteeringGrid(azimuth_angles=np.deg2rad(np.arange(-90.0, 91.0, 30.0)),
                         elevation_angles=np.array([0.0]))
     cov = spatial_covariance(np.array([[1.0], [1.0]], dtype=complex))
-    spec, clamped = capon_spectrum(cov, steering_matrix(grid, 2))
+    spec, clamped = capon_spectrum(cov, capon_steering(grid.azimuth_angles))
     assert clamped == 2
     finite = np.delete(spec, [0, len(spec) - 1])
     assert spec[0] == pytest.approx(finite.max())
@@ -291,41 +283,15 @@ def test_map_composition_matches_per_bin_ops():
     grid = grid_deg()
     window = np.arange(6, 11)
     ra = capon_range_azimuth(cube, grid, window, (2, 0))
-    a = steering_matrix(grid, 2)
+    a = capon_steering(grid.azimuth_angles)
     for r in range(5):
         x = collect_snapshots(cube, r, window, (2, 0))
         spec, _ = capon_spectrum(spatial_covariance(x), a)
         assert np.allclose(ra.power[r], spec, rtol=1e-12)
 
 
-def test_map_three_channel_mode():
-    rng = np.random.default_rng(11)
-    cube = random_cube(rng, (3, 4, 16))
-    ra = capon_range_azimuth(cube, grid_deg(), np.arange(6, 11), (0, 1, 2), geom=l_geom())
-    assert ra.power.shape == (4, grid_deg().num_azimuth)
-    assert np.all(np.isfinite(ra.power))
-
-
-def test_work_scales_with_channel_count():
-    # spectrum evaluation is quadratic in the channel count; compare 2 vs 6
-    # channels on a dense grid so the quadratic-form work dominates
-    rng = np.random.default_rng(12)
-    az = np.deg2rad(np.arange(-1200, 1201) * 0.05)
-    grid = SteeringGrid(azimuth_angles=az, elevation_angles=np.array([0.0]))
-
-    def timed(n_ch):
-        offsets = tuple((m * LAM / 2, 0.0) for m in range(n_ch))
-        geom = ArrayGeometry(wavelength=LAM, element_offsets=offsets, azimuth_pair=(0, 1))
-        cube = random_cube(rng, (n_ch, 32, 64))
-        window = np.arange(27, 38)
-        channels = tuple(range(n_ch))
-        best = np.inf
-        for _ in range(3):
-            t0 = time.perf_counter()
-            capon_range_azimuth(cube, grid, window, channels, geom=geom)
-            best = min(best, time.perf_counter() - t0)
-        return best
-
-    t2 = timed(2)
-    t6 = timed(6)
-    assert t6 / t2 >= 2.0
+def test_map_takes_a_receiver_pair_only():
+    # the steering is the two-element pair model; a third channel has no steering row
+    cube = random_cube(np.random.default_rng(11), (3, 4, 16))
+    with pytest.raises(ValueError, match="steering dimension"):
+        capon_range_azimuth(cube, grid_deg(), np.arange(6, 11), (0, 1, 2))

@@ -188,13 +188,13 @@ def test_hit_at_center():
     axes = axes_32x121()
     box = GroundTruthBox(center=(3.0, 0.0), half_extents=(0.45, np.deg2rad(10)))
     ds = det_set([(10, 60, 1.0, 0.1)], shape=(32, 121))  # 3.0 m, 0 deg
-    assert hit_test(ds, box, axes)
+    assert hit_test(ds, (box,), axes)
 
 
 def test_empty_detections_miss():
     axes = axes_32x121()
     box = GroundTruthBox(center=(3.0, 0.0), half_extents=(0.45, np.deg2rad(10)))
-    assert not hit_test(det_set([], shape=(32, 121)), box, axes)
+    assert not hit_test(det_set([], shape=(32, 121)), (box,), axes)
 
 
 def test_hit_boundary_inclusive_then_exclusive():
@@ -203,10 +203,10 @@ def test_hit_boundary_inclusive_then_exclusive():
     box = GroundTruthBox(center=(3.0, 0.0), half_extents=(0.45, np.deg2rad(10)))
     inside_edge = det_set([(11, 60, 1.0, 0.1)], shape=(32, 121))
     outside = det_set([(12, 60, 1.0, 0.1)], shape=(32, 121))
-    assert hit_test(inside_edge, box, axes)
-    assert not hit_test(outside, box, axes)
+    assert hit_test(inside_edge, (box,), axes)
+    assert not hit_test(outside, (box,), axes)
     exact = GroundTruthBox(center=(3.0, 0.0), half_extents=(0.3, np.deg2rad(10)))
-    assert hit_test(det_set([(11, 60, 1.0, 0.1)], shape=(32, 121)), exact, axes)
+    assert hit_test(det_set([(11, 60, 1.0, 0.1)], shape=(32, 121)), (exact,), axes)
 
 
 def test_hit_test_multiple_boxes():

@@ -263,3 +263,62 @@ def test_full_chain_reproducible(workspace):
         return sha256(rec), sha256(det), sha256(out / "metrics.json"), sha256(out / "table.csv")
 
     assert run("r1") == run("r2")
+
+
+def json_error(capsys):
+    return json.loads(capsys.readouterr().err.strip())
+
+
+@pytest.mark.parametrize("command", ["process", "evaluate"])
+@pytest.mark.parametrize("k", ["nan", "inf"])
+def test_non_finite_k_is_a_json_error(workspace, capsys, command, k):
+    tmp, cfg, scene, _, manifest = workspace
+    rec = tmp / "a.rec"
+    main(["simulate", "--scene", scene, "--config", cfg, "--out", str(rec)])
+    capsys.readouterr()
+    rc = main([command, "--recording", str(rec), "--manifest", manifest, "--k", k,
+               "--out", str(tmp / "out")])
+    assert rc != 0
+    assert "k must be finite" in json_error(capsys)["message"]
+
+
+@pytest.fixture()
+def tune_inputs(workspace):
+    tmp, cfg, scene, empty, manifest = workspace
+    occ, emp = tmp / "occ.rec", tmp / "emp.rec"
+    main(["simulate", "--scene", scene, "--config", cfg, "--out", str(occ)])
+    main(["simulate", "--scene", empty, "--config", cfg, "--out", str(emp)])
+    return ["tune", "--recordings", str(occ), str(emp), "--manifest", manifest,
+            "--out", str(tmp / "tune")]
+
+
+@pytest.mark.parametrize("grid", ["-1,0,nan,inf", "0,2.0", "nan", "2.0,inf",
+                                  "0:4:1", "1:nan:0.5", "1:inf:0.5", "nan:4:1", "1:4:inf"])
+def test_tune_rejects_non_positive_or_non_finite_k_grid(tune_inputs, capsys, grid):
+    capsys.readouterr()
+    assert main(tune_inputs + [f"--k-grid={grid}"]) != 0
+    assert json_error(capsys)["error"] == "CliError"
+
+
+@pytest.mark.parametrize("cap", ["nan", "-0.1", "1.5"])
+def test_tune_rejects_fpr_cap_outside_unit_interval(tune_inputs, capsys, cap):
+    capsys.readouterr()
+    assert main(tune_inputs + [f"--fpr-cap={cap}", "--k-grid", "2.0,4.0"]) != 0
+    assert "--fpr-cap" in json_error(capsys)["message"]
+
+
+@pytest.mark.parametrize("manifest, message", [
+    ({"grid": {"theta_step_deg": 0.0}}, "theta_step_deg"),
+    ({"grid": {"theta_max_deg": 0.0}}, "theta_max_deg"),
+    ({"doppler_half_width": 1.5}, "doppler_half_width must be an integer"),
+    ({"cfar": {"guard_cells": [1.5, 2]}}, "guard_cells must be an integer"),
+])
+def test_bad_manifest_grid_or_integer_is_a_json_error(workspace, capsys, manifest, message):
+    tmp, cfg, scene, _, _ = workspace
+    rec = tmp / "a.rec"
+    main(["simulate", "--scene", scene, "--config", cfg, "--out", str(rec)])
+    capsys.readouterr()
+    rc = main(["process", "--recording", str(rec), "--manifest",
+               write_json(tmp / "bad.json", manifest), "--out", str(tmp / "d.csv")])
+    assert rc != 0
+    assert message in json_error(capsys)["message"]

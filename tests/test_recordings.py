@@ -1,10 +1,13 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from floorwatch.core import RadarConfig, default_geometry
+from floorwatch.bench import bench_manifest
+from floorwatch.cli import main
+from floorwatch.core import ArrayGeometry, RadarConfig, default_geometry
 from floorwatch.recordings import (RunManifest, manifest_from_dict, manifest_to_dict,
                                    payload_nbytes, read_recording, write_recording)
 from floorwatch.sim import ClutterSpec, SceneSpec, TargetSpec, synthesize_recording
@@ -84,8 +87,7 @@ def test_empty_recording_round_trip(tmp_path):
 def test_manifest_round_trip():
     m = RunManifest(method="dbf", k=1.4, guard_cells=(1, 2), training_cells=(3, 5),
                     edge_policy="skip_cell", theta_max_deg=45.0, theta_step_deg=0.5,
-                    elevations_deg=(0.0,), doppler_half_width=3, mti_alpha=0.99,
-                    capon_channels="all")
+                    elevations_deg=(0.0,), doppler_half_width=3, mti_alpha=0.99)
     back = manifest_from_dict(manifest_to_dict(m))
     assert back == m
 
@@ -108,6 +110,36 @@ def test_manifest_nested_objects_must_be_objects():
         manifest_from_dict({"grid": [60.0]})
 
 
+@pytest.mark.parametrize("manifest", [
+    {"k": float("nan")}, {"k": float("inf")},
+    {"grid": {"theta_step_deg": 0.0}}, {"grid": {"theta_step_deg": -1.0}},
+    {"grid": {"theta_max_deg": 0.0}}, {"grid": {"theta_max_deg": float("nan")}},
+    {"grid": {"theta_max_deg": float("inf")}},
+    {"doppler_half_width": 1.5}, {"cfar": {"guard_cells": [1.5, 2]}},
+    {"cfar": {"training_cells": [4, float("inf")]}},
+])
+def test_manifest_rejects_non_finite_k_bad_theta_grid_and_non_integers(manifest):
+    with pytest.raises(ValueError, match="manifest: "):
+        manifest_from_dict(manifest)
+
+
+def test_manifest_integral_floats_stay_valid():
+    m = manifest_from_dict({"doppler_half_width": 2.0, "cfar": {"guard_cells": [1.0, 2.0]}})
+    assert m.doppler_half_width == 2 and type(m.doppler_half_width) is int
+    assert m.guard_cells == (1, 2)
+
+
+@pytest.mark.parametrize("method", ["dbf", "capon"])
+def test_bench_manifest_holds_every_key_the_benchmark_reads(method):
+    # perfbench/checks.py reads these keys from the manifest JSON of its streams
+    d = json.loads(json.dumps(manifest_to_dict(bench_manifest(method, 4.0))))
+    assert d["method"] == method and d["k"] == 4.0
+    assert {"mti_alpha", "doppler_half_width"} <= d.keys()
+    assert d["capon_channels"] == "pair"
+    assert {"guard_cells", "training_cells", "edge_policy"} <= d["cfar"].keys()
+    assert {"theta_max_deg", "theta_step_deg", "elevations_deg"} <= d["grid"].keys()
+
+
 def test_manifest_defaults_and_validation():
     m = manifest_from_dict({})
     assert m.method == "capon" and m.k == 2.4
@@ -117,13 +149,13 @@ def test_manifest_defaults_and_validation():
         manifest_from_dict({"k": -1.0})
     with pytest.raises(ValueError):
         manifest_from_dict({"mti_alpha": 1.5})
-    with pytest.raises(ValueError):
-        RunManifest(capon_channels="some")
+    for channels in ("some", "all"):
+        with pytest.raises(ValueError):
+            RunManifest(capon_channels=channels)
 
 
 @pytest.mark.parametrize("name", ["single_target.json", "empty_room.json"])
 def test_bundled_scenes_parse_and_round_trip(tmp_path, name):
-    import dataclasses
     from importlib import resources
     from floorwatch.sim import scene_from_dict
     raw = json.loads((resources.files("floorwatch") / "data" / "scenes" / name).read_text())
@@ -145,3 +177,30 @@ def test_angles_are_degrees_in_header(tmp_path):
     header_len = int(np.frombuffer(raw[4:8], dtype="<u4")[0])
     header = json.loads(raw[8:8 + header_len])
     assert header["truth"][0]["center_azimuth_deg"] == pytest.approx(math.degrees(0.3))
+
+
+def write_with_geometry(path, geometry):
+    rec = dataclasses.replace(make_recording(), geometry=geometry)
+    write_recording(path, rec)
+    return path
+
+
+@pytest.mark.parametrize("geometry, message", [
+    (ArrayGeometry(wavelength=9.9, element_offsets=((0.0, 0.0), (4.95, 0.0))), "receivers"),
+    (ArrayGeometry(wavelength=9.9, element_offsets=((4.95, 0.0), (0.0, 4.95), (0.0, 0.0)),
+                   azimuth_pair=(2, 0)), "wavelength"),
+    (dataclasses.replace(default_geometry(CFG), wavelength=CFG.wavelength * (1 + 1e-8)),
+     "wavelength"),
+])
+def test_geometry_disagreeing_with_config_is_rejected(tmp_path, capsys, geometry, message):
+    path = write_with_geometry(tmp_path / "bad.rec", geometry)
+    with pytest.raises(ValueError, match=message):
+        read_recording(path)
+    assert main(["process", "--recording", str(path), "--method", "capon",
+                 "--out", str(tmp_path / "d.csv")]) != 0
+    assert message in json.loads(capsys.readouterr().err.strip())["message"]
+
+
+def test_geometry_wavelength_within_tolerance_reads(tmp_path):
+    geometry = dataclasses.replace(default_geometry(CFG), wavelength=CFG.wavelength * (1 + 1e-12))
+    assert read_recording(write_with_geometry(tmp_path / "ok.rec", geometry)).geometry == geometry

@@ -224,10 +224,8 @@ def test_viewpoint_stats_single_trial_group():
     assert s.minimum == s.q1 == s.median == s.q3 == s.maximum == 0.7
 
 
-def test_viewpoint_stats_accepts_trial_records():
-    trials = [trial([1, 1, 0, 0], view_tag="tv"), trial([1, 1, 1, 1], view_tag="tv"),
-              trial([0, 0, 0, 1], view_tag="window")]
-    stats = viewpoint_stats(trials)
+def test_viewpoint_stats_groups_by_view_and_method():
+    stats = viewpoint_stats([("tv", "dbf", 0.5), ("tv", "dbf", 1.0), ("window", "dbf", 0.25)])
     assert stats[("tv", "dbf")].maximum == 1.0
     assert stats[("window", "dbf")].median == pytest.approx(0.25)
     with pytest.raises(ValueError):

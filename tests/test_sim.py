@@ -1,7 +1,11 @@
+import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floorwatch.capon import capon_range_azimuth
 from floorwatch.core import RadarConfig, default_geometry, max_range, range_resolution
@@ -139,7 +143,7 @@ def test_localization_consistency_near_noise_free():
     _, filt = mti_step(state, cube)
     window = zero_doppler_window(filt, 2)
     ra_dbf = dbf_range_azimuth(dbf_power(filt, dbf_weights(grid, GEOM), window))
-    ra_cap = capon_range_azimuth(filt, grid, window, GEOM.azimuth_pair, geom=GEOM)
+    ra_cap = capon_range_azimuth(filt, grid, window, GEOM.azimuth_pair)
     for ra in (ra_dbf, ra_cap):
         r, t = np.unravel_index(np.argmax(ra.power), ra.power.shape)
         assert r == bin_true
@@ -197,6 +201,18 @@ def test_scene_schema_errors_carry_field_paths():
     with pytest.raises(ValueError, match=r"clutter\[1\]\.amplitude"):
         scene_from_dict({"clutter": [{"range_m": 1.0},
                                      {"range_m": 2.0, "amplitude": "big"}]})
+    with pytest.raises(ValueError, match=r"box_half_extents\.azimuth_deg: must be >= 0"):
+        scene_from_dict({"box_half_extents": {"range_m": 0.45, "azimuth_deg": -10.0}})
+    with pytest.raises(ValueError, match=r"box_half_extents\.azimuth_deg: expected a number"):
+        scene_from_dict({"box_half_extents": {"range_m": 0.45}})
+    with pytest.raises(ValueError, match=r"targets\[0\]\.micro_motion_rate_hz: must be >= 0"):
+        scene_from_dict({"targets": [{"range_m": 3.0, "micro_motion_rate_hz": -0.1}]})
+    with pytest.raises(ValueError, match="seed: expected an integer"):
+        scene_from_dict({"seed": 1.5})
+    with pytest.raises(ValueError, match="targets: expected a JSON array"):
+        scene_from_dict({"targets": None})
+    with pytest.raises(ValueError, match=r"clutter\[0\]: expected a JSON object"):
+        scene_from_dict({"clutter": [3.0]})
 
 
 def test_scene_validation():
@@ -204,3 +220,55 @@ def test_scene_validation():
         SceneSpec(noise_std=-0.1)
     with pytest.raises(ValueError):
         SceneSpec(targets=(TargetSpec(range_m=1.0, azimuth_rad=2.0),))
+
+
+def assert_same_json(got, want, key=""):
+    """Same keys and values; degree values may differ by the radian round trip."""
+    assert type(got) is type(want), key
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), key
+        for k in want:
+            assert_same_json(got[k], want[k], k)
+    elif isinstance(want, list):
+        assert len(got) == len(want), key
+        for g, w in zip(got, want):
+            assert_same_json(g, w, key)
+    elif key.endswith("_deg"):
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12), key
+    else:
+        assert got == want, key
+
+
+@pytest.mark.parametrize("name", ["single_target.json", "empty_room.json"])
+def test_bundled_scene_json_round_trips_key_for_key(name):
+    raw = json.loads((resources.files("floorwatch") / "data" / "scenes" / name).read_text())
+    assert_same_json(scene_to_dict(scene_from_dict(raw)), raw)
+
+
+finite = dict(allow_nan=False, allow_infinity=False)
+angles = st.floats(-1.5, 1.5, **finite)
+non_negative = st.floats(0.0, 50.0, **finite)
+targets = st.builds(TargetSpec, range_m=non_negative, azimuth_rad=angles,
+                    elevation_rad=angles, amplitude=non_negative,
+                    micro_motion_amplitude_m=non_negative, micro_motion_rate_hz=non_negative)
+clutter = st.builds(ClutterSpec, range_m=non_negative, azimuth_rad=angles,
+                    elevation_rad=angles, amplitude=non_negative)
+scenes = st.builds(SceneSpec, targets=st.lists(targets, max_size=3).map(tuple),
+                   clutter=st.lists(clutter, max_size=3).map(tuple), noise_std=non_negative,
+                   seed=st.integers(0, 2**32), n_frames=st.integers(1, 10_000),
+                   view_tag=st.text(max_size=5), location_tag=st.text(max_size=5),
+                   subject_tag=st.text(max_size=5),
+                   box_half_extents=st.tuples(st.floats(1e-3, 5.0), st.floats(1e-3, 1.5)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenes)
+def test_scene_json_round_trip_property(scene):
+    d = json.loads(json.dumps(scene_to_dict(scene)))
+    back = scene_from_dict(d)
+    assert_same_json(scene_to_dict(back), d)
+    for got, want in zip(back.targets + back.clutter, scene.targets + scene.clutter):
+        assert got.range_m == want.range_m and got.amplitude == want.amplitude
+        assert got.azimuth_rad == pytest.approx(want.azimuth_rad, rel=1e-12, abs=1e-15)
+    assert (back.noise_std, back.seed, back.n_frames) == (scene.noise_std, scene.seed,
+                                                        scene.n_frames)
