@@ -1,14 +1,18 @@
 """Adaptive minimum-variance (Capon/MVDR) range-azimuth processing.
 
-For each range bin, near-zero Doppler bins of the two azimuth-pair receivers
-in the clutter-filtered cube are stacked as snapshots, the sample spatial
-covariance R = X X^H / N_D is formed, and the spectrum 1 / (a^H R^+ a) is
-evaluated on the azimuth grid. The only steering is the pair model
-a = [1, exp(-j pi sin(theta))], which assumes the pair sits half a carrier
-wavelength apart along azimuth.
+Near-zero Doppler bins of the two azimuth-pair receivers in the
+clutter-filtered cube are stacked as snapshots, one (channel, snapshot)
+matrix per range bin, and a frame is processed as one stack: the sample
+spatial covariances R = X X^H / N_D of every range bin come from one
+batched product and one batched pseudoinverse, and one evaluation of
+1 / (a^H R^+ a) on the azimuth grid gives the whole range-azimuth map. The
+arithmetic is the same per bin as for a single matrix, so a stacked map
+equals the map built bin by bin. The only steering is the pair model
+a = [1, exp(-j pi sin(theta))], which assumes the offset receiver sits half
+a carrier wavelength from the reference along azimuth.
 R is inverted through its Moore-Penrose pseudoinverse with no diagonal
 loading, so exactly singular look directions are possible; those cells are
-clamped to the finite maximum of their row and counted.
+clamped to the finite maximum of their range row and counted.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import ArrayGeometry
 from .dbf import RangeAzimuthMap, SteeringGrid
 from .frontend import RangeDopplerCube
 
@@ -25,14 +30,23 @@ QUADFORM_FLOOR = 1e-30
 PINV_RCOND = 1e-12
 
 
-def collect_snapshots(rd: RangeDopplerCube, range_bin: int, doppler_window: np.ndarray,
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(M + M^H) / 2 over the last two axes; removes round-off asymmetry."""
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
+
+
+def collect_snapshots(rd: RangeDopplerCube, range_bin, doppler_window: np.ndarray,
                       channels) -> np.ndarray:
-    """Stack clutter-filtered returns as a (channel, snapshot) matrix.
+    """Stack clutter-filtered returns as (channel, snapshot) matrices.
 
     One row per selected receiver, one column per Doppler bin in the window.
+    ``range_bin`` is one bin or an array of bins; an array adds its shape as
+    leading stack axes, e.g. ``np.arange(rd.num_range_bins)`` gives the
+    (range, channel, snapshot) stack of a whole frame.
     """
     dw = np.asarray(doppler_window, dtype=int)
     ch = np.asarray(channels, dtype=int)
+    rb = np.asarray(range_bin, dtype=int)
     if dw.size == 0:
         raise ValueError("doppler_window must be non-empty")
     if dw.min() < 0 or dw.max() >= rd.num_doppler_bins:
@@ -41,45 +55,49 @@ def collect_snapshots(rd: RangeDopplerCube, range_bin: int, doppler_window: np.n
         raise ValueError("need at least 2 channels")
     if ch.min() < 0 or ch.max() >= rd.num_rx or len(set(ch.tolist())) != ch.size:
         raise ValueError("bad channel indices")
-    if not 0 <= range_bin < rd.num_range_bins:
+    if rb.size == 0 or rb.min() < 0 or rb.max() >= rd.num_range_bins:
         raise ValueError("range_bin out of bounds")
-    return rd.values[ch[:, None], range_bin, dw[None, :]]
+    return rd.values[ch[:, None], rb[..., None, None], dw[None, :]]
 
 
 @dataclass(frozen=True)
 class SpatialCovariance:
-    """Hermitian PSD sample covariance and its Moore-Penrose pseudoinverse."""
+    """Hermitian PSD sample covariance(s) and Moore-Penrose pseudoinverse(s).
+
+    Both arrays are (..., channel, channel); leading axes index a stack of
+    matrices, each of which must pass the checks.
+    """
 
     matrix: np.ndarray
     pseudo_inverse: np.ndarray
 
     def __post_init__(self):
         r = np.asarray(self.matrix)
-        herm_err = np.linalg.norm(r - r.conj().T)
-        scale = max(np.linalg.norm(r), 1e-300)
-        if herm_err > 1e-12 * scale:
+        herm_err = np.linalg.norm(r - r.conj().swapaxes(-1, -2), axis=(-2, -1))
+        scale = np.maximum(np.linalg.norm(r, axis=(-2, -1)), 1e-300)
+        if np.any(herm_err > 1e-12 * scale):
             raise ValueError("covariance is not Hermitian within tolerance")
         eig = np.linalg.eigvalsh(r)
-        trace = float(np.trace(r).real)
-        if eig.min() < -1e-10 * max(trace, 1e-300):
+        trace = np.trace(r, axis1=-2, axis2=-1).real
+        if np.any(eig.min(axis=-1) < -1e-10 * np.maximum(trace, 1e-300)):
             raise ValueError("covariance is not positive semidefinite within tolerance")
 
 
 def spatial_covariance(snapshots: np.ndarray) -> SpatialCovariance:
     """Sample covariance R = X X^H / N_D with an SVD pseudoinverse.
 
-    Singular values below 1e-12 of the largest are treated as zero; no
-    diagonal loading is applied.
+    ``snapshots`` is (..., channel, N_D); leading axes are a stack, and every
+    matrix of it gets the same product, symmetrisation and pseudoinverse in
+    one batched call each. Singular values below 1e-12 of the largest (per
+    matrix) are treated as zero; no diagonal loading is applied.
     """
     x = np.asarray(snapshots, dtype=np.complex128)
-    if x.ndim != 2 or x.shape[1] < 1:
-        raise ValueError("snapshots must be (channels, N_D) with N_D >= 1")
+    if x.ndim < 2 or x.shape[-1] < 1:
+        raise ValueError("snapshots must be (..., channels, N_D) with N_D >= 1")
     if not np.all(np.isfinite(x)):
         raise ValueError("snapshots contain non-finite values")
-    r = x @ x.conj().T / x.shape[1]
-    r = (r + r.conj().T) / 2.0  # remove round-off asymmetry
-    rinv = np.linalg.pinv(r, rcond=PINV_RCOND, hermitian=True)
-    rinv = (rinv + rinv.conj().T) / 2.0
+    r = _hermitian_part(x @ x.conj().swapaxes(-1, -2) / x.shape[-1])
+    rinv = _hermitian_part(np.linalg.pinv(r, rcond=PINV_RCOND, hermitian=True))
     return SpatialCovariance(matrix=r, pseudo_inverse=rinv)
 
 
@@ -94,24 +112,43 @@ def capon_steering(theta) -> np.ndarray:
     return np.stack([np.ones_like(theta), np.exp(-1j * np.pi * np.sin(theta))])
 
 
+def check_pair_geometry(geom: ArrayGeometry) -> None:
+    """Require the pair layout ``capon_steering`` assumes.
+
+    With ``(i, j) = geom.azimuth_pair``, the offset receiver j must sit half a
+    wavelength along azimuth from the reference i, at the same elevation:
+    offsets[j] - offsets[i] = (wavelength / 2, 0) within 1e-9 of a wavelength.
+    """
+    i, j = geom.azimuth_pair
+    offsets = geom.offsets_array()
+    dx, dy = offsets[j] - offsets[i]
+    lam = geom.wavelength
+    if abs(dx - lam / 2.0) > 1e-9 * lam or abs(dy) > 1e-9 * lam:
+        raise ValueError(f"Capon needs the azimuth pair {geom.azimuth_pair} half a wavelength "
+                         f"apart along azimuth ({lam / 2.0:.6g} m, 0); its offset is "
+                         f"({dx:.6g} m, {dy:.6g} m)")
+
+
 def capon_spectrum(cov: SpatialCovariance, steering: np.ndarray) -> tuple[np.ndarray, int]:
     """Adaptive power spectrum 1 / (a^H R^+ a) over the steering columns.
 
-    Returns the spectrum row and the number of clamped (singular) cells.
-    Rows with no invertible direction at all come back as zeros.
+    A stack of covariances gives a stack of spectrum rows, one per matrix.
+    Returns the spectrum and the total number of clamped (singular) cells.
+    A clamped cell takes the finite maximum of its row; rows with no
+    invertible direction at all come back as zeros.
     """
     a = np.asarray(steering)
-    if a.shape[0] != cov.pseudo_inverse.shape[0]:
+    if a.shape[0] != cov.pseudo_inverse.shape[-1]:
         raise ValueError("steering dimension does not match covariance")
-    quad = np.einsum("ct,cd,dt->t", a.conj(), cov.pseudo_inverse, a)
-    quad = np.real(quad)
+    quad = np.real(np.einsum("ct,...cd,dt->...t", a.conj(), cov.pseudo_inverse, a))
     singular = quad <= QUADFORM_FLOOR
-    spectrum = np.empty(a.shape[1])
-    spectrum[~singular] = 1.0 / quad[~singular]
-    n_clamped = int(singular.sum())
-    if n_clamped:
-        spectrum[singular] = spectrum[~singular].max() if n_clamped < quad.size else 0.0
-    return spectrum, n_clamped
+    spectrum = np.zeros(quad.shape)
+    np.divide(1.0, quad, out=spectrum, where=~singular)
+    # finite cells are > 0 and singular ones still 0, so this is each row's
+    # finite maximum, or 0 for a row with no finite cell
+    row_max = spectrum.max(axis=-1, keepdims=True)
+    spectrum = np.where(singular, row_max, spectrum)
+    return spectrum, int(singular.sum())
 
 
 def mvdr_weight(cov: SpatialCovariance, steering: np.ndarray) -> np.ndarray:
@@ -126,17 +163,11 @@ def mvdr_weight(cov: SpatialCovariance, steering: np.ndarray) -> np.ndarray:
 
 def capon_range_azimuth(rd: RangeDopplerCube, grid: SteeringGrid, doppler_window: np.ndarray,
                         channels, frame_index: int = 0) -> RangeAzimuthMap:
-    """Per-range snapshot collection, covariance estimation, and spectrum evaluation.
+    """Capon map of one frame: one snapshot stack, one covariance stack, one spectrum.
 
     ``channels`` is the (reference, offset) receiver pair of ``capon_steering``.
     """
-    steering = capon_steering(grid.azimuth_angles)
-    rows = np.empty((rd.num_range_bins, grid.num_azimuth))
-    clamped = 0
-    for r in range(rd.num_range_bins):
-        x = collect_snapshots(rd, r, doppler_window, channels)
-        cov = spatial_covariance(x)
-        rows[r], n = capon_spectrum(cov, steering)
-        clamped += n
-    return RangeAzimuthMap(power=rows, frame_index=frame_index,
+    x = collect_snapshots(rd, np.arange(rd.num_range_bins), doppler_window, channels)
+    power, clamped = capon_spectrum(spatial_covariance(x), capon_steering(grid.azimuth_angles))
+    return RangeAzimuthMap(power=power, frame_index=frame_index,
                            method_tag="capon", clamp_count=clamped)

@@ -124,28 +124,40 @@ def training_stats(power: np.ndarray, cfg: CfarConfig):
     return mean, evaluable, skipped
 
 
+def _crossings(power: np.ndarray, base: np.ndarray, evaluable: np.ndarray, k: float) -> np.ndarray:
+    """The thresholding rule: evaluable cells strictly above k * base."""
+    return evaluable & (power > k * base)
+
+
 def threshold(power: np.ndarray, base: np.ndarray, evaluable: np.ndarray, k: float,
               frame_index: int = 0, skipped: int = 0) -> DetectionSet:
     """Evaluable cells strictly above k * base, with their thresholds."""
-    rs, cs = np.nonzero(evaluable & (power > k * base))
+    rs, cs = np.nonzero(_crossings(power, base, evaluable, k))
     dets = tuple(Detection(int(r), int(c), float(power[r, c]), float(k * base[r, c]))
                  for r, c in zip(rs, cs))
     return DetectionSet(detections=dets, frame_index=frame_index,
                         map_shape=power.shape, skipped_cells=skipped)
 
 
-def cfar_mask(power: np.ndarray, cfg: CfarConfig) -> np.ndarray:
-    """Boolean detection mask: cell strictly above k * training mean."""
-    return ca_cfar_2d(power, cfg).mask()
-
-
-def ca_cfar_2d(power: np.ndarray, cfg: CfarConfig, frame_index: int = 0) -> DetectionSet:
-    """Run the detector over a map and list the detections with their thresholds."""
+def _checked_map(power: np.ndarray) -> np.ndarray:
     power = np.asarray(power, dtype=float)
     if power.ndim != 2:
         raise ValueError("map must be 2-d")
     if not np.all(np.isfinite(power)) or np.any(power < 0):
         raise ValueError("map must be finite and non-negative")
+    return power
+
+
+def cfar_mask(power: np.ndarray, cfg: CfarConfig) -> np.ndarray:
+    """Boolean detection mask: cell strictly above k * training mean."""
+    power = _checked_map(power)
+    mean, evaluable, _ = training_stats(power, cfg)
+    return _crossings(power, mean, evaluable, cfg.k)
+
+
+def ca_cfar_2d(power: np.ndarray, cfg: CfarConfig, frame_index: int = 0) -> DetectionSet:
+    """Run the detector over a map and list the detections with their thresholds."""
+    power = _checked_map(power)
     mean, evaluable, skipped = training_stats(power, cfg)
     return threshold(power, mean, evaluable, cfg.k, frame_index, skipped)
 

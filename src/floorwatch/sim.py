@@ -184,6 +184,7 @@ def synthesize_recording(scene: SceneSpec, cfg: RadarConfig, geom: ArrayGeometry
 # A "*_rad" field is stored in degrees under the "*_deg" key, and a field with
 # a default may be left out. A number must be at least the "minimum" in its
 # field's metadata, which defaults to 0 for floats and to none for integers.
+# A key that no field maps to is an error, at every level.
 
 _BoxHalfExtents = make_dataclass("_BoxHalfExtents", [("range_m", float), ("azimuth_rad", float)])
 _LISTS = {"targets": TargetSpec, "clutter": ClutterSpec}
@@ -206,9 +207,13 @@ def _to_json(record) -> dict:
 
 
 def _from_json(spec, d, path: str):
-    """Build ``spec`` from its JSON object; errors name the path of the bad field."""
+    """Build ``spec`` from its JSON object; errors name the path of the bad field or key."""
     if not isinstance(d, dict):
         raise ValueError(f"{path or 'scene'}: expected a JSON object")
+    known = {_json_key(f.name) for f in fields(spec)}
+    for key in d:
+        if key not in known:
+            raise ValueError(f"{path or 'scene'}: unknown key {key!r}")
     values = {}
     for f in fields(spec):
         key = _json_key(f.name)

@@ -1,12 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from floorwatch.bench import bench_manifest, occupied_benchmark_scenes
 from floorwatch.capon import (SpatialCovariance, capon_range_azimuth,
                               capon_spectrum, capon_steering, collect_snapshots,
                               mvdr_weight, spatial_covariance)
-from floorwatch.core import ArrayGeometry
-from floorwatch.dbf import SteeringGrid, element_phases
-from floorwatch.frontend import RangeDopplerCube
+from floorwatch.core import ArrayGeometry, RadarConfig, default_geometry
+from floorwatch.dbf import SteeringGrid, default_grid, element_phases
+from floorwatch.frontend import RangeDopplerCube, process_frame, zero_doppler_window
+from floorwatch.mti import init_clutter, mti_step
+from floorwatch.sim import synthesize_frame
 
 LAM = 5e-3
 
@@ -277,17 +282,116 @@ def test_rank_deficient_direction_clamped_to_row_max():
     assert spec[-1] == pytest.approx(finite.max())
 
 
+def per_bin_map(rd, grid, window, channels):
+    """The map built one range bin at a time, as the spatial stage did before stacking."""
+    a = capon_steering(grid.azimuth_angles)
+    rows = np.empty((rd.num_range_bins, grid.num_azimuth))
+    clamped = 0
+    for r in range(rd.num_range_bins):
+        x = collect_snapshots(rd, r, window, channels)
+        rows[r], n = capon_spectrum(spatial_covariance(x), a)
+        clamped += n
+    return rows, clamped
+
+
+def assert_map_equals_per_bin(rd, grid, window, channels=(2, 0)):
+    ra = capon_range_azimuth(rd, grid, window, channels)
+    rows, clamped = per_bin_map(rd, grid, window, channels)
+    assert np.array_equal(ra.power, rows)
+    assert ra.clamp_count == clamped
+    return ra
+
+
 def test_map_composition_matches_per_bin_ops():
     rng = np.random.default_rng(10)
-    cube = random_cube(rng, (3, 5, 16))
-    grid = grid_deg()
+    for shape, half_width, scale in [((3, 5, 16), 2, 1.0), ((3, 32, 128), 2, 1e-6),
+                                     ((3, 7, 32), 0, 1e6), ((2, 12, 64), 5, 1.0)]:
+        cube = random_cube(rng, shape)
+        cube = RangeDopplerCube(values=scale * cube.values, doppler_zero_index=shape[2] // 2)
+        z = shape[2] // 2
+        window = np.arange(z - half_width, z + half_width + 1)
+        channels = (1, 0) if shape[0] == 2 else (2, 0)
+        assert_map_equals_per_bin(cube, grid_deg(step=1.0), window, channels)
+
+
+def test_map_matches_per_bin_ops_on_clutter_filtered_bench_frames():
+    cfg = RadarConfig()
+    geom = default_geometry(cfg)
+    manifest = bench_manifest("capon")
+    scene = dataclasses.replace(occupied_benchmark_scenes(1, seed=5)[0], n_frames=6)
+    grid = default_grid(manifest.theta_max_deg, manifest.theta_step_deg,
+                        manifest.elevations_deg)
+    state = init_clutter((cfg.num_rx, cfg.num_range_bins, cfg.chirps_per_frame),
+                         alpha=manifest.mti_alpha)
+    for i in range(scene.n_frames):
+        state, filtered = mti_step(state, process_frame(synthesize_frame(scene, cfg, geom, i),
+                                                        cfg))
+        window = zero_doppler_window(filtered, manifest.doppler_half_width)
+        assert_map_equals_per_bin(filtered, grid, window, geom.azimuth_pair)
+
+
+def test_rank_deficient_and_all_zero_bins_in_one_stack():
+    # bin 1 is rank one along boresight, so the endfire cells of its row are
+    # singular and clamp to the row's finite maximum; bin 3 is all zero, so
+    # every cell is singular and its row comes back as zeros
+    rng = np.random.default_rng(12)
+    values = random_cube(rng, (3, 5, 16)).values
+    values[0, 1] = values[2, 1]
+    values[:, 3] = 0.0
+    cube = RangeDopplerCube(values=values, doppler_zero_index=8)
+    grid = SteeringGrid(azimuth_angles=np.deg2rad(np.arange(-90.0, 91.0, 15.0)),
+                        elevation_angles=np.array([0.0]))
+    ra = assert_map_equals_per_bin(cube, grid, np.arange(6, 11))
+    assert ra.clamp_count == 2 + grid.num_azimuth
+    row = ra.power[1]
+    assert row[0] == row[-1] == row[1:-1].max() > 0
+    assert np.all(ra.power[3] == 0)
+    assert np.all(np.delete(ra.power, [1, 3], axis=0) > 0)
+
+
+def test_stacked_covariance_is_the_per_matrix_arithmetic():
+    # the two-dimensional formulas written out: R = X X^H / N_D, symmetrised,
+    # pinv, symmetrised again; a stack must give each matrix's exact bits
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((9, 2, 5)) + 1j * rng.standard_normal((9, 2, 5))
+    x[4] = 0.0
+    x[6, 1] = x[6, 0]
+    cov = spatial_covariance(x)
+    for m in range(x.shape[0]):
+        r = x[m] @ x[m].conj().T / x.shape[2]
+        r = (r + r.conj().T) / 2.0
+        rinv = np.linalg.pinv(r, rcond=1e-12, hermitian=True)
+        rinv = (rinv + rinv.conj().T) / 2.0
+        assert np.array_equal(cov.matrix[m], r)
+        assert np.array_equal(cov.pseudo_inverse[m], rinv)
+
+
+def test_stacked_covariance_checks_every_matrix():
+    good = np.stack([np.eye(2, dtype=complex)] * 4)
+    SpatialCovariance(matrix=good, pseudo_inverse=good)
+    not_hermitian = good.copy()
+    not_hermitian[2, 0, 1] = 0.5
+    with pytest.raises(ValueError, match="Hermitian"):
+        SpatialCovariance(matrix=not_hermitian, pseudo_inverse=good)
+    not_psd = good.copy()
+    not_psd[3] = np.diag([1.0, -0.5])
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        SpatialCovariance(matrix=not_psd, pseudo_inverse=good)
+    x = np.ones((6, 2, 5), dtype=complex)
+    x[4, 1, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        spatial_covariance(x)
+
+
+def test_collect_snapshots_stacks_range_bins():
+    cube = random_cube(np.random.default_rng(14), (3, 6, 16))
     window = np.arange(6, 11)
-    ra = capon_range_azimuth(cube, grid, window, (2, 0))
-    a = capon_steering(grid.azimuth_angles)
-    for r in range(5):
-        x = collect_snapshots(cube, r, window, (2, 0))
-        spec, _ = capon_spectrum(spatial_covariance(x), a)
-        assert np.allclose(ra.power[r], spec, rtol=1e-12)
+    stack = collect_snapshots(cube, np.arange(6), window, (2, 0))
+    assert stack.shape == (6, 2, 5)
+    for r in range(6):
+        assert np.array_equal(stack[r], collect_snapshots(cube, r, window, (2, 0)))
+    with pytest.raises(ValueError, match="range_bin"):
+        collect_snapshots(cube, np.array([0, 6]), window, (2, 0))
 
 
 def test_map_takes_a_receiver_pair_only():

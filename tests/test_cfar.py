@@ -65,6 +65,23 @@ def test_random_maps_match_brute_force(edge_policy):
         assert np.array_equal(cfar_mask(power, cfg), brute_force_mask(power, cfg))
 
 
+@pytest.mark.parametrize("edge_policy", ["shrink_window", "skip_cell"])
+def test_mask_equals_detection_set_mask(edge_policy):
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        cfg = CfarConfig(guard_cells=tuple(int(g) for g in rng.integers(0, 3, 2)),
+                         training_cells=tuple(int(t) for t in rng.integers(1, 4, 2)),
+                         k=float(rng.uniform(0.5, 3.0)), edge_policy=edge_policy)
+        power = rng.exponential(1.0, size=tuple(int(n) for n in rng.integers(1, 40, 2)))
+        assert np.array_equal(cfar_mask(power, cfg), ca_cfar_2d(power, cfg).mask())
+
+
+@pytest.mark.parametrize("bad", [np.ones(5), np.array([[1.0, np.nan]]), np.array([[1.0, -1.0]])])
+def test_mask_keeps_the_map_checks(bad):
+    with pytest.raises(ValueError):
+        cfar_mask(bad, CfarConfig())
+
+
 def test_large_map_matches_brute_force():
     rng = np.random.default_rng(1)
     power = rng.exponential(1.0, size=(32, 121))

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from floorwatch import cfar, pipeline
+from floorwatch.capon import check_pair_geometry
 from floorwatch.cfar import GroundTruthBox
-from floorwatch.core import RadarConfig, default_geometry
+from floorwatch.core import ArrayGeometry, RadarConfig, default_geometry
 from floorwatch.pipeline import (cache_recording, flags_at_k, process_recording,
                                  score_recording)
 from floorwatch.recordings import RunManifest
@@ -123,3 +126,29 @@ def test_mti_state_reset_between_recordings():
     b = [o.power for o in process_recording(rec, manifest)]
     for pa, pb in zip(a, b):
         assert np.array_equal(pa, pb)
+
+
+@pytest.mark.parametrize("num_rx", [2, 3, 4])
+def test_default_geometries_pass_the_capon_pair_geometry_check(num_rx):
+    # both branches of default_geometry: the L-shaped 3-receiver layout and the line
+    check_pair_geometry(default_geometry(RadarConfig(num_rx=num_rx)))
+
+
+@pytest.mark.parametrize("dx, dy, ok", [
+    (0.5, 0.0, True), (0.5 + 1e-10, -1e-10, True),
+    (0.5 + 1e-8, 0.0, False), (0.5, 1e-8, False), (-0.5, 0.0, False), (200.0, 0.0, False),
+])
+def test_capon_pair_must_be_half_a_wavelength_along_azimuth(dx, dy, ok):
+    lam = CFG.wavelength
+    geom = ArrayGeometry(wavelength=lam, element_offsets=((0.0, lam / 2), (dx * lam, dy * lam),
+                                                          (0.0, 0.0)), azimuth_pair=(2, 1))
+    rec = dataclasses.replace(occupied_recording(2), geometry=geom)
+    if ok:
+        check_pair_geometry(geom)
+        assert len(list(process_recording(rec, RunManifest(method="capon")))) == 2
+    else:
+        with pytest.raises(ValueError, match="half a wavelength"):
+            check_pair_geometry(geom)
+        with pytest.raises(ValueError, match="half a wavelength"):
+            list(process_recording(rec, RunManifest(method="capon")))
+    assert len(list(process_recording(rec, RunManifest(method="dbf")))) == 2

@@ -201,6 +201,23 @@ def test_geometry_disagreeing_with_config_is_rejected(tmp_path, capsys, geometry
     assert message in json.loads(capsys.readouterr().err.strip())["message"]
 
 
+def test_capon_rejects_an_azimuth_pair_that_is_not_half_a_wavelength(tmp_path, capsys):
+    # the config's wavelength and receiver count, so the file reads; but the
+    # pair is 1.0 m apart where the Capon pair steering assumes 2.5 mm
+    lam = CFG.wavelength
+    wide = ArrayGeometry(wavelength=lam, element_offsets=((1.0, 0.0), (0.0, lam / 2), (0.0, 0.0)),
+                         azimuth_pair=(2, 0))
+    path = write_with_geometry(tmp_path / "wide.rec", wide)
+    assert read_recording(path).geometry == wide
+    assert main(["process", "--recording", str(path), "--method", "capon",
+                 "--out", str(tmp_path / "capon.csv")]) != 0
+    error = json.loads(capsys.readouterr().err.strip())
+    assert error["error"] == "ValueError" and "half a wavelength" in error["message"]
+    # DBF steers from every element offset and takes the same recording
+    assert main(["process", "--recording", str(path), "--method", "dbf",
+                 "--out", str(tmp_path / "dbf.csv")]) == 0
+
+
 def test_geometry_wavelength_within_tolerance_reads(tmp_path):
     geometry = dataclasses.replace(default_geometry(CFG), wavelength=CFG.wavelength * (1 + 1e-12))
     assert read_recording(write_with_geometry(tmp_path / "ok.rec", geometry)).geometry == geometry

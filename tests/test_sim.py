@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from floorwatch.bench import (empty_benchmark_scenes, localization_scenes,
+                              occupied_benchmark_scenes)
 from floorwatch.capon import capon_range_azimuth
 from floorwatch.core import RadarConfig, default_geometry, max_range, range_resolution
 from floorwatch.dbf import dbf_power, dbf_range_azimuth, dbf_weights, default_grid, element_phases
@@ -215,6 +217,23 @@ def test_scene_schema_errors_carry_field_paths():
         scene_from_dict({"clutter": [3.0]})
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"targets": [], "n_frame": 3}, "scene: unknown key 'n_frame'"),
+    ({"targets": [{"range_m": 3.0, "azimuth_degs": 20.0}]},
+     r"targets\[0\]: unknown key 'azimuth_degs'"),
+    ({"clutter": [{"range_m": 1.0}, {"range_m": 2.0, "amplitude_db": 3.0}]},
+     r"clutter\[1\]: unknown key 'amplitude_db'"),
+    ({"box_half_extents": {"range_m": 0.45, "azimuth_deg": 10.0, "elevation_deg": 5.0}},
+     r"box_half_extents: unknown key 'elevation_deg'"),
+    ({"targets": [{"range_m": 3.0, "azimuth_rad": 0.3}]},
+     r"targets\[0\]: unknown key 'azimuth_rad'"),
+])
+def test_scene_unknown_keys_are_rejected_with_their_path(doc, message):
+    # a misspelt key used to be ignored: the target above read as azimuth 0
+    with pytest.raises(ValueError, match=message):
+        scene_from_dict(doc)
+
+
 def test_scene_validation():
     with pytest.raises(ValueError):
         SceneSpec(noise_std=-0.1)
@@ -243,6 +262,14 @@ def assert_same_json(got, want, key=""):
 def test_bundled_scene_json_round_trips_key_for_key(name):
     raw = json.loads((resources.files("floorwatch") / "data" / "scenes" / name).read_text())
     assert_same_json(scene_to_dict(scene_from_dict(raw)), raw)
+
+
+def test_benchmark_scenes_parse_back():
+    scenes = (occupied_benchmark_scenes(2, seed=1) + empty_benchmark_scenes(None, 2, seed=1)
+              + localization_scenes(2))
+    for scene in scenes:
+        d = json.loads(json.dumps(scene_to_dict(scene)))
+        assert_same_json(scene_to_dict(scene_from_dict(d)), d)
 
 
 finite = dict(allow_nan=False, allow_infinity=False)
