@@ -71,11 +71,12 @@ def cmd_process(args) -> int:
     grid = build_grid(manifest)
     axes = build_axes(rec.config, grid)
     maps = [] if args.dump_maps else None
+    outputs = process_recording(rec, manifest)  # raises before --out is opened
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(DETECTION_COLUMNS)
         n_det = 0
-        for out in process_recording(rec, manifest):
+        for out in outputs:
             for d in out.detections.detections:
                 writer.writerow([
                     out.frame_index, d.range_bin, d.azimuth_bin,

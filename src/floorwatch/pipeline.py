@@ -65,15 +65,20 @@ class FrameOutput:
 
 
 def process_recording(rec: Recording, manifest: RunManifest):
-    """Yield one FrameOutput per frame, stepping the clutter filter in order.
+    """An iterator of one FrameOutput per frame, stepping the clutter filter in order.
 
-    A Capon manifest needs the geometry ``capon.check_pair_geometry`` checks;
-    DBF steers from every element offset and takes any layout.
+    A Capon manifest needs the geometry ``capon.check_pair_geometry`` checks,
+    and the call raises before any frame is processed if it fails; DBF steers
+    from every element offset and takes any layout.
     """
+    if manifest.method == "capon":
+        capon_mod.check_pair_geometry(rec.geometry)
+    return _frame_outputs(rec, manifest)
+
+
+def _frame_outputs(rec: Recording, manifest: RunManifest):
     cfg = rec.config
     geom = rec.geometry
-    if manifest.method == "capon":
-        capon_mod.check_pair_geometry(geom)
     grid = build_grid(manifest)
     cfar_cfg = build_cfar(manifest)
     weights = dbf_mod.dbf_weights(grid, geom) if manifest.method == "dbf" else None

@@ -150,5 +150,5 @@ def test_capon_pair_must_be_half_a_wavelength_along_azimuth(dx, dy, ok):
         with pytest.raises(ValueError, match="half a wavelength"):
             check_pair_geometry(geom)
         with pytest.raises(ValueError, match="half a wavelength"):
-            list(process_recording(rec, RunManifest(method="capon")))
+            process_recording(rec, RunManifest(method="capon"))  # at the call, not at next()
     assert len(list(process_recording(rec, RunManifest(method="dbf")))) == 2

@@ -213,6 +213,8 @@ def test_capon_rejects_an_azimuth_pair_that_is_not_half_a_wavelength(tmp_path, c
                  "--out", str(tmp_path / "capon.csv")]) != 0
     error = json.loads(capsys.readouterr().err.strip())
     assert error["error"] == "ValueError" and "half a wavelength" in error["message"]
+    # no header-only detections file that evaluate --detections could replay
+    assert not (tmp_path / "capon.csv").exists()
     # DBF steers from every element offset and takes the same recording
     assert main(["process", "--recording", str(path), "--method", "dbf",
                  "--out", str(tmp_path / "dbf.csv")]) == 0

@@ -4,11 +4,15 @@
         --seeds 1 2 3 --trace-seeds 1 --out BENCH_8.json [--workloads stream ...] [--append]
 
 For every seed and workload, runs ``python3 perfbench/run.py`` untraced in
-each checkout, alternating which checkout goes first from one seed to the
-next, so that slow spells of the host fall on both sides alike. At each
+each checkout for the ``run_seconds`` that ``BENCHMARK.json`` sets. Each
+round of runs starts with the checkout that has gone first least often on
+that workload so far (``--append`` included), so the checkouts alternate
+and slow spells of the host fall on both sides alike. At each
 ``--trace-seeds`` seed it also makes one ``--trace 1`` run per workload and
 checkout. Each run executes in its own checkout, with that checkout's
-``perfbench/`` and sources.
+``perfbench/`` and sources, and records the checkout's revision: the commit,
+plus ``-dirty-`` and a digest of ``git diff HEAD`` when tracked files differ
+from it.
 
 Writes ``--out`` after every run: the host (nproc, CPU, Python, numpy and
 scipy), every run's printed result, and a summary per workload and
@@ -20,12 +24,15 @@ and difference of the medians, the first checkout's interquartile range,
 and how many same-seed pairs the later one won, by the direction that
 ``BENCHMARK.json`` gives the metric (the i-th run of a seed on one side
 pairs with the i-th on the other). ``--append`` keeps the runs already in
-``--out`` (made on the same host) and adds the new ones.
+``--out`` and adds the new ones; it refuses a file made on another host, at
+another run length, or with a label whose checkout is now at another
+revision.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -54,9 +61,14 @@ def host() -> dict:
 
 
 def revision(repo: Path) -> str:
-    proc = subprocess.run(["git", "-C", str(repo), "describe", "--always", "--dirty"],
-                          capture_output=True, text=True)
-    return proc.stdout.strip() if proc.returncode == 0 else "unknown"
+    def git(*argv):
+        proc = subprocess.run(["git", "-C", str(repo), *argv], capture_output=True)
+        if proc.returncode != 0:
+            raise SystemExit(f"git {' '.join(argv)} failed in {repo}: {proc.stderr.decode()}")
+        return proc.stdout
+    commit = git("rev-parse", "--short=12", "HEAD").decode().strip()
+    diff = git("diff", "HEAD", "--binary")
+    return f"{commit}-dirty-{hashlib.sha256(diff).hexdigest()[:12]}" if diff else commit
 
 
 def bench_run(repo: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -160,7 +172,6 @@ def main() -> int:
                         help="seeds that also get one traced run per workload "
                              "(default: the first seed)")
     parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
-    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--append", action="store_true",
                         help="keep the runs already recorded in --out")
@@ -176,26 +187,42 @@ def main() -> int:
             parser.error(f"no perfbench/run.py under {repo}")
         repos[label] = repo
     trace_seeds = args.seeds[:1] if args.trace_seeds is None else args.trace_seeds
+    spec = json.loads((next(iter(repos.values())) / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    revisions = {label: revision(repo) for label, repo in repos.items()}
 
-    record = {"host": host(), "seconds": args.seconds, "repos": {}, "runs": []}
+    record = {"host": host(), "seconds": seconds, "repos": {}, "runs": []}
     if args.append and args.out.exists():
         record = json.loads(args.out.read_text())
         if record["host"] != host():
             parser.error(f"{args.out} was recorded on another host: {record['host']}")
-    for label, repo in repos.items():
-        record["repos"][label] = {"revision": revision(repo)}
+        if record["seconds"] != seconds:
+            parser.error(f"{args.out} was recorded at {record['seconds']} s runs, "
+                         f"BENCHMARK.json sets {seconds}")
+        for label, rev in revisions.items():
+            known = record["repos"].get(label, {}).get("revision", rev)
+            if known != rev:
+                parser.error(f"{args.out} has {label!r} at revision {known}, "
+                             f"its checkout is now at {rev}")
+    for label, rev in revisions.items():
+        record["repos"][label] = {"revision": rev}
     labels = list(record["repos"])
-    spec = json.loads((next(iter(repos.values())) / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
-    order = list(repos)
-    for i, seed in enumerate(args.seeds):
+    def round_order(workload, trace):
+        # fewest rounds led so far goes first; ties keep the --repo order
+        led = {label: sum(r["repo"] == label and r["position"] == 0 for r in record["runs"]
+                          if r["workload"] == workload and r["trace"] == trace)
+               for label in repos}
+        return sorted(repos, key=led.get)
+
+    for seed in args.seeds:
         for workload in args.workloads:
             traces = (0, 1) if seed in trace_seeds else (0,)
             for trace in traces:
-                for label in (order if i % 2 == 0 else order[::-1]):
-                    run = {"repo": label, **bench_run(repos[label], workload, seed,
-                                                      args.seconds, trace)}
+                for position, label in enumerate(round_order(workload, trace)):
+                    run = {"repo": label, "revision": revisions[label], "position": position,
+                           **bench_run(repos[label], workload, seed, seconds, trace)}
                     record["runs"].append(run)
                     record["summary"] = summarise(record["runs"], labels, better)
                     args.out.write_text(json.dumps(record, indent=1) + "\n")
