@@ -6,8 +6,8 @@ stage, and a 2-D cell-averaging CFAR detector, plus a scene simulator and a
 reliability evaluation harness.
 """
 
-from .core import ArrayGeometry, FrameCube, RadarConfig, default_geometry
-from .frontend import RangeDopplerCube, WindowSpec, process_frame
+from .core import ArrayGeometry, RadarConfig, default_geometry
+from .frontend import RangeDopplerCube, process_frame
 from .mti import ClutterState, init_clutter, mti_step
 from .dbf import RangeAzimuthMap, SteeringGrid, dbf_power, dbf_range_azimuth, dbf_weights, default_grid
 from .capon import capon_range_azimuth, capon_spectrum, capon_steering, spatial_covariance

@@ -162,12 +162,11 @@ def mvdr_weight(cov: SpatialCovariance, steering: np.ndarray) -> np.ndarray:
 
 
 def capon_range_azimuth(rd: RangeDopplerCube, grid: SteeringGrid, doppler_window: np.ndarray,
-                        channels, frame_index: int = 0) -> RangeAzimuthMap:
+                        channels) -> RangeAzimuthMap:
     """Capon map of one frame: one snapshot stack, one covariance stack, one spectrum.
 
     ``channels`` is the (reference, offset) receiver pair of ``capon_steering``.
     """
     x = collect_snapshots(rd, np.arange(rd.num_range_bins), doppler_window, channels)
     power, clamped = capon_spectrum(spatial_covariance(x), capon_steering(grid.azimuth_angles))
-    return RangeAzimuthMap(power=power, frame_index=frame_index,
-                           method_tag="capon", clamp_count=clamped)
+    return RangeAzimuthMap(power=power, clamp_count=clamped)

@@ -5,8 +5,8 @@ training ring; a guard ring (plus the cell itself) is excluded so target
 energy does not inflate its own threshold. Edge handling is either
 'shrink_window' (renormalize by the training cells actually inside the
 map, so wall-adjacent bins stay testable) or 'skip_cell' (only evaluate
-cells whose full window fits). Detection requires strictly exceeding the
-threshold.
+cells whose full window fits); the skipped cells are ``~evaluable``.
+Detection requires strictly exceeding the threshold.
 """
 
 from __future__ import annotations
@@ -60,9 +60,7 @@ class Detection:
 @dataclass(frozen=True)
 class DetectionSet:
     detections: tuple
-    frame_index: int = 0
     map_shape: tuple = (0, 0)
-    skipped_cells: int = 0
 
     def __len__(self) -> int:
         return len(self.detections)
@@ -96,10 +94,11 @@ def _window_sums(power: np.ndarray, half_r: int, half_c: int):
 
 
 def training_stats(power: np.ndarray, cfg: CfarConfig):
-    """Per-cell training-ring mean, evaluable mask, and skipped-cell count.
+    """Per-cell training-ring mean and evaluable mask.
 
     The ring is the (guard+training) window minus the guard block (which
-    contains the cell under test). Thresholds are k * mean.
+    contains the cell under test). Thresholds are k * mean; the cells the
+    edge policy skips are ``~evaluable``.
     """
     power = np.asarray(power, dtype=float)
     gr, gc = cfg.guard_cells
@@ -120,8 +119,7 @@ def training_stats(power: np.ndarray, cfg: CfarConfig):
 
     mean = np.zeros_like(power)
     np.divide(ring_sum, ring_cnt, out=mean, where=ring_cnt > 0)
-    skipped = int((~evaluable).sum())
-    return mean, evaluable, skipped
+    return mean, evaluable
 
 
 def _crossings(power: np.ndarray, base: np.ndarray, evaluable: np.ndarray, k: float) -> np.ndarray:
@@ -129,14 +127,12 @@ def _crossings(power: np.ndarray, base: np.ndarray, evaluable: np.ndarray, k: fl
     return evaluable & (power > k * base)
 
 
-def threshold(power: np.ndarray, base: np.ndarray, evaluable: np.ndarray, k: float,
-              frame_index: int = 0, skipped: int = 0) -> DetectionSet:
+def threshold(power: np.ndarray, base: np.ndarray, evaluable: np.ndarray, k: float) -> DetectionSet:
     """Evaluable cells strictly above k * base, with their thresholds."""
     rs, cs = np.nonzero(_crossings(power, base, evaluable, k))
     dets = tuple(Detection(int(r), int(c), float(power[r, c]), float(k * base[r, c]))
                  for r, c in zip(rs, cs))
-    return DetectionSet(detections=dets, frame_index=frame_index,
-                        map_shape=power.shape, skipped_cells=skipped)
+    return DetectionSet(detections=dets, map_shape=power.shape)
 
 
 def _checked_map(power: np.ndarray) -> np.ndarray:
@@ -151,15 +147,15 @@ def _checked_map(power: np.ndarray) -> np.ndarray:
 def cfar_mask(power: np.ndarray, cfg: CfarConfig) -> np.ndarray:
     """Boolean detection mask: cell strictly above k * training mean."""
     power = _checked_map(power)
-    mean, evaluable, _ = training_stats(power, cfg)
+    mean, evaluable = training_stats(power, cfg)
     return _crossings(power, mean, evaluable, cfg.k)
 
 
-def ca_cfar_2d(power: np.ndarray, cfg: CfarConfig, frame_index: int = 0) -> DetectionSet:
+def ca_cfar_2d(power: np.ndarray, cfg: CfarConfig) -> DetectionSet:
     """Run the detector over a map and list the detections with their thresholds."""
     power = _checked_map(power)
-    mean, evaluable, skipped = training_stats(power, cfg)
-    return threshold(power, mean, evaluable, cfg.k, frame_index, skipped)
+    mean, evaluable = training_stats(power, cfg)
+    return threshold(power, mean, evaluable, cfg.k)
 
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
@@ -176,8 +172,7 @@ def suppress(dets: DetectionSet) -> DetectionSet:
         if g not in best or d.power > best[g].power:
             best[g] = d
     kept = tuple(best[g] for g in sorted(best))
-    return DetectionSet(detections=kept, frame_index=dets.frame_index,
-                        map_shape=dets.map_shape, skipped_cells=dets.skipped_cells)
+    return DetectionSet(detections=kept, map_shape=dets.map_shape)
 
 
 @dataclass(frozen=True)

@@ -210,11 +210,15 @@ def _trial_from_detections(rec, det_path, manifest):
         raise CliError("replaying detections requires an occupied recording")
     hits = np.zeros(rec.n_frames, dtype=bool)
     with open(det_path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        for row in reader:
             idx = int(row["frame_index"])
+            if not 0 <= idx < rec.n_frames:
+                raise CliError(f"{det_path} line {reader.line_num}: frame_index {idx} is "
+                               f"outside the recording's {rec.n_frames} frames")
             r = float(row["range_m"])
             th = math.radians(float(row["azimuth_deg"]))
-            if 0 <= idx < rec.n_frames and any(b.contains(r, th) for b in rec.truth):
+            if any(b.contains(r, th) for b in rec.truth):
                 hits[idx] = True
     return scoring.TrialRecord(subject_id=rec.subject_tag, view_tag=rec.view_tag,
                                location_tag=rec.location_tag, method_tag=manifest.method,

@@ -1,11 +1,14 @@
 """Radar configuration, receive-array geometry, and closed-form FMCW quantities.
 
 Everything downstream (FFT frontend, beamformers, simulator) consumes the
-types defined here. All values are SI: Hz, seconds, meters, radians.
+types defined here; a frame of samples is a plain complex array of shape
+``RadarConfig.frame_shape``. All values are SI: Hz, seconds, meters, radians.
 """
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -34,16 +37,15 @@ class RadarConfig:
     chirp_repetition_interval: float = DEFAULT_CHIRP_INTERVAL
 
     def __post_init__(self):
-        if self.center_frequency <= 0:
-            raise ValueError("center_frequency must be > 0")
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be > 0")
-        if self.chirp_duration <= 0:
-            raise ValueError("chirp_duration must be > 0")
-        if self.frame_rate <= 0:
-            raise ValueError("frame_rate must be > 0")
-        if self.chirp_repetition_interval <= 0:
-            raise ValueError("chirp_repetition_interval must be > 0")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            integer = isinstance(f.default, int)
+            if isinstance(value, bool) or not isinstance(
+                    value, numbers.Integral if integer else numbers.Real):
+                raise ValueError(f"{f.name} must be {'an integer' if integer else 'a number'}, "
+                                 f"got {value!r}")
+            if not 0 < value <= sys.float_info.max:
+                raise ValueError(f"{f.name} must be finite and > 0")
         if self.chirps_per_frame < 2:
             raise ValueError("chirps_per_frame must be >= 2 for a Doppler axis")
         if self.chirps_per_frame % 2 != 0:
@@ -62,6 +64,11 @@ class RadarConfig:
     @property
     def num_range_bins(self) -> int:
         return self.samples_per_chirp // 2
+
+    @property
+    def frame_shape(self) -> tuple:
+        """Shape of one frame of samples: (rx, chirp, sample)."""
+        return (self.num_rx, self.chirps_per_frame, self.samples_per_chirp)
 
 
 def chirp_slope(cfg: RadarConfig) -> float:
@@ -111,6 +118,8 @@ class ArrayGeometry:
         n = len(self.element_offsets)
         if n < 2:
             raise ValueError("element_offsets must list >= 2 receivers")
+        if any(len(o) != 2 for o in self.element_offsets):
+            raise ValueError("each element offset must be a (d_x, d_y) pair")
         i, j = self.azimuth_pair
         if i == j:
             raise ValueError("azimuth_pair indices must be distinct")
@@ -120,12 +129,6 @@ class ArrayGeometry:
     @property
     def num_rx(self) -> int:
         return len(self.element_offsets)
-
-    @property
-    def azimuth_baseline(self) -> float:
-        """Spacing in meters between the azimuth-pair elements along x."""
-        i, j = self.azimuth_pair
-        return abs(self.element_offsets[j][0] - self.element_offsets[i][0])
 
     def offsets_array(self) -> np.ndarray:
         """Element offsets as a (num_rx, 2) float array."""
@@ -149,34 +152,13 @@ def default_geometry(cfg: RadarConfig) -> ArrayGeometry:
     return ArrayGeometry(wavelength=lam, element_offsets=offsets, azimuth_pair=(0, 1))
 
 
-@dataclass(frozen=True)
-class FrameCube:
-    """One frame of complex baseband samples indexed [rx][chirp][sample]."""
-
-    samples: np.ndarray
-    frame_index: int = 0
-    timestamp: float = 0.0
-
-    def __post_init__(self):
-        s = np.asarray(self.samples)
-        if s.ndim != 3:
-            raise ValueError("samples must be a 3-d [rx][chirp][sample] array")
-        if not np.all(np.isfinite(s)):
-            raise ValueError("samples contain non-finite values")
-
-    def check_config(self, cfg: RadarConfig) -> None:
-        expected = (cfg.num_rx, cfg.chirps_per_frame, cfg.samples_per_chirp)
-        if self.samples.shape != expected:
-            raise ValueError(
-                f"frame shape {self.samples.shape} does not match config {expected}"
-            )
-
-
 def config_to_dict(cfg: RadarConfig) -> dict:
     return asdict(cfg)
 
 
 def config_from_dict(d: dict) -> RadarConfig:
+    if not isinstance(d, dict):
+        raise ValueError("config: expected a JSON object")
     extra = set(d) - {f.name for f in fields(RadarConfig)}
     if extra:
         raise ValueError(f"unknown config fields: {sorted(extra)}")

@@ -112,10 +112,9 @@ def dbf_power(rd: RangeDopplerCube, weights: DbfWeights, doppler_window: np.ndar
     return np.einsum("mrd,tpm->rtpd", z, w)
 
 
-def dbf_range_azimuth(spectrum: np.ndarray, frame_index: int = 0) -> "RangeAzimuthMap":
+def dbf_range_azimuth(spectrum: np.ndarray) -> "RangeAzimuthMap":
     """Non-coherent integration of |P| across elevation and the Doppler window."""
-    power = np.abs(spectrum).sum(axis=(2, 3))
-    return RangeAzimuthMap(power=power, frame_index=frame_index, method_tag="dbf")
+    return RangeAzimuthMap(power=np.abs(spectrum).sum(axis=(2, 3)))
 
 
 @dataclass(frozen=True)
@@ -123,8 +122,6 @@ class RangeAzimuthMap:
     """Real non-negative power over (range bin, azimuth bin) fed to the detector."""
 
     power: np.ndarray
-    frame_index: int = 0
-    method_tag: str = "dbf"
     clamp_count: int = 0  # adaptive-spectrum cells clamped on singular directions
 
     def __post_init__(self):
@@ -135,5 +132,3 @@ class RangeAzimuthMap:
             raise ValueError("power map contains non-finite values")
         if np.any(p < 0):
             raise ValueError("power map must be non-negative")
-        if self.method_tag not in ("dbf", "capon"):
-            raise ValueError("method_tag must be 'dbf' or 'capon'")

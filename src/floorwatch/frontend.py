@@ -1,7 +1,9 @@
 """Fast-time / slow-time FFT frontend: raw frames to per-receiver range-Doppler maps.
 
-Both stages use unnormalized forward FFTs; thresholds downstream are
-relative, so only consistency matters. The range axis keeps the lower half
+A frame is one (rx, chirp, sample) complex array. Both stages apply a Hann
+taper, which bounds leakage from strong static clutter, and use
+unnormalized forward FFTs; thresholds downstream are relative, so only
+consistency matters. The range axis keeps the lower half
 of the spectrum; the Doppler axis is centered so zero velocity sits at bin
 chirps_per_frame // 2. Complex phase across receivers is preserved
 throughout for the later spatial processing.
@@ -13,28 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FrameCube, RadarConfig
-
-_WINDOW_KINDS = ("rectangular", "hann")
-
-
-@dataclass(frozen=True)
-class WindowSpec:
-    """Taper choice per FFT stage. Hann bounds leakage from strong static clutter."""
-
-    fast_time_window: str = "hann"
-    slow_time_window: str = "hann"
-
-    def __post_init__(self):
-        for name in (self.fast_time_window, self.slow_time_window):
-            if name not in _WINDOW_KINDS:
-                raise ValueError(f"unknown window {name!r}; expected one of {_WINDOW_KINDS}")
-
-
-def make_window(kind: str, n: int) -> np.ndarray:
-    if kind == "rectangular":
-        return np.ones(n)
-    return np.hanning(n)
+from .core import RadarConfig
 
 
 @dataclass(frozen=True)
@@ -42,7 +23,6 @@ class RangeDopplerCube:
     """Per-receiver complex range-Doppler maps, indexed [rx][range_bin][doppler_bin]."""
 
     values: np.ndarray
-    doppler_zero_index: int
 
     def __post_init__(self):
         v = np.asarray(self.values)
@@ -50,8 +30,6 @@ class RangeDopplerCube:
             raise ValueError("values must be [rx][range_bin][doppler_bin]")
         if not np.all(np.isfinite(v)):
             raise ValueError("range-Doppler values contain non-finite entries")
-        if self.doppler_zero_index != v.shape[2] // 2:
-            raise ValueError("doppler_zero_index must be num_doppler_bins // 2")
 
     @property
     def num_rx(self) -> int:
@@ -65,21 +43,25 @@ class RangeDopplerCube:
     def num_doppler_bins(self) -> int:
         return self.values.shape[2]
 
+    @property
+    def doppler_zero_index(self) -> int:
+        return self.num_doppler_bins // 2
 
-def range_fft(frame: FrameCube, cfg: RadarConfig, win: WindowSpec = WindowSpec()) -> np.ndarray:
-    """Windowed FFT over fast time; returns [rx][chirp][range_bin] keeping the lower half.
+
+def range_fft(frame: np.ndarray, cfg: RadarConfig) -> np.ndarray:
+    """Hann-windowed FFT over fast time; returns [rx][chirp][range_bin] keeping the lower half.
 
     A pure beat tone at a bin-center frequency concentrates in that bin.
     """
-    frame.check_config(cfg)
-    samples = np.asarray(frame.samples, dtype=np.complex128)
-    w = make_window(win.fast_time_window, cfg.samples_per_chirp)
-    spectrum = np.fft.fft(samples * w, axis=2)
+    if frame.shape != cfg.frame_shape:
+        raise ValueError(f"frame shape {frame.shape} does not match config {cfg.frame_shape}")
+    samples = np.asarray(frame, dtype=np.complex128)
+    spectrum = np.fft.fft(samples * np.hanning(cfg.samples_per_chirp), axis=2)
     return spectrum[:, :, : cfg.num_range_bins]
 
 
-def doppler_fft(profiles: np.ndarray, cfg: RadarConfig, win: WindowSpec = WindowSpec()) -> RangeDopplerCube:
-    """Windowed FFT across chirps, spectrum centered on zero Doppler.
+def doppler_fft(profiles: np.ndarray, cfg: RadarConfig) -> RangeDopplerCube:
+    """Hann-windowed FFT across chirps, spectrum centered on zero Doppler.
 
     ``profiles`` is the [rx][chirp][range_bin] output of range_fft.
     """
@@ -87,16 +69,15 @@ def doppler_fft(profiles: np.ndarray, cfg: RadarConfig, win: WindowSpec = Window
     expected = (cfg.num_rx, cfg.chirps_per_frame, cfg.num_range_bins)
     if profiles.shape != expected:
         raise ValueError(f"profiles shape {profiles.shape} does not match {expected}")
-    w = make_window(win.slow_time_window, cfg.chirps_per_frame)
+    w = np.hanning(cfg.chirps_per_frame)
     spectrum = np.fft.fft(profiles * w[None, :, None], axis=1)
     spectrum = np.fft.fftshift(spectrum, axes=1)
-    values = np.moveaxis(spectrum, 1, 2)  # -> [rx][range_bin][doppler_bin]
-    return RangeDopplerCube(values=values, doppler_zero_index=cfg.chirps_per_frame // 2)
+    return RangeDopplerCube(values=np.moveaxis(spectrum, 1, 2))  # -> [rx][range_bin][doppler_bin]
 
 
-def process_frame(frame: FrameCube, cfg: RadarConfig, win: WindowSpec = WindowSpec()) -> RangeDopplerCube:
+def process_frame(frame: np.ndarray, cfg: RadarConfig) -> RangeDopplerCube:
     """Range FFT followed by Doppler FFT."""
-    return doppler_fft(range_fft(frame, cfg, win), cfg, win)
+    return doppler_fft(range_fft(frame, cfg), cfg)
 
 
 def zero_doppler_window(cube: RangeDopplerCube, half_width: int = 2) -> np.ndarray:

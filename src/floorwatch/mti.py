@@ -22,13 +22,12 @@ DEFAULT_ALPHA = 0.01
 class ClutterState:
     estimate: np.ndarray
     alpha: float
-    frames_seen: int = 0
 
 
 def init_clutter(dims: tuple, alpha: float = DEFAULT_ALPHA) -> ClutterState:
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be in [0, 1]")
-    return ClutterState(estimate=np.zeros(dims, dtype=np.complex128), alpha=alpha, frames_seen=0)
+    return ClutterState(estimate=np.zeros(dims, dtype=np.complex128), alpha=alpha)
 
 
 def mti_step(state: ClutterState, rdm: RangeDopplerCube) -> tuple[ClutterState, RangeDopplerCube]:
@@ -45,7 +44,4 @@ def mti_step(state: ClutterState, rdm: RangeDopplerCube) -> tuple[ClutterState, 
     diff = x - state.estimate
     filtered = state.alpha * diff
     new_estimate = state.estimate + (1.0 - state.alpha) * diff
-    new_state = ClutterState(estimate=new_estimate, alpha=state.alpha,
-                             frames_seen=state.frames_seen + 1)
-    out = RangeDopplerCube(values=filtered, doppler_zero_index=rdm.doppler_zero_index)
-    return new_state, out
+    return ClutterState(estimate=new_estimate, alpha=state.alpha), RangeDopplerCube(filtered)

@@ -86,28 +86,26 @@ def _frame_outputs(rec: Recording, manifest: RunManifest):
     state = init_clutter((cfg.num_rx, cfg.num_range_bins, cfg.chirps_per_frame),
                          alpha=manifest.mti_alpha)
 
-    for frame in rec.frames:
+    for i, frame in enumerate(rec.samples):
         rd = process_frame(frame, cfg)
         state, filtered = mti_step(state, rd)
         window = zero_doppler_window(filtered, manifest.doppler_half_width)
         if manifest.method == "dbf":
             spectrum = dbf_mod.dbf_power(filtered, weights, window)
-            ra = dbf_mod.dbf_range_azimuth(spectrum, frame_index=frame.frame_index)
+            ra = dbf_mod.dbf_range_azimuth(spectrum)
         else:
-            ra = capon_mod.capon_range_azimuth(filtered, grid, window, geom.azimuth_pair,
-                                               frame_index=frame.frame_index)
+            ra = capon_mod.capon_range_azimuth(filtered, grid, window, geom.azimuth_pair)
         power = ra.power
-        base, evaluable, skipped = cfar_mod.training_stats(power, cfar_cfg)
-        dets = detections_from_maps(power, base, evaluable, cfar_cfg.k,
-                                    frame_index=frame.frame_index, skipped=skipped)
-        yield FrameOutput(frame_index=frame.frame_index, power=power,
-                          threshold_base=base, evaluable=evaluable, detections=dets)
+        base, evaluable = cfar_mod.training_stats(power, cfar_cfg)
+        dets = detections_from_maps(power, base, evaluable, cfar_cfg.k)
+        yield FrameOutput(frame_index=i, power=power, threshold_base=base,
+                          evaluable=evaluable, detections=dets)
 
 
 def detections_from_maps(power: np.ndarray, base: np.ndarray, evaluable: np.ndarray,
-                         k: float, frame_index: int = 0, skipped: int = 0) -> DetectionSet:
+                         k: float) -> DetectionSet:
     """Threshold cached maps at sensitivity k and apply suppression."""
-    return cfar_mod.suppress(cfar_mod.threshold(power, base, evaluable, k, frame_index, skipped))
+    return cfar_mod.suppress(cfar_mod.threshold(power, base, evaluable, k))
 
 
 def score_recording(rec: Recording, manifest: RunManifest,
@@ -158,6 +156,6 @@ def flags_at_k(cached: CachedTrial, k: float) -> np.ndarray:
     for i in range(n):
         dets = detections_from_maps(cached.powers[i].astype(float),
                                     cached.bases[i].astype(float),
-                                    cached.evaluable, k, frame_index=i)
+                                    cached.evaluable, k)
         flags[i] = cfar_mod.hit_test(dets, cached.boxes, cached.axes)
     return flags

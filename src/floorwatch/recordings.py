@@ -2,13 +2,15 @@
 
 A recording file is a 4-byte magic, a little-endian uint32 header length, a
 UTF-8 JSON header (config, geometry, label, truth boxes, tags, seed, frame
-count, format version), and a float32 payload of interleaved (real, imag)
-samples laid out [frame][rx][chirp][sample] row-major. Angles are degrees
-in all external files and radians in memory.
-The reader rejects a bad magic, an unknown format version, a payload whose
-length disagrees with the header, and a geometry whose receiver count differs
-from the config's or whose wavelength is more than 1e-9 (relative) away from
-c / center_frequency: Capon steering assumes a half-wavelength pair.
+count, format version), and a little-endian complex64 payload laid out
+[frame][rx][chirp][sample] row-major, which the reader keeps as one
+read-only array over the file's bytes. Angles are degrees in all external
+files and radians in memory. The reader raises ``ValueError`` for a bad
+magic, an unknown format version, a malformed header, a payload whose
+length disagrees with the header, a non-finite sample, and a geometry whose
+receiver count differs from the config's or whose wavelength is more than
+1e-9 (relative) away from c / center_frequency: Capon steering assumes a
+half-wavelength pair.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .cfar import GroundTruthBox
-from .core import (FrameCube, RadarConfig, config_from_dict, config_to_dict,
-                   geometry_from_dict, geometry_to_dict)
+from .core import (RadarConfig, config_from_dict, config_to_dict, geometry_from_dict,
+                   geometry_to_dict)
 from .sim import Recording
 
 MAGIC = b"FWR1"
@@ -52,7 +54,7 @@ def _box_from_dict(d: dict) -> GroundTruthBox:
 
 
 def payload_nbytes(cfg: RadarConfig, n_frames: int) -> int:
-    return n_frames * cfg.num_rx * cfg.chirps_per_frame * cfg.samples_per_chirp * BYTES_PER_SAMPLE
+    return n_frames * math.prod(cfg.frame_shape) * BYTES_PER_SAMPLE
 
 
 def write_recording(path, rec: Recording) -> None:
@@ -70,54 +72,48 @@ def write_recording(path, rec: Recording) -> None:
         "truth": [_box_to_dict(b) for b in rec.truth],
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    shape = (rec.n_frames, cfg.num_rx, cfg.chirps_per_frame, cfg.samples_per_chirp)
-    interleaved = np.empty(shape + (2,), dtype="<f4")
-    for i, frame in enumerate(rec.frames):
-        interleaved[i, ..., 0] = frame.samples.real
-        interleaved[i, ..., 1] = frame.samples.imag
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(np.uint32(len(header_bytes)).tobytes())
         fh.write(header_bytes)
-        fh.write(interleaved.tobytes())
+        fh.write(rec.samples.astype("<c8").tobytes())
 
 
 def read_recording(path) -> Recording:
+    """Read a recording file; any malformed part of it raises ``ValueError``."""
     raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
         raise ValueError(f"not a recording file (bad magic {raw[:4]!r})")
     header_len = int(np.frombuffer(raw[4:8], dtype="<u4")[0])
     header = json.loads(raw[8:8 + header_len].decode("utf-8"))
+    if not isinstance(header, dict):
+        raise ValueError("recording header: expected a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported format_version {header.get('format_version')}")
-    cfg = config_from_dict(header["config"])
-    geom = geometry_from_dict(header["geometry"])
-    if geom.num_rx != cfg.num_rx:
-        raise ValueError(f"geometry has {geom.num_rx} receivers, config {cfg.num_rx}")
-    if abs(geom.wavelength - cfg.wavelength) > 1e-9 * cfg.wavelength:
-        raise ValueError(f"geometry wavelength {geom.wavelength} m differs from the "
-                         f"config's c / center_frequency = {cfg.wavelength} m")
-    n_frames = int(header["n_frames"])
-    payload = raw[8 + header_len:]
-    expected = payload_nbytes(cfg, n_frames)
-    if len(payload) != expected:
-        raise ValueError(f"payload length mismatch: expected {expected} bytes, got {len(payload)}")
-    shape = (n_frames, cfg.num_rx, cfg.chirps_per_frame, cfg.samples_per_chirp, 2)
-    interleaved = np.frombuffer(payload, dtype="<f4").reshape(shape)
-    frames = []
-    for i in range(n_frames):
-        samples = interleaved[i, ..., 0].astype(np.complex64)
-        samples += 1j * interleaved[i, ..., 1].astype(np.complex64)
-        frames.append(FrameCube(samples=samples, frame_index=i,
-                                timestamp=i / cfg.frame_rate))
-    return Recording(
-        config=cfg, geometry=geom, frames=tuple(frames),
-        truth=tuple(_box_from_dict(b) for b in header.get("truth", [])),
-        label=header["label"], seed=int(header.get("seed", 0)),
-        view_tag=str(header.get("view_tag", "")),
-        location_tag=str(header.get("location_tag", "")),
-        subject_tag=str(header.get("subject_tag", "")),
-    )
+    try:  # a field of the wrong type or shape surfaces as one of the caught errors
+        cfg = config_from_dict(header["config"])
+        geom = geometry_from_dict(header["geometry"])
+        if geom.num_rx != cfg.num_rx:
+            raise ValueError(f"geometry has {geom.num_rx} receivers, config {cfg.num_rx}")
+        if abs(geom.wavelength - cfg.wavelength) > 1e-9 * cfg.wavelength:
+            raise ValueError(f"geometry wavelength {geom.wavelength} m differs from the "
+                             f"config's c / center_frequency = {cfg.wavelength} m")
+        n_frames = int(header["n_frames"])
+        payload = max(0, len(raw) - 8 - header_len)
+        expected = payload_nbytes(cfg, n_frames)
+        if payload != expected:
+            raise ValueError(f"payload length mismatch: expected {expected} bytes, got {payload}")
+        samples = np.frombuffer(raw, "<c8", offset=8 + header_len)
+        return Recording(
+            config=cfg, geometry=geom, samples=samples.reshape((n_frames,) + cfg.frame_shape),
+            truth=tuple(_box_from_dict(b) for b in header.get("truth", [])),
+            label=header["label"], seed=int(header.get("seed", 0)),
+            view_tag=str(header.get("view_tag", "")),
+            location_tag=str(header.get("location_tag", "")),
+            subject_tag=str(header.get("subject_tag", "")),
+        )
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"recording header: {exc!r}") from exc
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ frequency of its (possibly micro-motion modulated) range, with the carrier
 phase -4*pi*r/lambda advancing chirp to chirp, multiplied across receivers
 by the arrival vector (the conjugate of the beamformer steering weights).
 Per-sample complex white noise is drawn from a counter-based stream keyed
-by (seed, frame index), so frames synthesize identically in any order.
+by (seed, frame index), so frames synthesize identically in any order. A
+recording fills its frames into one preallocated (frame, rx, chirp, sample) array.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from dataclasses import MISSING, astuple, dataclass, field, fields, make_datacla
 import numpy as np
 
 from .cfar import GroundTruthBox
-from .core import (SPEED_OF_LIGHT, ArrayGeometry, FrameCube, RadarConfig,
-                   chirp_slope, max_range)
+from .core import SPEED_OF_LIGHT, ArrayGeometry, RadarConfig, chirp_slope, max_range
 from .dbf import element_phases
 
 DEFAULT_BOX_HALF_EXTENTS = (0.45, math.radians(10.0))
@@ -102,8 +102,8 @@ def _frame_rng(seed: int, frame_idx: int) -> np.random.Generator:
 
 
 def synthesize_frame(scene: SceneSpec, cfg: RadarConfig, geom: ArrayGeometry,
-                     frame_idx: int) -> FrameCube:
-    """Deterministic frame synthesis for (scene.seed, frame_idx)."""
+                     frame_idx: int) -> np.ndarray:
+    """Deterministic (rx, chirp, sample) complex128 frame for (scene.seed, frame_idx)."""
     validate_scene(scene, cfg)
     slope = chirp_slope(cfg)
     lam = geom.wavelength
@@ -111,8 +111,7 @@ def synthesize_frame(scene: SceneSpec, cfg: RadarConfig, geom: ArrayGeometry,
     chirp_times = t_frame + np.arange(cfg.chirps_per_frame) * cfg.chirp_repetition_interval
     sample_times = np.arange(cfg.samples_per_chirp) * (cfg.chirp_duration / cfg.samples_per_chirp)
 
-    cube = np.zeros((cfg.num_rx, cfg.chirps_per_frame, cfg.samples_per_chirp),
-                    dtype=np.complex128)
+    cube = np.zeros(cfg.frame_shape, dtype=np.complex128)
 
     def add_scatterer(r0, az, el, amp, mm_amp, mm_rate):
         if amp == 0.0:
@@ -136,16 +135,19 @@ def synthesize_frame(scene: SceneSpec, cfg: RadarConfig, geom: ArrayGeometry,
         scale = scene.noise_std / np.sqrt(2.0)
         cube += scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
-    return FrameCube(samples=cube, frame_index=frame_idx, timestamp=t_frame)
+    return cube
 
 
 @dataclass(frozen=True)
 class Recording:
-    """An ordered run of frames with its configuration and ground truth."""
+    """An ordered run of frames with its configuration and ground truth.
+
+    ``samples`` is one (frame, rx, chirp, sample) array: complex128 when
+    synthesized, complex64 when read from a file."""
 
     config: RadarConfig
     geometry: ArrayGeometry
-    frames: tuple
+    samples: np.ndarray
     truth: tuple
     label: str
     seed: int = 0
@@ -158,10 +160,15 @@ class Recording:
             raise ValueError("label must be 'occupied' or 'empty'")
         if (self.label == "empty") != (len(self.truth) == 0):
             raise ValueError("truth boxes must be present exactly for occupied recordings")
+        if self.samples.ndim != 4 or self.samples.shape[1:] != self.config.frame_shape:
+            raise ValueError(f"samples shape {self.samples.shape} is not (frames,) + frame_shape")
+        for i, frame in enumerate(self.samples):  # frame by frame: no whole-array temporary
+            if not np.isfinite(frame).all():
+                raise ValueError(f"frame {i}: samples contain non-finite values")
 
     @property
     def n_frames(self) -> int:
-        return len(self.frames)
+        return self.samples.shape[0]
 
 
 def truth_boxes(scene: SceneSpec) -> tuple:
@@ -174,8 +181,10 @@ def truth_boxes(scene: SceneSpec) -> tuple:
 
 
 def synthesize_recording(scene: SceneSpec, cfg: RadarConfig, geom: ArrayGeometry) -> Recording:
-    frames = tuple(synthesize_frame(scene, cfg, geom, i) for i in range(scene.n_frames))
-    return Recording(config=cfg, geometry=geom, frames=frames, truth=truth_boxes(scene),
+    samples = np.empty((scene.n_frames,) + cfg.frame_shape, dtype=np.complex128)
+    for i in range(scene.n_frames):
+        samples[i] = synthesize_frame(scene, cfg, geom, i)
+    return Recording(config=cfg, geometry=geom, samples=samples, truth=truth_boxes(scene),
                      label=scene.label, seed=scene.seed, view_tag=scene.view_tag,
                      location_tag=scene.location_tag, subject_tag=scene.subject_tag)
 

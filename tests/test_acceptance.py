@@ -93,7 +93,7 @@ def test_criterion_02_brute_force_equivalence():
     dbf_ok = True
     for _ in range(100):
         z = rng.standard_normal((3, 4, 8)) + 1j * rng.standard_normal((3, 4, 8))
-        cube = RangeDopplerCube(values=z, doppler_zero_index=4)
+        cube = RangeDopplerCube(values=z)
         window = np.array([3, 4, 5])
         got = dbf_power(cube, weights, window)
         want = _brute_dbf(z, weights.weights, window)
@@ -331,7 +331,7 @@ def test_criterion_10_mti_closed_form():
     state = init_clutter(dims, alpha)
     ok = True
     for k in range(1, 51):
-        cube = RangeDopplerCube(values=np.full(dims, x), doppler_zero_index=2)
+        cube = RangeDopplerCube(values=np.full(dims, x))
         state, out = mti_step(state, cube)
         want = alpha ** k * x
         if abs(out.values[0, 0, 0] - want) > 1e-9 * abs(x):

@@ -123,8 +123,8 @@ def test_false_alarm_law_small():
 
 def test_skip_cell_counts_skipped():
     cfg = CfarConfig(guard_cells=(2, 2), training_cells=(4, 4), edge_policy="skip_cell")
-    dets = ca_cfar_2d(np.ones((20, 20)), cfg)
-    assert dets.skipped_cells == 20 * 20 - 8 * 8
+    _, evaluable = training_stats(np.ones((20, 20)), cfg)
+    assert (~evaluable).sum() == 20 * 20 - 8 * 8
 
 
 def test_map_smaller_than_guard_block_all_skipped():
@@ -132,14 +132,14 @@ def test_map_smaller_than_guard_block_all_skipped():
     cfg = CfarConfig(guard_cells=(2, 2), training_cells=(4, 4), k=1.4)
     dets = ca_cfar_2d(np.ones((3, 3)), cfg)
     assert len(dets) == 0
-    assert dets.skipped_cells == 9
+    _, evaluable = training_stats(np.ones((3, 3)), cfg)
+    assert not evaluable.any()
 
 
 def test_training_stats_shrink_renormalizes():
     cfg = CfarConfig(guard_cells=(1, 1), training_cells=(1, 1), k=1.0)
     power = np.ones((6, 6))
-    mean, evaluable, skipped = training_stats(power, cfg)
-    assert skipped == 0
+    mean, evaluable = training_stats(power, cfg)
     assert np.allclose(mean, 1.0)
     assert np.all(evaluable)
 

@@ -322,3 +322,47 @@ def test_bad_manifest_grid_or_integer_is_a_json_error(workspace, capsys, manifes
                write_json(tmp / "bad.json", manifest), "--out", str(tmp / "d.csv")])
     assert rc != 0
     assert message in json_error(capsys)["message"]
+
+
+@pytest.mark.parametrize("config", [
+    {"num_rx": "3"},                            # TypeError at the parent
+    {"samples_per_chirp": 64.0},                # TypeError at the parent
+    {"center_frequency": "60e9"},               # TypeError at the parent
+    {"bandwidth": float("nan")},
+    {"frame_rate": 10**400},
+])
+def test_simulate_config_of_the_wrong_type_is_a_json_error(workspace, capsys, config):
+    tmp, _, scene, _, _ = workspace
+    path = write_json(tmp / "bad_config.json", dict(SMALL_CONFIG, **config))
+    rc = main(["simulate", "--scene", scene, "--config", path, "--out", str(tmp / "x.rec")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError" and next(iter(config)) in err["message"]
+
+
+@pytest.mark.parametrize("first_index", ["+50 on every row", 8, -1])
+def test_evaluate_rejects_replayed_rows_outside_the_recording(workspace, capsys, first_index):
+    tmp, cfg, scene, _, manifest = workspace
+    rec, det = tmp / "a.rec", tmp / "det.csv"
+    main(["simulate", "--scene", scene, "--config", cfg, "--out", str(rec)])  # 8 frames
+    main(["process", "--recording", str(rec), "--manifest", manifest, "--out", str(det)])
+    with open(det, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows
+    if first_index == "+50 on every row":  # exited 0 with rate 0.0 at the parent
+        rows = [dict(row, frame_index=int(row["frame_index"]) + 50) for row in rows]
+    else:
+        rows[0]["frame_index"] = first_index
+    shifted = tmp / "shifted.csv"
+    with open(shifted, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    capsys.readouterr()
+    rc = main(["evaluate", "--recording", str(rec), "--detections", str(shifted),
+               "--manifest", manifest, "--out", str(tmp / "eval")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "CliError"
+    assert f"line 2: frame_index {rows[0]['frame_index']} is outside" in err["message"]
+    assert not (tmp / "eval" / "metrics.json").exists()

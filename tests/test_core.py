@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from floorwatch.core import (SPEED_OF_LIGHT, ArrayGeometry, FrameCube, RadarConfig,
+from floorwatch.capon import check_pair_geometry
+from floorwatch.core import (SPEED_OF_LIGHT, ArrayGeometry, RadarConfig,
                              beat_frequency, chirp_slope, config_from_dict,
                              config_to_dict, default_geometry, geometry_from_dict,
                              geometry_to_dict, max_range, range_resolution)
@@ -96,7 +97,7 @@ def test_default_geometry_layout():
     cfg = RadarConfig()
     geom = default_geometry(cfg)
     assert geom.num_rx == 3
-    assert geom.azimuth_baseline == pytest.approx(geom.wavelength / 2)
+    check_pair_geometry(geom)  # the azimuth pair is half a wavelength apart along x
     i, j = geom.azimuth_pair
     assert i != j
 
@@ -106,17 +107,6 @@ def test_geometry_validation():
         ArrayGeometry(wavelength=5e-3, element_offsets=((0, 0), (1e-3, 0)), azimuth_pair=(0, 0))
     with pytest.raises(ValueError):
         ArrayGeometry(wavelength=5e-3, element_offsets=((0, 0), (1e-3, 0)), azimuth_pair=(0, 5))
-
-
-def test_frame_cube_shape_check():
-    cfg = RadarConfig(chirps_per_frame=4, samples_per_chirp=8, num_rx=2)
-    good = FrameCube(samples=np.zeros((2, 4, 8), dtype=complex))
-    good.check_config(cfg)
-    bad = FrameCube(samples=np.zeros((2, 4, 6), dtype=complex))
-    with pytest.raises(ValueError):
-        bad.check_config(cfg)
-    with pytest.raises(ValueError):
-        FrameCube(samples=np.array([[[np.nan + 0j]]]))
 
 
 def test_config_json_round_trip():

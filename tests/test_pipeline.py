@@ -81,8 +81,7 @@ def test_stream_detections_match_standalone_detector(method):
     rec = occupied_recording(3)
     manifest = RunManifest(method=method, k=3.0, mti_alpha=0.99)
     for out in process_recording(rec, manifest):
-        alone = cfar.suppress(cfar.ca_cfar_2d(out.power, pipeline.build_cfar(manifest),
-                                              frame_index=out.frame_index))
+        alone = cfar.suppress(cfar.ca_cfar_2d(out.power, pipeline.build_cfar(manifest)))
         assert out.detections == alone
 
 

@@ -1,9 +1,13 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floorwatch.bench import bench_manifest
 from floorwatch.cli import main
@@ -33,9 +37,9 @@ def test_round_trip_bit_identical(tmp_path):
     path2 = tmp_path / "b.rec"
     write_recording(path2, back)
     assert path.read_bytes() == path2.read_bytes()
-    for f1, f2 in zip(rec.frames, back.frames):
-        assert np.array_equal(f2.samples.real, f1.samples.real.astype(np.float32))
-        assert np.array_equal(f2.samples.imag, f1.samples.imag.astype(np.float32))
+    assert rec.samples.dtype == np.complex128 and back.samples.dtype == np.complex64
+    assert np.array_equal(back.samples.real, rec.samples.real.astype(np.float32))
+    assert np.array_equal(back.samples.imag, rec.samples.imag.astype(np.float32))
 
 
 def test_header_metadata_round_trip(tmp_path):
@@ -223,3 +227,146 @@ def test_capon_rejects_an_azimuth_pair_that_is_not_half_a_wavelength(tmp_path, c
 def test_geometry_wavelength_within_tolerance_reads(tmp_path):
     geometry = dataclasses.replace(default_geometry(CFG), wavelength=CFG.wavelength * (1 + 1e-12))
     assert read_recording(write_with_geometry(tmp_path / "ok.rec", geometry)).geometry == geometry
+
+
+def with_header(path, out, edit):
+    """Copy the recording at ``path`` to ``out`` with its JSON header replaced by ``edit(header)``."""
+    raw = path.read_bytes()
+    n = int.from_bytes(raw[4:8], "little")
+    body = json.dumps(edit(json.loads(raw[8:8 + n]))).encode()
+    out.write_bytes(raw[:4] + len(body).to_bytes(4, "little") + body + raw[8 + n:])
+    return out
+
+
+def replaced(keys, value):
+    """A header edit that sets the subtree at ``keys`` (the whole header for ()) to ``value``."""
+    def edit(header):
+        if not keys:
+            return value
+        node = header
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        return header
+    return edit
+
+
+def process_exit_and_error(path, out_csv, method="capon"):
+    """Run ``process`` on a recording; the exit code and the parsed JSON error, if any."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(["process", "--recording", str(path), "--method", method,
+                   "--out", str(out_csv)])
+    return rc, (json.loads(err.getvalue()) if err.getvalue() else None)
+
+
+@pytest.mark.parametrize("keys, value", [
+    ((), [1, 2]),                               # AttributeError at the parent
+    (("geometry", "element_offsets"), 5),       # TypeError at the parent
+    (("geometry", "element_offsets"), [[0.0], [1.0], [2.0]]),
+    (("truth",), 5),                            # TypeError at the parent
+    (("truth",), [{"center_range_m": 1.0}]),
+    (("config", "num_rx"), "3"),                # TypeError at the parent
+    (("config", "samples_per_chirp"), 32.0),
+    (("config",), [1]),
+    (("seed",), None),
+])
+def test_malformed_header_is_a_value_error_and_a_json_error(tmp_path, keys, value):
+    good = tmp_path / "good.rec"
+    write_recording(good, make_recording())
+    bad = with_header(good, tmp_path / "bad.rec", replaced(keys, value))
+    with pytest.raises(ValueError):
+        read_recording(bad)
+    rc, error = process_exit_and_error(bad, tmp_path / "d.csv")
+    assert rc == 1 and error["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("part", [0, 1])
+def test_non_finite_sample_in_file_is_rejected(tmp_path, bad, part):
+    path = tmp_path / "a.rec"
+    write_recording(path, make_recording())
+    raw = bytearray(path.read_bytes())
+    # the last frame's last sample; part 0 is its real half, 1 its imaginary half
+    np.frombuffer(raw, "<f4", offset=len(raw) - 8)[part] = bad
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="frame 2: samples contain non-finite values"):
+        read_recording(path)
+
+
+def test_read_samples_are_one_complex64_view_of_the_file(tmp_path):
+    path = tmp_path / "a.rec"
+    rec = make_recording()
+    write_recording(path, rec)
+    back = read_recording(path)
+    assert back.samples.shape == (3,) + CFG.frame_shape and back.samples.dtype == np.complex64
+    assert not back.samples.flags.writeable
+    assert np.array_equal(back.samples, rec.samples.astype(np.complex64))
+
+
+# --- property: no damage to a recording file gives a traceback ---
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+
+
+def _subtree_keys(node, keys=()):
+    yield keys
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _subtree_keys(value, keys + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _subtree_keys(value, keys + (i,))
+
+
+def _valid_file_and_header(directory):
+    path = directory / "valid.rec"
+    write_recording(path, make_recording(n_frames=2))
+    raw = path.read_bytes()
+    n = int.from_bytes(raw[4:8], "little")
+    return path, json.loads(raw[8:8 + n])
+
+
+@st.composite
+def _damage(draw, header):
+    kind = draw(st.sampled_from(["header", "payload", "sample"]))
+    if kind == "header":
+        return kind, draw(st.sampled_from(list(_subtree_keys(header)))), draw(_JSON)
+    if kind == "payload":
+        return kind, draw(st.integers(-64, 64).filter(bool)), None
+    return kind, draw(st.integers(0, 2 * 2 * math.prod(CFG.frame_shape) - 1)), \
+        draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+
+
+def test_damaged_recording_gives_exit_0_or_the_json_error(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("damaged")
+    valid, header = _valid_file_and_header(directory)
+
+    @settings(max_examples=80, deadline=None)
+    @given(damage=_damage(header), method=st.sampled_from(["dbf", "capon"]))
+    def check(damage, method):
+        kind, where, value = damage
+        bad = directory / "bad.rec"
+        if kind == "header":
+            with_header(valid, bad, replaced(where, value))
+        elif kind == "payload":
+            raw = valid.read_bytes()
+            bad.write_bytes(raw[:where] if where < 0 else raw + b"\x01" * where)
+        else:
+            raw = bytearray(valid.read_bytes())
+            offset = len(raw) - 8 * 2 * math.prod(CFG.frame_shape)
+            np.frombuffer(raw, "<f4", offset=offset)[where] = value
+            bad.write_bytes(bytes(raw))
+        rc, error = process_exit_and_error(bad, directory / "d.csv", method)
+        assert rc in (0, 1)
+        if rc == 1:
+            assert set(error) == {"error", "message"}
+        else:
+            assert kind == "header"
+
+    check()

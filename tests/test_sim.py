@@ -14,7 +14,7 @@ from floorwatch.core import RadarConfig, default_geometry, max_range, range_reso
 from floorwatch.dbf import dbf_power, dbf_range_azimuth, dbf_weights, default_grid, element_phases
 from floorwatch.frontend import process_frame, zero_doppler_window
 from floorwatch.mti import init_clutter, mti_step
-from floorwatch.sim import (ClutterSpec, SceneSpec, TargetSpec, arrival_vector,
+from floorwatch.sim import (ClutterSpec, Recording, SceneSpec, TargetSpec, arrival_vector,
                             scene_from_dict, scene_to_dict, synthesize_frame,
                             synthesize_recording, truth_boxes, validate_scene)
 
@@ -48,7 +48,8 @@ def test_arrival_conjugate_pair_identity():
 def test_empty_noiseless_scene_is_zero():
     scene = SceneSpec(noise_std=0.0, seed=1, n_frames=1)
     frame = synthesize_frame(scene, CFG, GEOM, 0)
-    assert np.all(frame.samples == 0)
+    assert frame.shape == CFG.frame_shape and frame.dtype == np.complex128
+    assert np.all(frame == 0)
 
 
 def test_static_reflector_peaks_at_range_bin_zero_doppler():
@@ -71,15 +72,14 @@ def test_determinism_bit_identical():
                       noise_std=0.1, seed=33, n_frames=3)
     rec1 = synthesize_recording(scene, CFG, GEOM)
     rec2 = synthesize_recording(scene, CFG, GEOM)
-    for f1, f2 in zip(rec1.frames, rec2.frames):
-        assert np.array_equal(f1.samples, f2.samples)
+    assert np.array_equal(rec1.samples, rec2.samples)
 
 
 def test_frames_differ_across_indices():
     scene = SceneSpec(targets=(TargetSpec(range_m=4.0, azimuth_rad=0.2),),
                       noise_std=0.1, seed=33, n_frames=2)
     rec = synthesize_recording(scene, CFG, GEOM)
-    assert not np.array_equal(rec.frames[0].samples, rec.frames[1].samples)
+    assert not np.array_equal(rec.samples[0], rec.samples[1])
 
 
 def test_superposition_exact():
@@ -88,9 +88,9 @@ def test_superposition_exact():
     b = SceneSpec(clutter=(ClutterSpec(range_m=6.0, azimuth_rad=-0.5, amplitude=2.0),),
                   noise_std=0.0, seed=5, n_frames=1)
     both = SceneSpec(targets=a.targets, clutter=b.clutter, noise_std=0.0, seed=5, n_frames=1)
-    fa = synthesize_frame(a, CFG, GEOM, 0).samples
-    fb = synthesize_frame(b, CFG, GEOM, 0).samples
-    fab = synthesize_frame(both, CFG, GEOM, 0).samples
+    fa = synthesize_frame(a, CFG, GEOM, 0)
+    fb = synthesize_frame(b, CFG, GEOM, 0)
+    fab = synthesize_frame(both, CFG, GEOM, 0)
     assert np.allclose(fab, fa + fb, rtol=1e-12, atol=1e-12 * np.abs(fab).max())
 
 
@@ -163,7 +163,27 @@ def test_recording_metadata_and_truth():
     box = rec.truth[0]
     assert box.center == (4.0, 0.25)
     assert box.view_tag == "tv"
-    assert rec.frames[1].timestamp == pytest.approx(0.1)
+    assert rec.samples.shape == (2,) + CFG.frame_shape
+    assert np.array_equal(rec.samples[1], synthesize_frame(scene, CFG, GEOM, 1))
+
+
+def test_recording_checks_sample_shape_and_finiteness():
+    cfg = RadarConfig(chirps_per_frame=4, samples_per_chirp=8, num_rx=2)
+    geom = default_geometry(cfg)
+
+    def recording(samples):
+        return Recording(config=cfg, geometry=geom, samples=samples, truth=(), label="empty")
+
+    assert cfg.frame_shape == (2, 4, 8)
+    assert recording(np.zeros((3, 2, 4, 8), dtype=complex)).n_frames == 3
+    for shape in ((3, 2, 4, 6), (2, 4, 8)):
+        with pytest.raises(ValueError, match="shape"):
+            recording(np.zeros(shape, dtype=complex))
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        samples = np.zeros((3, 2, 4, 8), dtype=np.complex64)
+        samples[2, 1, 3, 7] = bad
+        with pytest.raises(ValueError, match="frame 2: samples contain non-finite values"):
+            recording(samples)
 
 
 def test_empty_scene_has_no_truth():
