@@ -324,14 +324,6 @@ def _subtree_keys(node, keys=()):
             yield from _subtree_keys(value, keys + (i,))
 
 
-def _valid_file_and_header(directory):
-    path = directory / "valid.rec"
-    write_recording(path, make_recording(n_frames=2))
-    raw = path.read_bytes()
-    n = int.from_bytes(raw[4:8], "little")
-    return path, json.loads(raw[8:8 + n])
-
-
 @st.composite
 def _damage(draw, header):
     kind = draw(st.sampled_from(["header", "payload", "sample"]))
@@ -345,7 +337,10 @@ def _damage(draw, header):
 
 def test_damaged_recording_gives_exit_0_or_the_json_error(tmp_path_factory):
     directory = tmp_path_factory.mktemp("damaged")
-    valid, header = _valid_file_and_header(directory)
+    valid = directory / "valid.rec"
+    write_recording(valid, make_recording(n_frames=2))
+    raw = valid.read_bytes()
+    header = json.loads(raw[8:8 + int.from_bytes(raw[4:8], "little")])
 
     @settings(max_examples=80, deadline=None)
     @given(damage=_damage(header), method=st.sampled_from(["dbf", "capon"]))
@@ -355,13 +350,12 @@ def test_damaged_recording_gives_exit_0_or_the_json_error(tmp_path_factory):
         if kind == "header":
             with_header(valid, bad, replaced(where, value))
         elif kind == "payload":
-            raw = valid.read_bytes()
             bad.write_bytes(raw[:where] if where < 0 else raw + b"\x01" * where)
         else:
-            raw = bytearray(valid.read_bytes())
+            damaged = bytearray(raw)
             offset = len(raw) - 8 * 2 * math.prod(CFG.frame_shape)
-            np.frombuffer(raw, "<f4", offset=offset)[where] = value
-            bad.write_bytes(bytes(raw))
+            np.frombuffer(damaged, "<f4", offset=offset)[where] = value
+            bad.write_bytes(bytes(damaged))
         rc, error = process_exit_and_error(bad, directory / "d.csv", method)
         assert rc in (0, 1)
         if rc == 1:

@@ -66,7 +66,7 @@ def stream_case(draw):
         guard_cells=(draw(st.integers(0, 2)), draw(st.integers(0, 3))),
         training_cells=(draw(st.integers(1, 4)), draw(st.integers(1, 4))),
         doppler_half_width=draw(st.integers(1, min(5, cfg.chirps_per_frame // 2 - 1))),
-        mti_alpha=draw(st.floats(0.5, 0.99)))
+        mti_alpha=draw(st.floats(0.01, 1.0)))
     return cfg, scene, manifest
 
 
