@@ -7,12 +7,18 @@ energy does not inflate its own threshold. Edge handling is either
 map, so wall-adjacent bins stay testable) or 'skip_cell' (only evaluate
 cells whose full window fits); the skipped cells are ``~evaluable``.
 Detection requires strictly exceeding the threshold.
+
+A ``DetectionSet`` holds its detections as parallel arrays (range bin,
+azimuth bin, power, threshold), in raster order from thresholding. Suppression
+keeps the strongest cell of each 8-connected group and, among equal powers,
+the earliest in the set; the kept cells come out in label order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import ndimage
@@ -49,26 +55,32 @@ class CfarConfig:
         return CfarConfig(self.guard_cells, self.training_cells, k, self.edge_policy)
 
 
-@dataclass(frozen=True)
-class Detection:
+class Detection(NamedTuple):
     range_bin: int
     azimuth_bin: int
     power: float
     threshold: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DetectionSet:
-    detections: tuple
+    range_bins: np.ndarray
+    azimuth_bins: np.ndarray
+    power: np.ndarray
+    threshold: np.ndarray
     map_shape: tuple = (0, 0)
 
     def __len__(self) -> int:
-        return len(self.detections)
+        return self.range_bins.size
+
+    @property
+    def detections(self) -> tuple:
+        return tuple(Detection(int(r), int(c), float(p), float(t)) for r, c, p, t in
+                     zip(self.range_bins, self.azimuth_bins, self.power, self.threshold))
 
     def mask(self) -> np.ndarray:
         m = np.zeros(self.map_shape, dtype=bool)
-        for d in self.detections:
-            m[d.range_bin, d.azimuth_bin] = True
+        m[self.range_bins, self.azimuth_bins] = True
         return m
 
 
@@ -122,38 +134,25 @@ def training_stats(power: np.ndarray, cfg: CfarConfig):
     return mean, evaluable
 
 
-def _crossings(power: np.ndarray, base: np.ndarray, evaluable: np.ndarray, k: float) -> np.ndarray:
-    """The thresholding rule: evaluable cells strictly above k * base."""
-    return evaluable & (power > k * base)
-
-
 def threshold(power: np.ndarray, base: np.ndarray, evaluable: np.ndarray, k: float) -> DetectionSet:
     """Evaluable cells strictly above k * base, with their thresholds."""
-    rs, cs = np.nonzero(_crossings(power, base, evaluable, k))
-    dets = tuple(Detection(int(r), int(c), float(power[r, c]), float(k * base[r, c]))
-                 for r, c in zip(rs, cs))
-    return DetectionSet(detections=dets, map_shape=power.shape)
+    cut = k * base
+    rs, cs = np.nonzero(evaluable & (power > cut))
+    return DetectionSet(rs, cs, power[rs, cs], cut[rs, cs], map_shape=power.shape)
 
 
-def _checked_map(power: np.ndarray) -> np.ndarray:
+def cfar_mask(power: np.ndarray, cfg: CfarConfig) -> np.ndarray:
+    """Boolean detection mask: cell strictly above k * training mean."""
+    return ca_cfar_2d(power, cfg).mask()
+
+
+def ca_cfar_2d(power: np.ndarray, cfg: CfarConfig) -> DetectionSet:
+    """Run the detector over a map and list the detections with their thresholds."""
     power = np.asarray(power, dtype=float)
     if power.ndim != 2:
         raise ValueError("map must be 2-d")
     if not np.all(np.isfinite(power)) or np.any(power < 0):
         raise ValueError("map must be finite and non-negative")
-    return power
-
-
-def cfar_mask(power: np.ndarray, cfg: CfarConfig) -> np.ndarray:
-    """Boolean detection mask: cell strictly above k * training mean."""
-    power = _checked_map(power)
-    mean, evaluable = training_stats(power, cfg)
-    return _crossings(power, mean, evaluable, cfg.k)
-
-
-def ca_cfar_2d(power: np.ndarray, cfg: CfarConfig) -> DetectionSet:
-    """Run the detector over a map and list the detections with their thresholds."""
-    power = _checked_map(power)
     mean, evaluable = training_stats(power, cfg)
     return threshold(power, mean, evaluable, cfg.k)
 
@@ -162,17 +161,15 @@ _EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
 
 
 def suppress(dets: DetectionSet) -> DetectionSet:
-    """Keep the strongest cell of each 8-connected group of detections."""
+    """Keep the strongest cell of each 8-connected group, the earliest among equals."""
     if len(dets) == 0:
         return dets
-    labels, n_groups = ndimage.label(dets.mask(), structure=_EIGHT_CONNECTED)
-    best: dict[int, Detection] = {}
-    for d in dets.detections:
-        g = labels[d.range_bin, d.azimuth_bin]
-        if g not in best or d.power > best[g].power:
-            best[g] = d
-    kept = tuple(best[g] for g in sorted(best))
-    return DetectionSet(detections=kept, map_shape=dets.map_shape)
+    labels, _ = ndimage.label(dets.mask(), structure=_EIGHT_CONNECTED)
+    group = labels[dets.range_bins, dets.azimuth_bins]
+    order = np.lexsort((-dets.power, group))  # stable: ties keep the set's order
+    keep = order[np.r_[True, np.diff(group[order]) != 0]]
+    return DetectionSet(dets.range_bins[keep], dets.azimuth_bins[keep], dets.power[keep],
+                        dets.threshold[keep], map_shape=dets.map_shape)
 
 
 @dataclass(frozen=True)
@@ -188,9 +185,10 @@ class GroundTruthBox:
         if self.half_extents[0] <= 0 or self.half_extents[1] <= 0:
             raise ValueError("half_extents must be positive")
 
-    def contains(self, range_m: float, azimuth_rad: float) -> bool:
-        return (abs(range_m - self.center[0]) <= self.half_extents[0]
-                and abs(azimuth_rad - self.center[1]) <= self.half_extents[1])
+    def contains(self, range_m, azimuth_rad):
+        """Elementwise: whether each (range, azimuth) point lies inside the box."""
+        return ((abs(range_m - self.center[0]) <= self.half_extents[0])
+                & (abs(azimuth_rad - self.center[1]) <= self.half_extents[1]))
 
 
 @dataclass(frozen=True)
@@ -209,10 +207,6 @@ def map_axes(range_resolution_m: float, azimuth_angles: np.ndarray,
 
 def hit_test(dets: DetectionSet, boxes, axes: MapAxes) -> bool:
     """True when any detection's cell center lies inside any box of the tuple."""
-    for d in dets.detections:
-        r = axes.range_m[d.range_bin]
-        th = axes.azimuth_rad[d.azimuth_bin]
-        for box in boxes:
-            if box.contains(r, th):
-                return True
-    return False
+    r = axes.range_m[dets.range_bins]
+    th = axes.azimuth_rad[dets.azimuth_bins]
+    return any(box.contains(r, th).any() for box in boxes)

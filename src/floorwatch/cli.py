@@ -205,19 +205,32 @@ def cmd_evaluate(args) -> int:
 
 
 def _trial_from_detections(rec, det_path, manifest):
-    """Re-score recorded detections against the recording's truth boxes."""
+    """Re-score recorded detections against the recording's truth boxes.
+
+    Each row is scored at its bins' centres on the manifest's map axes, the
+    numbers ``hit_test`` uses; a row whose bins or coordinates do not belong
+    to that map (a CSV made on another grid) is refused.
+    """
     if rec.label != "occupied":
         raise CliError("replaying detections requires an occupied recording")
+    axes = build_axes(rec.config, build_grid(manifest))
     hits = np.zeros(rec.n_frames, dtype=bool)
     with open(det_path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
+            where = f"{det_path} line {reader.line_num}"
             idx = int(row["frame_index"])
             if not 0 <= idx < rec.n_frames:
-                raise CliError(f"{det_path} line {reader.line_num}: frame_index {idx} is "
+                raise CliError(f"{where}: frame_index {idx} is "
                                f"outside the recording's {rec.n_frames} frames")
-            r = float(row["range_m"])
-            th = math.radians(float(row["azimuth_deg"]))
+            rb, ab = int(row["range_bin"]), int(row["azimuth_bin"])
+            if not (0 <= rb < axes.range_m.size and 0 <= ab < axes.azimuth_rad.size):
+                raise CliError(f"{where}: bin ({rb}, {ab}) is outside the manifest's "
+                               f"{axes.range_m.size}x{axes.azimuth_rad.size} map")
+            r, th = axes.range_m[rb], axes.azimuth_rad[ab]
+            if (row["range_m"], row["azimuth_deg"]) != (_fmt(r), _fmt(math.degrees(th))):
+                raise CliError(f"{where}: range_m/azimuth_deg are not bin ({rb}, {ab}) of "
+                               "the manifest's map; was the CSV made on another grid?")
             if any(b.contains(r, th) for b in rec.truth):
                 hits[idx] = True
     return scoring.TrialRecord(subject_id=rec.subject_tag, view_tag=rec.view_tag,

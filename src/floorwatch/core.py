@@ -169,9 +169,16 @@ def geometry_to_dict(geom: ArrayGeometry) -> dict:
     return asdict(geom)
 
 
+def json_int(name: str, value) -> int:
+    """A JSON integer field; a bool, float or string is refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be a JSON integer, got {value!r}")
+    return value
+
+
 def geometry_from_dict(d: dict) -> ArrayGeometry:
     return ArrayGeometry(
         wavelength=float(d["wavelength"]),
         element_offsets=tuple(tuple(float(x) for x in o) for o in d["element_offsets"]),
-        azimuth_pair=tuple(int(i) for i in d["azimuth_pair"]),
+        azimuth_pair=tuple(json_int("azimuth_pair", i) for i in d["azimuth_pair"]),
     )

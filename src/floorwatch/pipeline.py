@@ -129,7 +129,7 @@ class CachedTrial:
 
     boxes: tuple
     axes: MapAxes
-    powers: np.ndarray      # (frames, range, azimuth) float32
+    powers: np.ndarray      # (frames, range, azimuth) float64, as the stream made them
     bases: np.ndarray
     evaluable: np.ndarray   # (range, azimuth) bool, k-independent
 
@@ -141,8 +141,8 @@ def cache_recording(rec: Recording, manifest: RunManifest, candidate_boxes=None)
     powers, bases = [], []
     evaluable = None
     for out in process_recording(rec, manifest):
-        powers.append(out.power.astype(np.float32))
-        bases.append(out.threshold_base.astype(np.float32))
+        powers.append(out.power)
+        bases.append(out.threshold_base)
         evaluable = out.evaluable
     return CachedTrial(boxes=boxes, axes=axes,
                        powers=np.stack(powers), bases=np.stack(bases),
@@ -154,8 +154,6 @@ def flags_at_k(cached: CachedTrial, k: float) -> np.ndarray:
     n = cached.powers.shape[0]
     flags = np.zeros(n, dtype=bool)
     for i in range(n):
-        dets = detections_from_maps(cached.powers[i].astype(float),
-                                    cached.bases[i].astype(float),
-                                    cached.evaluable, k)
+        dets = detections_from_maps(cached.powers[i], cached.bases[i], cached.evaluable, k)
         flags[i] = cfar_mod.hit_test(dets, cached.boxes, cached.axes)
     return flags

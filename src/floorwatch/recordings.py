@@ -7,10 +7,11 @@ count, format version), and a little-endian complex64 payload laid out
 read-only array over the file's bytes. Angles are degrees in all external
 files and radians in memory. The reader raises ``ValueError`` for a bad
 magic, an unknown format version, a malformed header, a payload whose
-length disagrees with the header, a non-finite sample, and a geometry whose
-receiver count differs from the config's or whose wavelength is more than
-1e-9 (relative) away from c / center_frequency: Capon steering assumes a
-half-wavelength pair.
+length disagrees with the header, a non-finite sample, an ``n_frames``,
+``seed`` or ``azimuth_pair`` entry that is not a JSON integer (3.7 and "3"
+are refused, not truncated), and a geometry whose receiver count differs
+from the config's or whose wavelength is more than 1e-9 (relative) away
+from c / center_frequency: Capon steering assumes a half-wavelength pair.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .cfar import GroundTruthBox
 from .core import (RadarConfig, config_from_dict, config_to_dict, geometry_from_dict,
-                   geometry_to_dict)
+                   geometry_to_dict, json_int)
 from .sim import Recording
 
 MAGIC = b"FWR1"
@@ -98,7 +99,7 @@ def read_recording(path) -> Recording:
         if abs(geom.wavelength - cfg.wavelength) > 1e-9 * cfg.wavelength:
             raise ValueError(f"geometry wavelength {geom.wavelength} m differs from the "
                              f"config's c / center_frequency = {cfg.wavelength} m")
-        n_frames = int(header["n_frames"])
+        n_frames = json_int("n_frames", header["n_frames"])
         payload = max(0, len(raw) - 8 - header_len)
         expected = payload_nbytes(cfg, n_frames)
         if payload != expected:
@@ -107,7 +108,7 @@ def read_recording(path) -> Recording:
         return Recording(
             config=cfg, geometry=geom, samples=samples.reshape((n_frames,) + cfg.frame_shape),
             truth=tuple(_box_from_dict(b) for b in header.get("truth", [])),
-            label=header["label"], seed=int(header.get("seed", 0)),
+            label=header["label"], seed=json_int("seed", header.get("seed", 0)),
             view_tag=str(header.get("view_tag", "")),
             location_tag=str(header.get("location_tag", "")),
             subject_tag=str(header.get("subject_tag", "")),

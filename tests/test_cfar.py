@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
-from floorwatch.cfar import (CfarConfig, Detection, DetectionSet, GroundTruthBox,
+from floorwatch.cfar import (CfarConfig, DetectionSet, GroundTruthBox,
                              MapAxes, ca_cfar_2d, cfar_mask, hit_test, map_axes,
                              suppress, training_stats)
 
@@ -160,8 +163,10 @@ def test_cfar_input_validation():
 # --- suppression ---
 
 def det_set(cells, shape=(10, 10)):
-    dets = tuple(Detection(r, c, p, t) for r, c, p, t in cells)
-    return DetectionSet(detections=dets, map_shape=shape)
+    """A DetectionSet of (range bin, azimuth bin, power, threshold) rows, in that order."""
+    rows = np.array(cells, dtype=float).reshape(-1, 4)
+    return DetectionSet(rows[:, 0].astype(int), rows[:, 1].astype(int), rows[:, 2], rows[:, 3],
+                        map_shape=shape)
 
 
 def test_suppress_isolated_detection_unchanged():
@@ -232,6 +237,59 @@ def test_hit_test_multiple_boxes():
              GroundTruthBox(center=(6.0, np.deg2rad(30)), half_extents=(0.45, np.deg2rad(10))))
     ds = det_set([(20, 90, 1.0, 0.1)], shape=(32, 121))  # 6.0 m, +30 deg
     assert hit_test(ds, boxes, axes)
+
+
+# --- property: the array rules equal the per-detection loops they replaced ---
+
+def dict_loop_suppress(dets):
+    """Strongest of each 8-connected group by strict >, so the first among equals wins."""
+    labels, _ = ndimage.label(dets.mask(), structure=np.ones((3, 3), dtype=int))
+    best = {}
+    for d in dets.detections:
+        g = labels[d.range_bin, d.azimuth_bin]
+        if g not in best or d.power > best[g].power:
+            best[g] = d
+    return tuple(best[g] for g in sorted(best))
+
+
+def scalar_loop_hit(dets, boxes, axes):
+    for d in dets.detections:
+        r = axes.range_m[d.range_bin]
+        th = axes.azimuth_rad[d.azimuth_bin]
+        for box in boxes:
+            if (abs(r - box.center[0]) <= box.half_extents[0]
+                    and abs(th - box.center[1]) <= box.half_extents[1]):
+                return True
+    return False
+
+
+@st.composite
+def detections_and_boxes(draw):
+    n_r, n_c = draw(st.integers(1, 8)), draw(st.integers(1, 9))
+    crossing = draw(st.lists(st.booleans(), min_size=n_r * n_c, max_size=n_r * n_c))
+    cells = [divmod(i, n_c) for i, hit in enumerate(crossing) if hit]
+    order = draw(st.permutations(range(len(cells))))
+    values = st.sampled_from([0.5, 1.0, 2.0])  # few values, so groups hold ties
+    rows = [(*cells[i], draw(values), draw(values)) for i in order]
+    # azimuths on the bench grid's 3-degree multiples, -12 deg among them
+    axes = map_axes(0.3, np.deg2rad(np.arange(n_c) * 3.0 - 12.0), n_r)
+    boxes = []
+    for _ in range(draw(st.integers(1, 3))):  # edges fall on cell centres
+        r, c = draw(st.integers(0, n_r - 1)), draw(st.integers(0, n_c - 1))
+        dr, dc = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        boxes.append(GroundTruthBox(center=(axes.range_m[r], axes.azimuth_rad[c]),
+                                    half_extents=(dr * 0.3, np.deg2rad(dc * 3.0))))
+    return det_set(rows, shape=(n_r, n_c)), tuple(boxes), axes
+
+
+@settings(max_examples=300, deadline=None)
+@given(detections_and_boxes())
+def test_suppress_and_hit_test_equal_the_per_detection_loops(case):
+    dets, boxes, axes = case
+    kept = suppress(dets)
+    assert kept.detections == dict_loop_suppress(dets)  # cells, powers, thresholds, order
+    for ds in (dets, kept):
+        assert hit_test(ds, boxes, axes) == scalar_loop_hit(ds, boxes, axes)
 
 
 def test_box_validation():

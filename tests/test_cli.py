@@ -1,12 +1,17 @@
 import csv
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
-from floorwatch.cli import main
-from floorwatch.recordings import manifest_to_dict, RunManifest
+from floorwatch.cfar import DetectionSet, hit_test
+from floorwatch.cli import DETECTION_COLUMNS, _fmt, main
+from floorwatch.core import RadarConfig, default_geometry
+from floorwatch.pipeline import build_axes, build_grid
+from floorwatch.recordings import manifest_to_dict, RunManifest, write_recording
+from floorwatch.sim import SceneSpec, TargetSpec, synthesize_recording
 
 SMALL_CONFIG = {
     "center_frequency": 60e9,
@@ -366,3 +371,58 @@ def test_evaluate_rejects_replayed_rows_outside_the_recording(workspace, capsys,
     assert err["error"] == "CliError"
     assert f"line 2: frame_index {rows[0]['frame_index']} is outside" in err["message"]
     assert not (tmp / "eval" / "metrics.json").exists()
+
+
+def replay_case(tmp):
+    """A 2-frame recording whose truth box has its azimuth edge on the -12 deg grid bin."""
+    scene = SceneSpec(targets=(TargetSpec(range_m=3.0, azimuth_rad=math.radians(-14.5),
+                                          amplitude=1.0),),
+                      n_frames=2, box_half_extents=(0.45, math.radians(2.5)), view_tag="tv")
+    cfg = RadarConfig()
+    rec = synthesize_recording(scene, cfg, default_geometry(cfg))
+    write_recording(tmp / "a.rec", rec)
+    return rec, build_axes(cfg, build_grid(RunManifest()))
+
+
+def write_rows(path, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(DETECTION_COLUMNS)
+        writer.writerows(rows)
+    return str(path)
+
+
+def test_replay_scores_the_grid_angle_hit_test_uses(tmp_path):
+    # radians(float(repr(degrees(a)))) differs from a in the last bit at -12 deg, so
+    # scoring the re-parsed degrees put this cell inside the box: rate 0.5 at the parent
+    rec, axes = replay_case(tmp_path)
+    assert math.radians(float(_fmt(math.degrees(axes.azimuth_rad[48])))) != axes.azimuth_rad[48]
+    det = write_rows(tmp_path / "d.csv", [[0, 10, 48, _fmt(axes.range_m[10]),
+                                           _fmt(math.degrees(axes.azimuth_rad[48])), 1.0, 0.5]])
+    assert main(["evaluate", "--recording", str(tmp_path / "a.rec"), "--detections", det,
+                 "--out", str(tmp_path / "eval")]) == 0
+    metrics = json.loads((tmp_path / "eval" / "metrics.json").read_text())
+    assert metrics[0]["frame_positive_rate"] == 0.0
+    cell = DetectionSet(np.array([10]), np.array([48]), np.array([1.0]), np.array([0.5]),
+                        map_shape=(32, 121))
+    assert not hit_test(cell, rec.truth, axes)  # the stream's verdict on the same cell
+
+
+@pytest.mark.parametrize("bins, step_deg, message", [
+    ((10, 48), 2.0, "range_m/azimuth_deg are not bin (10, 48)"),  # +36 deg, not -12 deg
+    ((10, 130), 0.5, "bin (10, 130) is outside"),  # the 0.5-degree grid has 241 azimuths
+    ((-1, 48), 1.0, "bin (-1, 48) is outside"),
+], ids=["other-grid", "azimuth-bin-outside", "negative-range-bin"])
+def test_replay_refuses_rows_from_another_grid(tmp_path, capsys, bins, step_deg, message):
+    # each row is what ``process`` writes for that cell on a grid of step_deg degrees
+    other = build_axes(RadarConfig(), build_grid(RunManifest(theta_step_deg=step_deg)))
+    rb, ab = bins
+    row = [0, rb, ab, _fmt(other.range_m[rb]), _fmt(math.degrees(other.azimuth_rad[ab])), 1.0, 0.5]
+    replay_case(tmp_path)
+    det = write_rows(tmp_path / "d.csv", [row])
+    capsys.readouterr()
+    assert main(["evaluate", "--recording", str(tmp_path / "a.rec"), "--detections", det,
+                 "--out", str(tmp_path / "eval")]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "CliError" and f"line 2: {message}" in err["message"]
+    assert not (tmp_path / "eval" / "metrics.json").exists()

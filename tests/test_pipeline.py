@@ -82,7 +82,7 @@ def test_stream_detections_match_standalone_detector(method):
     manifest = RunManifest(method=method, k=3.0, mti_alpha=0.99)
     for out in process_recording(rec, manifest):
         alone = cfar.suppress(cfar.ca_cfar_2d(out.power, pipeline.build_cfar(manifest)))
-        assert out.detections == alone
+        assert out.detections.detections == alone.detections
 
 
 def test_score_recording_flags_each_frame_before_the_next(monkeypatch):
@@ -102,11 +102,16 @@ def test_score_recording_flags_each_frame_before_the_next(monkeypatch):
 
 def test_cached_flags_match_direct_scoring():
     rec = occupied_recording(6)
-    manifest = RunManifest(method="capon", k=3.0, mti_alpha=0.99)
-    direct = score_recording(rec, manifest)
-    cached = cache_recording(rec, manifest)
-    replay = flags_at_k(cached, 3.0)
-    assert np.array_equal(direct.flags, replay)
+    # a tight box around the target: Capon's kept cell falls outside it on some frames
+    tight = GroundTruthBox(center=(4.5, np.deg2rad(10.0)), half_extents=(0.3, np.deg2rad(3.0)))
+    for r in (rec, dataclasses.replace(rec, truth=(tight,))):
+        for method in ("dbf", "capon"):
+            manifest = RunManifest(method=method, k=3.0, mti_alpha=0.99)
+            cached = cache_recording(r, manifest)
+            assert cached.powers.dtype == cached.bases.dtype == np.float64
+            for k in (2.0, 3.0, 5.0):
+                direct = score_recording(r, dataclasses.replace(manifest, k=k))
+                assert np.array_equal(direct.flags, flags_at_k(cached, k))
 
 
 def test_flags_at_k_monotone_shrinkage():

@@ -270,6 +270,14 @@ def process_exit_and_error(path, out_csv, method="capon"):
     (("config", "samples_per_chirp"), 32.0),
     (("config",), [1]),
     (("seed",), None),
+    (("n_frames",), 3.7),                       # read as 3 frames at the parent
+    (("n_frames",), "3"),
+    (("n_frames",), 3.0),
+    (("n_frames",), True),
+    (("seed",), 17.9),                          # read as 17 at the parent
+    (("seed",), "1"),
+    (("geometry", "azimuth_pair"), [2.9, 0.2]),  # read as (2, 0) at the parent
+    (("geometry", "azimuth_pair"), [2, False]),
 ])
 def test_malformed_header_is_a_value_error_and_a_json_error(tmp_path, keys, value):
     good = tmp_path / "good.rec"
