@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from floorwatch.cfar import (CfarConfig, DetectionSet, GroundTruthBox,
-                             MapAxes, ca_cfar_2d, cfar_mask, hit_test, map_axes,
-                             suppress, training_stats)
+from floorwatch.cfar import (CfarConfig, DetectionSet, GroundTruthBox, ca_cfar_2d,
+                             cfar_mask, hit_test, map_axes, suppress, training_stats)
 
 
 def brute_force_mask(power, cfg):
