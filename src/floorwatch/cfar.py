@@ -51,9 +51,6 @@ class CfarConfig:
         guard = (2 * gr + 1) * (2 * gc + 1)
         return full - guard
 
-    def with_k(self, k: float) -> "CfarConfig":
-        return CfarConfig(self.guard_cells, self.training_cells, k, self.edge_policy)
-
 
 class Detection(NamedTuple):
     range_bin: int
@@ -84,24 +81,22 @@ class DetectionSet:
         return m
 
 
-def _box_sum(cum: np.ndarray, r0, r1, c0, c1) -> np.ndarray:
-    """Inclusive window sums from a zero-padded 2-d cumulative sum."""
-    return cum[r1 + 1, c1 + 1] - cum[r0, c1 + 1] - cum[r1 + 1, c0] + cum[r0, c0]
+def _window_sums(cum: np.ndarray, half_r: int, half_c: int):
+    """Clipped window sum and in-map cell count around every cell.
 
-
-def _window_sums(power: np.ndarray, half_r: int, half_c: int):
-    """Clipped window sum and in-map cell count around every cell."""
-    n_r, n_c = power.shape
-    cum = np.zeros((n_r + 1, n_c + 1))
-    cum[1:, 1:] = power.cumsum(axis=0).cumsum(axis=1)
-    rows = np.arange(n_r)[:, None]
-    cols = np.arange(n_c)[None, :]
-    r0 = np.clip(rows - half_r, 0, n_r - 1)
-    r1 = np.clip(rows + half_r, 0, n_r - 1)
-    c0 = np.clip(cols - half_c, 0, n_c - 1)
-    c1 = np.clip(cols + half_c, 0, n_c - 1)
-    sums = _box_sum(cum, r0, r1, c0, c1)
-    counts = (r1 - r0 + 1) * (c1 - c0 + 1)
+    ``cum`` is the map's cumulative sum over rows, then columns, with a
+    leading row and column of zeros.
+    """
+    n_r, n_c = cum.shape[0] - 1, cum.shape[1] - 1
+    rows, cols = np.arange(n_r), np.arange(n_c)
+    # clipped to the map; each bound can leave it on one side only
+    r0 = np.maximum(rows - half_r, 0)
+    r1 = np.minimum(rows + half_r, n_r - 1) + 1
+    c0 = np.maximum(cols - half_c, 0)
+    c1 = np.minimum(cols + half_c, n_c - 1) + 1
+    top, bot = cum[r1], cum[r0]
+    sums = top[:, c1] - bot[:, c1] - top[:, c0] + bot[:, c0]
+    counts = (r1 - r0)[:, None] * (c1 - c0)[None, :]
     return sums, counts
 
 
@@ -115,8 +110,10 @@ def training_stats(power: np.ndarray, cfg: CfarConfig):
     power = np.asarray(power, dtype=float)
     gr, gc = cfg.guard_cells
     tr, tc = cfg.training_cells
-    full_sum, full_cnt = _window_sums(power, gr + tr, gc + tc)
-    guard_sum, guard_cnt = _window_sums(power, gr, gc)
+    cum = np.zeros((power.shape[0] + 1, power.shape[1] + 1))
+    cum[1:, 1:] = power.cumsum(axis=0).cumsum(axis=1)
+    full_sum, full_cnt = _window_sums(cum, gr + tr, gc + tc)
+    guard_sum, guard_cnt = _window_sums(cum, gr, gc)
     ring_sum = full_sum - guard_sum
     ring_cnt = full_cnt - guard_cnt
 

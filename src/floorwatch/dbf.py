@@ -7,6 +7,12 @@ with azimuth theta measured from broadside so the map is one-to-one over a
 symmetric look grid. The beam output sums z_m * w_m without conjugation;
 the simulator generates arrivals as the elementwise conjugate of these
 weights so the beam peak lands on the true direction.
+
+The spectrum has shape (range, azimuth, elevation, doppler) but its memory
+is laid out (azimuth, elevation, doppler, range), as the 4-D
+``einsum("mrd,tpm->rtpd")`` lays it out. ``dbf_range_azimuth`` sums |P| in
+memory order, so this layout fixes the rounding of every map: the same
+spectrum in another layout gives maps that differ in the last bits.
 """
 
 from __future__ import annotations
@@ -21,7 +27,8 @@ from .frontend import RangeDopplerCube
 
 @dataclass(frozen=True)
 class SteeringGrid:
-    """Look directions in radians. Azimuth must be strictly increasing and include 0."""
+    """Look directions in radians, within +/-pi/2. Azimuth must be strictly increasing and
+    include 0."""
 
     azimuth_angles: np.ndarray
     elevation_angles: np.ndarray
@@ -39,16 +46,10 @@ class SteeringGrid:
             raise ValueError("elevation grid needs >= 1 point")
         if el.size > 1 and np.any(np.diff(el) <= 0):
             raise ValueError("elevation grid must be strictly increasing")
+        if not (np.all(np.abs(az) <= np.pi / 2) and np.all(np.abs(el) <= np.pi / 2)):
+            raise ValueError("look directions must lie within +/-90 degrees")
         object.__setattr__(self, "azimuth_angles", az)
         object.__setattr__(self, "elevation_angles", el)
-
-    @property
-    def num_azimuth(self) -> int:
-        return self.azimuth_angles.size
-
-    @property
-    def num_elevation(self) -> int:
-        return self.elevation_angles.size
 
 
 def default_grid(theta_max_deg: float = 60.0, theta_step_deg: float = 1.0,
@@ -74,42 +75,34 @@ def element_phases(geom: ArrayGeometry, theta, phi) -> np.ndarray:
     return k * (offsets[:, 0] * ux + offsets[:, 1] * uy)
 
 
-@dataclass(frozen=True)
-class DbfWeights:
+def dbf_weights(grid: SteeringGrid, geom: ArrayGeometry) -> np.ndarray:
     """Unit-modulus steering weights indexed [azimuth][elevation][rx]."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights)
-        if w.ndim != 3:
-            raise ValueError("weights must be [azimuth][elevation][rx]")
-        if not np.allclose(np.abs(w), 1.0, atol=1e-12):
-            raise ValueError("steering weights must be unit modulus")
-
-
-def dbf_weights(grid: SteeringGrid, geom: ArrayGeometry) -> DbfWeights:
     theta = grid.azimuth_angles[:, None]
     phi = grid.elevation_angles[None, :]
-    phases = element_phases(geom, theta, phi)  # (n_az, n_el, rx)
-    return DbfWeights(weights=np.exp(1j * phases))
+    return np.exp(1j * element_phases(geom, theta, phi))
 
 
-def dbf_power(rd: RangeDopplerCube, weights: DbfWeights, doppler_window: np.ndarray) -> np.ndarray:
+def dbf_power(rd: RangeDopplerCube, weights: np.ndarray, doppler_window: np.ndarray) -> np.ndarray:
     """Complex beam spectrum over (range, azimuth, elevation, doppler-in-window).
 
-    P[r, t, p, d] = sum_m z_m[r, d] * w_m[t, p] on the selected Doppler bins.
+    P[r, t, p, d] = sum_m z_m[r, d] * w_m[t, p] on the selected Doppler bins,
+    as one 2-D einsum whose (t, p, d, r) result is returned as a view.
     """
     dw = np.asarray(doppler_window, dtype=int)
     if dw.size == 0:
         raise ValueError("doppler_window must be non-empty")
     if dw.min() < 0 or dw.max() >= rd.num_doppler_bins:
         raise ValueError("doppler_window out of bin range")
-    w = weights.weights
-    if w.shape[2] != rd.num_rx:
+    if weights.ndim != 3:
+        raise ValueError("weights must be [azimuth][elevation][rx]")
+    n_t, n_p, n_rx = weights.shape
+    if n_rx != rd.num_rx:
         raise ValueError("weight receiver count does not match cube")
     z = rd.values[:, :, dw]  # (rx, range, d)
-    return np.einsum("mrd,tpm->rtpd", z, w)
+    n_r, n_d = z.shape[1:]
+    s = np.einsum("mk,jm->jk", z.transpose(0, 2, 1).reshape(n_rx, -1),
+                  weights.reshape(-1, n_rx))  # (t*p, d*r)
+    return s.reshape(n_t, n_p, n_d, n_r).transpose(3, 0, 1, 2)
 
 
 def dbf_range_azimuth(spectrum: np.ndarray) -> "RangeAzimuthMap":

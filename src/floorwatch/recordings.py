@@ -146,8 +146,13 @@ class RunManifest:
             raise ValueError("k must be finite and > 0")
         if self.capon_channels != "pair":
             raise ValueError("capon_channels must be 'pair'")
-        if not (0.0 < self.theta_max_deg < math.inf and 0.0 < self.theta_step_deg < math.inf):
-            raise ValueError("theta_max_deg and theta_step_deg must be finite and > 0")
+        if not (0.0 < self.theta_max_deg <= 90.0 and 0.0 < self.theta_step_deg < math.inf):
+            raise ValueError("theta_max_deg must be in (0, 90] and theta_step_deg finite and > 0")
+        el = self.elevations_deg
+        if not (len(el) >= 1 and all(-90.0 <= e <= 90.0 for e in el)
+                and all(a < b for a, b in zip(el, el[1:]))):
+            raise ValueError("elevations_deg must be a non-empty, strictly increasing list "
+                             "of angles in [-90, 90]")
         if not 0.0 <= self.mti_alpha <= 1.0:
             raise ValueError("mti_alpha must be in [0, 1]")
         if self.doppler_half_width < 0:

@@ -125,7 +125,7 @@ def test_capon_steering_columns_match_scalar_calls():
     grid = SteeringGrid(azimuth_angles=np.deg2rad(np.arange(-60.0, 61.0)),
                         elevation_angles=np.array([0.0]))
     a = capon_steering(grid.azimuth_angles)
-    assert a.shape == (2, grid.num_azimuth)
+    assert a.shape == (2, grid.azimuth_angles.size)
     for i, theta in enumerate(grid.azimuth_angles):
         assert np.array_equal(a[:, i], capon_steering(float(theta)))
     with pytest.raises(ValueError):
@@ -264,7 +264,7 @@ def test_zero_cube_gives_zero_map_with_clamps():
     cube = RangeDopplerCube(values=np.zeros((3, 4, 16), dtype=complex))
     ra = capon_range_azimuth(cube, grid, np.arange(6, 11), (2, 0))
     assert np.all(ra.power == 0)
-    assert ra.clamp_count == 4 * grid.num_azimuth
+    assert ra.clamp_count == 4 * grid.azimuth_angles.size
 
 
 def test_rank_deficient_direction_clamped_to_row_max():
@@ -283,7 +283,7 @@ def test_rank_deficient_direction_clamped_to_row_max():
 def per_bin_map(rd, grid, window, channels):
     """The map built one range bin at a time, as the spatial stage did before stacking."""
     a = capon_steering(grid.azimuth_angles)
-    rows = np.empty((rd.num_range_bins, grid.num_azimuth))
+    rows = np.empty((rd.num_range_bins, grid.azimuth_angles.size))
     clamped = 0
     for r in range(rd.num_range_bins):
         x = collect_snapshots(rd, r, window, channels)
@@ -340,7 +340,7 @@ def test_rank_deficient_and_all_zero_bins_in_one_stack():
     grid = SteeringGrid(azimuth_angles=np.deg2rad(np.arange(-90.0, 91.0, 15.0)),
                         elevation_angles=np.array([0.0]))
     ra = assert_map_equals_per_bin(cube, grid, np.arange(6, 11))
-    assert ra.clamp_count == 2 + grid.num_azimuth
+    assert ra.clamp_count == 2 + grid.azimuth_angles.size
     row = ra.power[1]
     assert row[0] == row[-1] == row[1:-1].max() > 0
     assert np.all(ra.power[3] == 0)

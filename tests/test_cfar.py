@@ -94,9 +94,8 @@ def test_large_map_matches_brute_force():
 def test_monotone_in_k():
     rng = np.random.default_rng(2)
     power = rng.exponential(1.0, size=(32, 64))
-    base = CfarConfig()
-    m1 = cfar_mask(power, base.with_k(1.2))
-    m2 = cfar_mask(power, base.with_k(2.5))
+    m1 = cfar_mask(power, CfarConfig(k=1.2))
+    m2 = cfar_mask(power, CfarConfig(k=2.5))
     assert np.all(m2 <= m1)
 
 
@@ -236,6 +235,59 @@ def test_hit_test_multiple_boxes():
              GroundTruthBox(center=(6.0, np.deg2rad(30)), half_extents=(0.45, np.deg2rad(10))))
     ds = det_set([(20, 90, 1.0, 0.1)], shape=(32, 121))  # 6.0 m, +30 deg
     assert hit_test(ds, boxes, axes)
+
+
+# --- property: training statistics equal the two-cumsum formula they replaced ---
+
+def two_cumsum_stats(power, cfg):
+    """One zero-padded cumsum and one broadcast box sum per window, as before sharing it."""
+    n_r, n_c = power.shape
+    rows, cols = np.arange(n_r)[:, None], np.arange(n_c)[None, :]
+
+    def window(half_r, half_c):
+        cum = np.zeros((n_r + 1, n_c + 1))
+        cum[1:, 1:] = power.cumsum(axis=0).cumsum(axis=1)
+        r0, r1 = np.clip(rows - half_r, 0, n_r - 1), np.clip(rows + half_r, 0, n_r - 1)
+        c0, c1 = np.clip(cols - half_c, 0, n_c - 1), np.clip(cols + half_c, 0, n_c - 1)
+        sums = cum[r1 + 1, c1 + 1] - cum[r0, c1 + 1] - cum[r1 + 1, c0] + cum[r0, c0]
+        return sums, (r1 - r0 + 1) * (c1 - c0 + 1)
+
+    (gr, gc), (tr, tc) = cfg.guard_cells, cfg.training_cells
+    full_sum, full_cnt = window(gr + tr, gc + tc)
+    guard_sum, guard_cnt = window(gr, gc)
+    ring_cnt = full_cnt - guard_cnt
+    mean = np.zeros_like(power)
+    np.divide(full_sum - guard_sum, ring_cnt, out=mean, where=ring_cnt > 0)
+    if cfg.edge_policy == "skip_cell":
+        er, ec = gr + tr, gc + tc
+        evaluable = ((rows >= er) & (rows + er < n_r) & (cols >= ec) & (cols + ec < n_c))
+    else:
+        evaluable = ring_cnt >= 1
+    return mean, evaluable
+
+
+@st.composite
+def maps_and_configs(draw):
+    # windows reach 17 cells per side, so many maps are smaller than the window
+    shape = (draw(st.integers(1, 30)), draw(st.integers(1, 30)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    power = rng.exponential(10.0 ** draw(st.floats(-8, 8)), size=shape)
+    if draw(st.booleans()):
+        power = np.asfortranarray(power)
+    cfg = CfarConfig(guard_cells=(draw(st.integers(0, 3)), draw(st.integers(0, 3))),
+                     training_cells=(draw(st.integers(1, 5)), draw(st.integers(1, 5))),
+                     edge_policy=draw(st.sampled_from(["shrink_window", "skip_cell"])))
+    return power, cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(maps_and_configs())
+def test_training_stats_equal_the_two_cumsum_formula(case):
+    power, cfg = case
+    mean, evaluable = training_stats(power, cfg)
+    want_mean, want_evaluable = two_cumsum_stats(power, cfg)
+    assert np.array_equal(mean, want_mean)
+    assert np.array_equal(evaluable, want_evaluable)
 
 
 # --- property: the array rules equal the per-detection loops they replaced ---

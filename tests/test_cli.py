@@ -317,6 +317,13 @@ def test_tune_rejects_fpr_cap_outside_unit_interval(tune_inputs, capsys, cap):
     ({"grid": {"theta_max_deg": 0.0}}, "theta_max_deg"),
     ({"doppler_half_width": 1.5}, "doppler_half_width must be an integer"),
     ({"cfar": {"guard_cells": [1.5, 2]}}, "guard_cells must be an integer"),
+    # a folded sin(theta) grid: DBF exited 0 and Capon failed after --out was opened
+    ({"method": "dbf", "grid": {"theta_max_deg": 120.0}}, "theta_max_deg"),
+    ({"method": "capon", "grid": {"theta_max_deg": 120.0}}, "theta_max_deg"),
+    ({"method": "dbf", "grid": {"elevations_deg": [float("nan")]}}, "elevations_deg"),
+    ({"method": "dbf", "grid": {"elevations_deg": []}}, "elevations_deg"),
+    # 90 / 0.7 rounds to 129 steps, so the grid ends at 90.3 degrees
+    ({"method": "capon", "grid": {"theta_max_deg": 90.0, "theta_step_deg": 0.7}}, "90 degrees"),
 ])
 def test_bad_manifest_grid_or_integer_is_a_json_error(workspace, capsys, manifest, message):
     tmp, cfg, scene, _, _ = workspace
@@ -327,6 +334,7 @@ def test_bad_manifest_grid_or_integer_is_a_json_error(workspace, capsys, manifes
                write_json(tmp / "bad.json", manifest), "--out", str(tmp / "d.csv")])
     assert rc != 0
     assert message in json_error(capsys)["message"]
+    assert not (tmp / "d.csv").exists()  # nothing for evaluate --detections to replay
 
 
 @pytest.mark.parametrize("config", [

@@ -121,10 +121,20 @@ def test_manifest_nested_objects_must_be_objects():
     {"grid": {"theta_max_deg": float("inf")}},
     {"doppler_half_width": 1.5}, {"cfar": {"guard_cells": [1.5, 2]}},
     {"cfar": {"training_cells": [4, float("inf")]}},
+    {"grid": {"theta_max_deg": 90.5}}, {"grid": {"theta_max_deg": 120.0}},
+    {"grid": {"elevations_deg": []}}, {"grid": {"elevations_deg": [float("nan")]}},
+    {"grid": {"elevations_deg": [0.0, float("inf")]}}, {"grid": {"elevations_deg": [-91.0]}},
+    {"grid": {"elevations_deg": [90.5]}}, {"grid": {"elevations_deg": [0.0, 0.0]}},
+    {"grid": {"elevations_deg": [10.0, -10.0]}},
 ])
 def test_manifest_rejects_non_finite_k_bad_theta_grid_and_non_integers(manifest):
     with pytest.raises(ValueError, match="manifest: "):
         manifest_from_dict(manifest)
+
+
+def test_manifest_grid_limits_stay_valid():
+    m = manifest_from_dict({"grid": {"theta_max_deg": 90.0, "elevations_deg": [-90.0, 90.0]}})
+    assert m.theta_max_deg == 90.0 and m.elevations_deg == (-90.0, 90.0)
 
 
 def test_manifest_integral_floats_stay_valid():
