@@ -27,8 +27,10 @@ from .frontend import RangeDopplerCube
 
 @dataclass(frozen=True)
 class SteeringGrid:
-    """Look directions in radians, within +/-pi/2. Azimuth must be strictly increasing and
-    include 0."""
+    """Look directions in radians, within +/-pi/2.
+
+    Azimuth must be strictly increasing and include 0.
+    """
 
     azimuth_angles: np.ndarray
     elevation_angles: np.ndarray
