@@ -20,8 +20,8 @@ import numpy as np
 
 from . import scoring
 from .core import RadarConfig, config_from_dict, default_geometry
-from .pipeline import (build_axes, build_grid, cache_recording, flags_at_k,
-                       process_recording, score_recording)
+from .pipeline import (build_axes, cache_recording, flags_at_k, process_recording,
+                       score_recording)
 from .recordings import (RunManifest, dump_json, load_json, manifest_from_dict,
                          read_recording, write_recording)
 from .sim import scene_from_dict, synthesize_recording
@@ -68,8 +68,7 @@ def cmd_simulate(args) -> int:
 def cmd_process(args) -> int:
     rec = read_recording(args.recording)
     manifest = _load_manifest(args)
-    grid = build_grid(manifest)
-    axes = build_axes(rec.config, grid)
+    axes = build_axes(rec.config, manifest.grid)
     maps = [] if args.dump_maps else None
     outputs = process_recording(rec, manifest)  # raises before --out is opened
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
@@ -213,7 +212,7 @@ def _trial_from_detections(rec, det_path, manifest):
     """
     if rec.label != "occupied":
         raise CliError("replaying detections requires an occupied recording")
-    axes = build_axes(rec.config, build_grid(manifest))
+    axes = build_axes(rec.config, manifest.grid)
     hits = np.zeros(rec.n_frames, dtype=bool)
     with open(det_path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)

@@ -76,13 +76,6 @@ def chirp_slope(cfg: RadarConfig) -> float:
     return cfg.bandwidth / cfg.chirp_duration
 
 
-def beat_frequency(slope: float, target_range: float) -> float:
-    """Dechirped beat frequency in Hz for a reflector at ``target_range`` meters."""
-    if target_range < 0:
-        raise ValueError("target_range must be >= 0")
-    return slope * 2.0 * target_range / SPEED_OF_LIGHT
-
-
 def range_resolution(cfg: RadarConfig) -> float:
     """Range bin width in meters, c / (2 B)."""
     return SPEED_OF_LIGHT / (2.0 * cfg.bandwidth)
@@ -172,13 +165,22 @@ def geometry_to_dict(geom: ArrayGeometry) -> dict:
 def json_int(name: str, value) -> int:
     """A JSON integer field; a bool, float or string is refused, not truncated."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be a JSON integer, got {value!r}")
+        raise ValueError(f"{name}: expected an integer, got {value!r}")
     return value
+
+
+def json_number(name: str, value) -> float:
+    """A JSON number field as a float; a bool, a string, NaN and +/-inf are refused."""
+    if isinstance(value, bool) or not (isinstance(value, (int, float))
+                                       and abs(value) <= sys.float_info.max):  # False for NaN
+        raise ValueError(f"{name}: expected a number, got {value!r}")
+    return float(value)
 
 
 def geometry_from_dict(d: dict) -> ArrayGeometry:
     return ArrayGeometry(
-        wavelength=float(d["wavelength"]),
-        element_offsets=tuple(tuple(float(x) for x in o) for o in d["element_offsets"]),
+        wavelength=json_number("wavelength", d["wavelength"]),
+        element_offsets=tuple(tuple(json_number("element_offsets", x) for x in o)
+                              for o in d["element_offsets"]),
         azimuth_pair=tuple(json_int("azimuth_pair", i) for i in d["azimuth_pair"]),
     )

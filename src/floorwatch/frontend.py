@@ -43,10 +43,6 @@ class RangeDopplerCube:
     def num_doppler_bins(self) -> int:
         return self.values.shape[2]
 
-    @property
-    def doppler_zero_index(self) -> int:
-        return self.num_doppler_bins // 2
-
 
 def range_fft(frame: np.ndarray, cfg: RadarConfig) -> np.ndarray:
     """Hann-windowed FFT over fast time; returns [rx][chirp][range_bin] keeping the lower half.
@@ -80,12 +76,12 @@ def process_frame(frame: np.ndarray, cfg: RadarConfig) -> RangeDopplerCube:
     return doppler_fft(range_fft(frame, cfg), cfg)
 
 
-def zero_doppler_window(cube: RangeDopplerCube, half_width: int = 2) -> np.ndarray:
-    """Doppler bin indices centered on zero velocity, 2*half_width + 1 wide."""
+def zero_doppler_window(num_doppler_bins: int, half_width: int = 2) -> np.ndarray:
+    """Doppler bins 2*half_width + 1 wide around zero velocity, bin num_doppler_bins // 2."""
     if half_width < 0:
         raise ValueError("half_width must be >= 0")
-    lo = cube.doppler_zero_index - half_width
-    hi = cube.doppler_zero_index + half_width
-    if lo < 0 or hi >= cube.num_doppler_bins:
+    lo = num_doppler_bins // 2 - half_width
+    hi = num_doppler_bins // 2 + half_width
+    if lo < 0 or hi >= num_doppler_bins:
         raise ValueError("Doppler window exceeds cube bounds")
     return np.arange(lo, hi + 1)

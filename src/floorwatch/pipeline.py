@@ -15,7 +15,7 @@ import numpy as np
 from . import capon as capon_mod
 from . import cfar as cfar_mod
 from . import dbf as dbf_mod
-from .cfar import CfarConfig, DetectionSet, MapAxes
+from .cfar import DetectionSet, MapAxes
 from .core import RadarConfig, range_resolution
 from .frontend import process_frame, zero_doppler_window
 from .mti import init_clutter, mti_step
@@ -25,15 +25,7 @@ from .sim import Recording
 
 
 def build_grid(manifest: RunManifest) -> dbf_mod.SteeringGrid:
-    return dbf_mod.default_grid(theta_max_deg=manifest.theta_max_deg,
-                                theta_step_deg=manifest.theta_step_deg,
-                                elevations_deg=manifest.elevations_deg)
-
-
-def build_cfar(manifest: RunManifest) -> CfarConfig:
-    return CfarConfig(guard_cells=manifest.guard_cells,
-                      training_cells=manifest.training_cells,
-                      k=manifest.k, edge_policy=manifest.edge_policy)
+    return manifest.grid
 
 
 def build_axes(cfg: RadarConfig, grid: dbf_mod.SteeringGrid) -> MapAxes:
@@ -67,21 +59,20 @@ class FrameOutput:
 def process_recording(rec: Recording, manifest: RunManifest):
     """An iterator of one FrameOutput per frame, stepping the clutter filter in order.
 
-    A Capon manifest needs the geometry ``capon.check_pair_geometry`` checks,
-    and the call raises before any frame is processed if it fails; DBF steers
-    from every element offset and takes any layout.
+    The call raises before any frame is processed if the zero-Doppler window
+    does not fit the recording's Doppler bins, or if a Capon manifest meets a
+    geometry ``capon.check_pair_geometry`` refuses; DBF takes any layout.
     """
     if manifest.method == "capon":
         capon_mod.check_pair_geometry(rec.geometry)
-    return _frame_outputs(rec, manifest)
+    window = zero_doppler_window(rec.config.chirps_per_frame, manifest.doppler_half_width)
+    return _frame_outputs(rec, manifest, window)
 
 
-def _frame_outputs(rec: Recording, manifest: RunManifest):
+def _frame_outputs(rec: Recording, manifest: RunManifest, window: np.ndarray):
     cfg = rec.config
     geom = rec.geometry
-    grid = build_grid(manifest)
-    cfar_cfg = build_cfar(manifest)
-    weights = dbf_mod.dbf_weights(grid, geom) if manifest.method == "dbf" else None
+    weights = dbf_mod.dbf_weights(manifest.grid, geom) if manifest.method == "dbf" else None
 
     state = init_clutter((cfg.num_rx, cfg.num_range_bins, cfg.chirps_per_frame),
                          alpha=manifest.mti_alpha)
@@ -89,15 +80,14 @@ def _frame_outputs(rec: Recording, manifest: RunManifest):
     for i, frame in enumerate(rec.samples):
         rd = process_frame(frame, cfg)
         state, filtered = mti_step(state, rd)
-        window = zero_doppler_window(filtered, manifest.doppler_half_width)
         if manifest.method == "dbf":
             spectrum = dbf_mod.dbf_power(filtered, weights, window)
             ra = dbf_mod.dbf_range_azimuth(spectrum)
         else:
-            ra = capon_mod.capon_range_azimuth(filtered, grid, window, geom.azimuth_pair)
+            ra = capon_mod.capon_range_azimuth(filtered, manifest.grid, window, geom.azimuth_pair)
         power = ra.power
-        base, evaluable = cfar_mod.training_stats(power, cfar_cfg)
-        dets = detections_from_maps(power, base, evaluable, cfar_cfg.k)
+        base, evaluable = cfar_mod.training_stats(power, manifest.cfar)
+        dets = detections_from_maps(power, base, evaluable, manifest.k)
         yield FrameOutput(frame_index=i, power=power, threshold_base=base,
                           evaluable=evaluable, detections=dets)
 
@@ -115,7 +105,7 @@ def score_recording(rec: Recording, manifest: RunManifest,
     Frames score against ``scoring_boxes(rec, candidate_boxes)``.
     """
     boxes = scoring_boxes(rec, candidate_boxes)
-    axes = build_axes(rec.config, build_grid(manifest))
+    axes = build_axes(rec.config, manifest.grid)
     flags = [cfar_mod.hit_test(out.detections, boxes, axes)
              for out in process_recording(rec, manifest)]
     return TrialRecord(subject_id=rec.subject_tag, view_tag=rec.view_tag,
@@ -137,7 +127,7 @@ class CachedTrial:
 def cache_recording(rec: Recording, manifest: RunManifest, candidate_boxes=None) -> CachedTrial:
     """Process a recording once and keep its maps and ``scoring_boxes``."""
     boxes = scoring_boxes(rec, candidate_boxes)
-    axes = build_axes(rec.config, build_grid(manifest))
+    axes = build_axes(rec.config, manifest.grid)
     powers, bases = [], []
     evaluable = None
     for out in process_recording(rec, manifest):

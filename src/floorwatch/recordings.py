@@ -9,9 +9,11 @@ files and radians in memory. The reader raises ``ValueError`` for a bad
 magic, an unknown format version, a malformed header, a payload whose
 length disagrees with the header, a non-finite sample, an ``n_frames``,
 ``seed`` or ``azimuth_pair`` entry that is not a JSON integer (3.7 and "3"
-are refused, not truncated), and a geometry whose receiver count differs
-from the config's or whose wavelength is more than 1e-9 (relative) away
-from c / center_frequency: Capon steering assumes a half-wavelength pair.
+are refused, not truncated), a geometry or box number that is not a finite
+JSON number, and a geometry whose receiver count differs from the config's
+or whose wavelength is more than 1e-9 (relative) away from c / center_frequency:
+Capon steering assumes a half-wavelength pair. A run manifest refuses a bad
+field when it is made, by ``manifest_from_dict``, ``RunManifest`` or ``replace``.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .cfar import GroundTruthBox
+from .cfar import CfarConfig, GroundTruthBox
 from .core import (RadarConfig, config_from_dict, config_to_dict, geometry_from_dict,
-                   geometry_to_dict, json_int)
+                   geometry_to_dict, json_int, json_number)
+from .dbf import default_grid
 from .sim import Recording
 
 MAGIC = b"FWR1"
@@ -45,10 +48,11 @@ def _box_to_dict(box: GroundTruthBox) -> dict:
 
 
 def _box_from_dict(d: dict) -> GroundTruthBox:
+    r, az, dr, daz = (json_number(key, d[key]) for key in (
+        "center_range_m", "center_azimuth_deg", "half_extent_range_m", "half_extent_azimuth_deg"))
     return GroundTruthBox(
-        center=(float(d["center_range_m"]), math.radians(float(d["center_azimuth_deg"]))),
-        half_extents=(float(d["half_extent_range_m"]),
-                      math.radians(float(d["half_extent_azimuth_deg"]))),
+        center=(r, math.radians(az)),
+        half_extents=(dr, math.radians(daz)),
         view_tag=str(d.get("view_tag", "")),
         location_tag=str(d.get("location_tag", "")),
     )
@@ -124,7 +128,8 @@ class RunManifest:
     k is the per-method operating point; the two pipelines are tuned
     separately, so a manifest records the method it applies to. Capon always
     runs on the geometry's azimuth pair; ``capon_channels`` records that as
-    its only legal value, "pair".
+    its only legal value, "pair". Making a manifest builds its ``cfar``
+    (``CfarConfig``) and ``grid`` (``SteeringGrid``) once; neither is a field.
     """
 
     method: str = "capon"
@@ -142,8 +147,6 @@ class RunManifest:
     def __post_init__(self):
         if self.method not in ("dbf", "capon"):
             raise ValueError("method must be 'dbf' or 'capon'")
-        if not 0.0 < self.k < math.inf:
-            raise ValueError("k must be finite and > 0")
         if self.capon_channels != "pair":
             raise ValueError("capon_channels must be 'pair'")
         if not (0.0 < self.theta_max_deg <= 90.0 and 0.0 < self.theta_step_deg < math.inf):
@@ -157,6 +160,10 @@ class RunManifest:
             raise ValueError("mti_alpha must be in [0, 1]")
         if self.doppler_half_width < 0:
             raise ValueError("doppler_half_width must be >= 0")
+        object.__setattr__(self, "cfar", CfarConfig(self.guard_cells, self.training_cells,
+                                                    self.k, self.edge_policy))
+        object.__setattr__(self, "grid", default_grid(self.theta_max_deg, self.theta_step_deg,
+                                                      self.elevations_deg))
 
 
 # Fields stored in the nested "cfar" and "grid" JSON objects; the rest sit at the top level.
@@ -175,14 +182,15 @@ def manifest_to_dict(m: RunManifest) -> dict:
 
 
 def _coerce(name, default, value):
-    """Convert a JSON value to the type of the field's default; 1.5 is no integer."""
+    """Convert a JSON value to its field's type; 1.5 is no integer, true and "3" no number."""
     if isinstance(default, tuple):
         return tuple(_coerce(name, default[0], x) for x in value)
-    if isinstance(default, int) and not float(value).is_integer():
+    if isinstance(default, str):
+        return value
+    number = json_number(name, value)
+    if isinstance(default, int) and not number.is_integer():
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if isinstance(default, (int, float)):
-        return type(default)(value)
-    return value
+    return type(default)(value)
 
 
 def manifest_from_dict(d: dict) -> RunManifest:

@@ -17,7 +17,8 @@ from dataclasses import MISSING, astuple, dataclass, field, fields, make_datacla
 import numpy as np
 
 from .cfar import GroundTruthBox
-from .core import SPEED_OF_LIGHT, ArrayGeometry, RadarConfig, chirp_slope, max_range
+from .core import (SPEED_OF_LIGHT, ArrayGeometry, RadarConfig, chirp_slope, json_int,
+                   json_number, max_range)
 from .dbf import element_phases
 
 DEFAULT_BOX_HALF_EXTENTS = (0.45, math.radians(10.0))
@@ -191,8 +192,9 @@ def synthesize_recording(scene: SceneSpec, cfg: RadarConfig, geom: ArrayGeometry
 
 # --- JSON scene schema, derived from the spec fields ---
 # A "*_rad" field is stored in degrees under the "*_deg" key, and a field with
-# a default may be left out. A number must be at least the "minimum" in its
-# field's metadata, which defaults to 0 for floats and to none for integers.
+# a default may be left out. A number must be a finite JSON number (an integer
+# field takes an integer) and at least the "minimum" in its field's metadata,
+# which defaults to 0 for floats and to none for integers.
 # A key that no field maps to is an error, at every level.
 
 _BoxHalfExtents = make_dataclass("_BoxHalfExtents", [("range_m", float), ("azimuth_rad", float)])
@@ -240,13 +242,12 @@ def _from_json(spec, d, path: str):
             value = str(value)
         else:
             integer = isinstance(f.default, int)
-            if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-                raise ValueError(f"{where}: expected {'an integer' if integer else 'a number'}")
+            value = json_int(where, value) if integer else json_number(where, value)
             minimum = f.metadata.get("minimum", None if integer else 0.0)
             if minimum is not None and value < minimum:
                 raise ValueError(f"{where}: must be >= {minimum}")
-            if not integer:
-                value = math.radians(value) if f.name.endswith("_rad") else float(value)
+            if f.name.endswith("_rad"):
+                value = math.radians(value)
         values[f.name] = value
     return spec(**values)
 

@@ -187,7 +187,7 @@ def test_criterion_05_localization():
         cube = process_frame(frame, cfg)
         state = init_clutter(cube.values.shape, alpha=0.01)
         _, filt = mti_step(state, cube)
-        window = zero_doppler_window(filt, 2)
+        window = zero_doppler_window(filt.num_doppler_bins, 2)
         target = scene.targets[0]
         bin_true = round(target.range_m / dr)
         theta_true = int(np.argmin(np.abs(grid.azimuth_angles - target.azimuth_rad)))

@@ -324,7 +324,7 @@ def test_map_matches_per_bin_ops_on_clutter_filtered_bench_frames():
     for i in range(scene.n_frames):
         state, filtered = mti_step(state, process_frame(synthesize_frame(scene, cfg, geom, i),
                                                         cfg))
-        window = zero_doppler_window(filtered, manifest.doppler_half_width)
+        window = zero_doppler_window(filtered.num_doppler_bins, manifest.doppler_half_width)
         assert_map_equals_per_bin(filtered, grid, window, geom.azimuth_pair)
 
 

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from floorwatch.capon import check_pair_geometry
-from floorwatch.core import (SPEED_OF_LIGHT, ArrayGeometry, RadarConfig,
-                             beat_frequency, chirp_slope, config_from_dict,
-                             config_to_dict, default_geometry, geometry_from_dict,
-                             geometry_to_dict, max_range, range_resolution)
+from floorwatch.core import (SPEED_OF_LIGHT, ArrayGeometry, RadarConfig, chirp_slope,
+                             config_from_dict, config_to_dict, default_geometry,
+                             geometry_from_dict, geometry_to_dict, max_range, range_resolution)
 
 
 def test_chirp_slope_identity():
@@ -23,24 +22,11 @@ def test_zero_bandwidth_rejected():
         RadarConfig(bandwidth=0.0)
 
 
-def test_beat_frequency_zero_range():
-    assert beat_frequency(1e12, 0.0) == 0.0
-
-
-def test_beat_frequency_at_1p5m():
-    assert beat_frequency(1e12, 1.5) == pytest.approx(1.0007e4, rel=1e-4)
-
-
-def test_beat_frequency_rejects_negative_range():
-    with pytest.raises(ValueError):
-        beat_frequency(1e12, -1.0)
-
-
 def test_beat_frequency_at_max_range_fits_last_usable_bin():
-    # the tone for a reflector at the far edge must fall at the last kept
-    # FFT bin; checked against the bin spacing 1 / chirp_duration
+    # the beat tone 2 * slope * r / c of a reflector at the far edge must fall
+    # at the last kept FFT bin; checked against the bin spacing 1 / chirp_duration
     cfg = RadarConfig(bandwidth=500e6, chirp_duration=500e-6)
-    f = beat_frequency(chirp_slope(cfg), 9.6)
+    f = chirp_slope(cfg) * 2.0 * 9.6 / SPEED_OF_LIGHT
     assert f == pytest.approx(6.404e4, rel=1e-3)
     bin_spacing = 1.0 / cfg.chirp_duration
     assert f / bin_spacing <= cfg.num_range_bins + 0.05
@@ -61,7 +47,7 @@ def test_max_range_values():
 
 
 def test_scaling_homogeneity():
-    # slope scales as 1/T_c, range resolution as 1/B, beat linearly in both args
+    # slope scales as 1/T_c, range resolution as 1/B
     rng = np.random.default_rng(7)
     for _ in range(50):
         b = float(rng.uniform(1e8, 2e9))
@@ -73,8 +59,6 @@ def test_scaling_homogeneity():
             chirp_slope(RadarConfig(bandwidth=b, chirp_duration=t)) / c, rel=1e-12)
         assert range_resolution(RadarConfig(bandwidth=c * b)) == pytest.approx(
             range_resolution(RadarConfig(bandwidth=b)) / c, rel=1e-12)
-        r = float(rng.uniform(0.1, 9.0))
-        assert beat_frequency(b, c * r) == pytest.approx(c * beat_frequency(b, r), rel=1e-12)
 
 
 def test_config_validation():

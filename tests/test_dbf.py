@@ -205,7 +205,7 @@ def test_beam_equals_the_4d_einsum_on_clutter_filtered_bench_frames():
     for i in range(scene.n_frames):
         state, filtered = mti_step(state, process_frame(synthesize_frame(scene, cfg, geom, i),
                                                         cfg))
-        window = zero_doppler_window(filtered, manifest.doppler_half_width)
+        window = zero_doppler_window(filtered.num_doppler_bins, manifest.doppler_half_width)
         assert_beam_is_the_4d_einsum(filtered, w, window)
 
 

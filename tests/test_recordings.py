@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from floorwatch.bench import bench_manifest
+from floorwatch.cfar import CfarConfig
 from floorwatch.cli import main
 from floorwatch.core import ArrayGeometry, RadarConfig, default_geometry
+from floorwatch.dbf import default_grid
 from floorwatch.recordings import (RunManifest, manifest_from_dict, manifest_to_dict,
                                    payload_nbytes, read_recording, write_recording)
 from floorwatch.sim import ClutterSpec, SceneSpec, TargetSpec, synthesize_recording
@@ -126,10 +128,36 @@ def test_manifest_nested_objects_must_be_objects():
     {"grid": {"elevations_deg": [0.0, float("inf")]}}, {"grid": {"elevations_deg": [-91.0]}},
     {"grid": {"elevations_deg": [90.5]}}, {"grid": {"elevations_deg": [0.0, 0.0]}},
     {"grid": {"elevations_deg": [10.0, -10.0]}},
+    # read as k = 1.0, k = 3.0 and mti_alpha = 0.0 (no detections at all) at the parent
+    {"k": True}, {"k": "3"}, {"mti_alpha": False},
+    {"doppler_half_width": True}, {"cfar": {"training_cells": ["4", 4]}},
+    {"cfar": {"guard_cells": "22"}}, {"grid": {"theta_step_deg": "1"}},
+    # the CFAR settings were built, and refused, only after process opened --out
+    {"cfar": {"edge_policy": "bogus"}}, {"cfar": {"guard_cells": [1]}},
+    {"cfar": {"guard_cells": [-1, 2]}}, {"cfar": {"training_cells": [0, 4]}},
 ])
 def test_manifest_rejects_non_finite_k_bad_theta_grid_and_non_integers(manifest):
     with pytest.raises(ValueError, match="manifest: "):
         manifest_from_dict(manifest)
+
+
+def test_manifest_builds_and_checks_its_cfar_and_grid_when_made():
+    m = RunManifest(method="dbf", k=3.0, guard_cells=(1, 2), training_cells=(3, 5),
+                    edge_policy="skip_cell", theta_max_deg=45.0, theta_step_deg=0.5,
+                    elevations_deg=(0.0,))
+    assert m.cfar == CfarConfig(guard_cells=(1, 2), training_cells=(3, 5), k=3.0,
+                                edge_policy="skip_cell")
+    assert np.array_equal(m.grid.azimuth_angles, default_grid(45.0, 0.5, (0.0,)).azimuth_angles)
+    assert np.array_equal(m.grid.elevation_angles, [0.0])
+    assert dataclasses.replace(m, k=4.5).cfar.k == 4.5
+    assert set(manifest_to_dict(m)) == {"method", "k", "cfar", "grid", "doppler_half_width",
+                                        "mti_alpha", "capon_channels"}
+    for bad in ({"edge_policy": "bogus"}, {"guard_cells": (1,)}, {"training_cells": (0, 4)},
+                {"k": 0.0}, {"theta_step_deg": 150.0}):  # a one-direction grid
+        with pytest.raises(ValueError):
+            RunManifest(**bad)
+        with pytest.raises(ValueError):
+            dataclasses.replace(m, **bad)
 
 
 def test_manifest_grid_limits_stay_valid():
@@ -288,6 +316,13 @@ def process_exit_and_error(path, out_csv, method="capon"):
     (("seed",), "1"),
     (("geometry", "azimuth_pair"), [2.9, 0.2]),  # read as (2, 0) at the parent
     (("geometry", "azimuth_pair"), [2, False]),
+    (("geometry", "wavelength"), repr(CFG.wavelength)),  # read as a number at the parent
+    (("geometry", "wavelength"), True),
+    (("geometry", "wavelength"), float("nan")),  # passed the wavelength-vs-config check
+    (("geometry", "element_offsets", 0, 0), float("inf")),
+    (("truth", 0, "half_extent_range_m"), float("nan")),  # a box that contains nothing
+    (("truth", 0, "center_range_m"), "2.5"),
+    (("truth", 0, "center_azimuth_deg"), float("-inf")),
 ])
 def test_malformed_header_is_a_value_error_and_a_json_error(tmp_path, keys, value):
     good = tmp_path / "good.rec"

@@ -63,7 +63,7 @@ def test_static_reflector_peaks_at_range_bin_zero_doppler():
         mag = np.abs(cube.values[m])
         r, d = np.unravel_index(np.argmax(mag), mag.shape)
         assert r == bin_expected
-        assert d == cube.doppler_zero_index
+        assert d == cube.num_doppler_bins // 2
 
 
 def test_determinism_bit_identical():
@@ -143,7 +143,7 @@ def test_localization_consistency_near_noise_free():
     cube = process_frame(frame, CFG)
     state = init_clutter(cube.values.shape, 0.01)
     _, filt = mti_step(state, cube)
-    window = zero_doppler_window(filt, 2)
+    window = zero_doppler_window(filt.num_doppler_bins, 2)
     ra_dbf = dbf_range_azimuth(dbf_power(filt, dbf_weights(grid, GEOM), window))
     ra_cap = capon_range_azimuth(filt, grid, window, GEOM.azimuth_pair)
     for ra in (ra_dbf, ra_cap):
@@ -235,6 +235,15 @@ def test_scene_schema_errors_carry_field_paths():
         scene_from_dict({"targets": None})
     with pytest.raises(ValueError, match=r"clutter\[0\]: expected a JSON object"):
         scene_from_dict({"clutter": [3.0]})
+    # NaN passed the ">= 0" check: a scene with no noise, and a box that holds every detection
+    with pytest.raises(ValueError, match="noise_std: expected a number, got nan"):
+        scene_from_dict({"noise_std": float("nan")})
+    with pytest.raises(ValueError, match=r"box_half_extents\.range_m: expected a number, got inf"):
+        scene_from_dict({"box_half_extents": {"range_m": float("inf"), "azimuth_deg": 10.0}})
+    with pytest.raises(ValueError, match=r"targets\[0\]\.azimuth_deg: expected a number"):
+        scene_from_dict({"targets": [{"range_m": 3.0, "azimuth_deg": float("-inf")}]})
+    with pytest.raises(ValueError, match=r"targets\[0\]\.range_m: expected a number"):
+        scene_from_dict({"targets": [{"range_m": "3.0"}]})
 
 
 @pytest.mark.parametrize("doc, message", [
