@@ -324,11 +324,6 @@ def test_tune_rejects_fpr_cap_outside_unit_interval(tune_inputs, capsys, cap):
     ({"method": "dbf", "grid": {"elevations_deg": []}}, "elevations_deg"),
     # 90 / 0.7 rounds to 129 steps, so the grid ends at 90.3 degrees
     ({"method": "capon", "grid": {"theta_max_deg": 90.0, "theta_step_deg": 0.7}}, "90 degrees"),
-    ({"k": True}, "manifest: k: expected a number, got True"),
-    ({"k": "3"}, "manifest: k: expected a number, got '3'"),
-    ({"mti_alpha": False}, "manifest: mti_alpha: expected a number, got False"),
-    ({"cfar": {"guard_cells": [1, "2"]}}, "manifest: guard_cells: expected a number, got '2'"),
-    ({"cfar": {"edge_policy": "bogus"}}, "manifest: edge_policy must be one of"),
 ])
 def test_bad_manifest_grid_or_integer_is_a_json_error(workspace, capsys, manifest, message):
     tmp, cfg, scene, _, _ = workspace
@@ -342,18 +337,21 @@ def test_bad_manifest_grid_or_integer_is_a_json_error(workspace, capsys, manifes
     assert not (tmp / "d.csv").exists()  # nothing for evaluate --detections to replay
 
 
+# name: (cfar object, a part of the error message)
 BAD_CFAR = {
-    "edge_policy": {"edge_policy": "bogus"},
-    "one_guard_count": {"guard_cells": [1]},
-    "negative_guard": {"guard_cells": [-1, 2]},
-    "no_training": {"training_cells": [0, 4]},
+    "edge_policy": ({"edge_policy": "bogus"}, "manifest: edge_policy must be one of"),
+    "one_guard_count": ({"guard_cells": [1]}, "manifest: guard_cells must be two"),
+    "negative_guard": ({"guard_cells": [-1, 2]}, "manifest: guard_cells must be two"),
+    "guard_string": ({"guard_cells": [1, "2"]}, "manifest: guard_cells: expected a number, got '2'"),
+    "no_training": ({"training_cells": [0, 4]}, "manifest: training_cells must be >= 1"),
 }
 BAD_RUN = {
-    **{name: {"cfar": cfar} for name, cfar in BAD_CFAR.items()},
-    "k_true": {"k": True},
-    "k_string": {"k": "3"},
-    "mti_alpha_false": {"mti_alpha": False},
-    "doppler_too_wide": {"doppler_half_width": 16},  # SMALL_CONFIG has 32 Doppler bins
+    **{name: ({"cfar": cfar}, message) for name, (cfar, message) in BAD_CFAR.items()},
+    "k_true": ({"k": True}, "manifest: k: expected a number, got True"),
+    "k_string": ({"k": "3"}, "manifest: k: expected a number, got '3'"),
+    "mti_alpha_false": ({"mti_alpha": False}, "manifest: mti_alpha: expected a number, got False"),
+    # SMALL_CONFIG has 32 Doppler bins
+    "doppler_too_wide": ({"doppler_half_width": 16}, "Doppler window exceeds"),
 }
 
 
@@ -366,9 +364,11 @@ def test_bad_run_manifest_fails_before_process_opens_out(workspace, capsys, meth
     rec = tmp / "a.rec"
     main(["simulate", "--scene", scene, "--config", cfg, "--out", str(rec)])
     capsys.readouterr()
-    bad = write_json(tmp / "bad.json", dict(BAD_RUN[name], method=method))
+    manifest, message = BAD_RUN[name]
+    bad = write_json(tmp / "bad.json", dict(manifest, method=method))
     rc = main(["process", "--recording", str(rec), "--manifest", bad, "--out", str(tmp / "d.csv")])
-    assert rc == 1 and json_error(capsys)["error"] == "ValueError"
+    error = json_error(capsys)
+    assert rc == 1 and error["error"] == "ValueError" and message in error["message"]
     assert not (tmp / "d.csv").exists()
 
 
@@ -381,7 +381,7 @@ def test_replay_refuses_a_bad_cfar_manifest(workspace, capsys, method, name):
     good = write_json(tmp / "good.json", {"method": method, "k": 4.0, "mti_alpha": 0.99})
     assert main(["process", "--recording", str(rec), "--manifest", good, "--out", str(det)]) == 0
     capsys.readouterr()
-    bad = write_json(tmp / "bad.json", {"method": method, "k": 4.0, "cfar": BAD_CFAR[name]})
+    bad = write_json(tmp / "bad.json", {"method": method, "k": 4.0, "cfar": BAD_CFAR[name][0]})
     rc = main(["evaluate", "--recording", str(rec), "--detections", str(det),
                "--manifest", bad, "--out", str(tmp / "eval")])
     assert rc == 1 and json_error(capsys)["error"] == "ValueError"
