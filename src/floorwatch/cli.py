@@ -164,9 +164,17 @@ def cmd_evaluate(args) -> int:
         if not isinstance(listing, list) or not listing:
             raise CliError("trials listing must be a non-empty JSON array")
         for i, entry in enumerate(listing):
+            if not isinstance(entry, dict):
+                raise CliError(f"trials[{i}]: expected a JSON object, got {entry!r}")
             if "recording" not in entry:
                 raise CliError(f"trials[{i}].recording missing")
-            pairs.append((entry["recording"], entry.get("detections")))
+            rec_path, det_path = entry["recording"], entry.get("detections")
+            if not isinstance(rec_path, str):
+                raise CliError(f"trials[{i}].recording: expected a string, got {rec_path!r}")
+            if not isinstance(det_path, (str, type(None))):
+                raise CliError(f"trials[{i}].detections: expected a string or null, "
+                               f"got {det_path!r}")
+            pairs.append((rec_path, det_path))
     elif args.recording:
         pairs.append((args.recording, args.detections))
     else:

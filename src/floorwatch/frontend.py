@@ -83,5 +83,6 @@ def zero_doppler_window(num_doppler_bins: int, half_width: int = 2) -> np.ndarra
     lo = num_doppler_bins // 2 - half_width
     hi = num_doppler_bins // 2 + half_width
     if lo < 0 or hi >= num_doppler_bins:
-        raise ValueError("Doppler window exceeds cube bounds")
+        raise ValueError(f"Doppler window exceeds the recording's {num_doppler_bins} Doppler "
+                         f"bins: doppler_half_width {half_width} needs bins {lo} to {hi}")
     return np.arange(lo, hi + 1)

@@ -3,7 +3,9 @@
 The clutter state is reset at the start of every recording and stepped
 sequentially; distinct recordings are independent. Sweeping the detector
 sensitivity k reuses the per-frame power and training-mean maps, since the
-threshold is k times a k-independent mean.
+threshold is k times a k-independent mean: a recording's maps are cached as
+one tall map, each frame followed by an all-zero separator row, and each k
+makes one threshold-and-suppress pass over it.
 """
 
 from __future__ import annotations
@@ -115,35 +117,57 @@ def score_recording(rec: Recording, manifest: RunManifest,
 
 @dataclass(frozen=True)
 class CachedTrial:
-    """Per-frame maps of one processed recording, for cheap k re-thresholding."""
+    """Per-frame maps of one processed recording, for cheap k re-thresholding.
+
+    Each array holds every frame's map, as the stream made it, followed by
+    one all-zero (``evaluable`` False) range row: (frames, range + 1,
+    azimuth). Reshaped without a copy, a stack is one tall map in which no
+    8-connected group spans two frames.
+    """
 
     boxes: tuple
     axes: MapAxes
-    powers: np.ndarray      # (frames, range, azimuth) float64, as the stream made them
-    bases: np.ndarray
-    evaluable: np.ndarray   # (range, azimuth) bool, k-independent
+    powers: np.ndarray      # float64
+    bases: np.ndarray       # float64
+    evaluable: np.ndarray   # bool, k-independent
 
 
 def cache_recording(rec: Recording, manifest: RunManifest, candidate_boxes=None) -> CachedTrial:
     """Process a recording once and keep its maps and ``scoring_boxes``."""
     boxes = scoring_boxes(rec, candidate_boxes)
-    axes = build_axes(rec.config, manifest.grid)
-    powers, bases = [], []
-    evaluable = None
-    for out in process_recording(rec, manifest):
-        powers.append(out.power)
-        bases.append(out.threshold_base)
-        evaluable = out.evaluable
-    return CachedTrial(boxes=boxes, axes=axes,
-                       powers=np.stack(powers), bases=np.stack(bases),
-                       evaluable=evaluable)
+    maps = ((out.power, out.threshold_base, out.evaluable)
+            for out in process_recording(rec, manifest))
+    return stack_maps(boxes, build_axes(rec.config, manifest.grid), rec.n_frames, maps)
+
+
+def stack_maps(boxes: tuple, axes: MapAxes, n_frames: int, maps) -> CachedTrial:
+    """A CachedTrial of ``n_frames`` (power, base, evaluable) maps, given in frame order."""
+    shape = (n_frames, axes.range_m.size + 1, axes.azimuth_rad.size)
+    powers, bases = np.zeros(shape), np.zeros(shape)
+    evaluable = np.zeros(shape, dtype=bool)
+    for i, (power, base, ev) in enumerate(maps):
+        powers[i, :-1] = power
+        bases[i, :-1] = base
+        evaluable[i, :-1] = ev
+    return CachedTrial(boxes=boxes, axes=axes, powers=powers, bases=bases, evaluable=evaluable)
 
 
 def flags_at_k(cached: CachedTrial, k: float) -> np.ndarray:
-    """Recompute per-frame hit flags at sensitivity k from cached maps."""
-    n = cached.powers.shape[0]
-    flags = np.zeros(n, dtype=bool)
-    for i in range(n):
-        dets = detections_from_maps(cached.powers[i], cached.bases[i], cached.evaluable, k)
-        flags[i] = cfar_mod.hit_test(dets, cached.boxes, cached.axes)
+    """Per-frame hit flags at sensitivity k: one threshold and suppression over the tall map.
+
+    A separator row never crosses (0 > k * 0 is false), and raster order on
+    the tall map is frame order, so each frame keeps the cells its own map
+    would keep.
+    """
+    n_frames, rows, cols = cached.powers.shape
+    dets = detections_from_maps(cached.powers.reshape(-1, cols), cached.bases.reshape(-1, cols),
+                                cached.evaluable.reshape(-1, cols), k)
+    frame, range_bin = np.divmod(dets.range_bins, rows)
+    r = cached.axes.range_m[range_bin]
+    th = cached.axes.azimuth_rad[dets.azimuth_bins]
+    inside = np.zeros(frame.size, dtype=bool)
+    for box in cached.boxes:
+        inside |= box.contains(r, th)
+    flags = np.zeros(n_frames, dtype=bool)
+    flags[frame[inside]] = True
     return flags

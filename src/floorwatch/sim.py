@@ -4,6 +4,9 @@ Each scatterer contributes, per chirp, a fast-time complex tone at the beat
 frequency of its (possibly micro-motion modulated) range, with the carrier
 phase -4*pi*r/lambda advancing chirp to chirp, multiplied across receivers
 by the arrival vector (the conjugate of the beamformer steering weights).
+A scatterer without micro-motion has the same tone on every chirp, so its
+tone is computed on one chirp row and broadcast over the chirps; every
+element still adds the same operands in the same order.
 Per-sample complex white noise is drawn from a counter-based stream keyed
 by (seed, frame index), so frames synthesize identically in any order. A
 recording fills its frames into one preallocated (frame, rx, chirp, sample) array.
@@ -117,10 +120,11 @@ def synthesize_frame(scene: SceneSpec, cfg: RadarConfig, geom: ArrayGeometry,
     def add_scatterer(r0, az, el, amp, mm_amp, mm_rate):
         if amp == 0.0:
             return
-        r = r0 + mm_amp * np.sin(2.0 * np.pi * mm_rate * chirp_times)  # (chirps,)
+        times = chirp_times if mm_amp else chirp_times[:1]  # a static tone: one chirp row
+        r = r0 + mm_amp * np.sin(2.0 * np.pi * mm_rate * times)         # (chirps or 1,)
         f_beat = slope * 2.0 * r / SPEED_OF_LIGHT
         phase = (2.0 * np.pi * f_beat[:, None] * sample_times[None, :]
-                 - (4.0 * np.pi / lam) * r[:, None])                    # (chirps, samples)
+                 - (4.0 * np.pi / lam) * r[:, None])                    # (chirps or 1, samples)
         v = arrival_vector(az, el, geom)                                # (rx,)
         cube[...] += amp * v[:, None, None] * np.exp(1j * phase)[None, :, :]
 

@@ -165,6 +165,30 @@ def test_evaluate_trials_listing_with_empty_room(workspace):
     assert labels == {"occupied", "empty"}
 
 
+@pytest.mark.parametrize("entry, message", [
+    pytest.param("recording.rec", "trials[1]: expected a JSON object, got 'recording.rec'",
+                 id="string"),
+    pytest.param(5, "trials[1]: expected a JSON object, got 5", id="number"),
+    pytest.param({"recording": 0}, "trials[1].recording: expected a string, got 0",
+                 id="recording_number"),
+    pytest.param({"recording": "s0.rec", "detections": 1},
+                 "trials[1].detections: expected a string or null, got 1", id="detections_number"),
+    pytest.param({"recording": "s0.rec", "detections": True},
+                 "trials[1].detections: expected a string or null, got True",
+                 id="detections_true"),
+])
+def test_evaluate_trials_entry_of_the_wrong_type_is_a_json_error(workspace, capsys, entry,
+                                                                  message):
+    # at the parent the first three were TypeError tracebacks, and a number for
+    # "detections" was opened as a file descriptor
+    tmp, _, _, _, manifest = workspace
+    trials = write_json(tmp / "trials.json", [{"recording": str(tmp / "s0.rec")}, entry])
+    rc = main(["evaluate", "--trials", trials, "--manifest", manifest,
+               "--out", str(tmp / "eval")])
+    assert rc == 1 and json_error(capsys) == {"error": "CliError", "message": message}
+    assert not (tmp / "eval").exists()
+
+
 def test_evaluate_empty_alone_fails(workspace, capsys):
     tmp, cfg, _, empty, manifest = workspace
     emp = tmp / "emp.rec"
@@ -351,7 +375,8 @@ BAD_RUN = {
     "k_string": ({"k": "3"}, "manifest: k: expected a number, got '3'"),
     "mti_alpha_false": ({"mti_alpha": False}, "manifest: mti_alpha: expected a number, got False"),
     # SMALL_CONFIG has 32 Doppler bins
-    "doppler_too_wide": ({"doppler_half_width": 16}, "Doppler window exceeds"),
+    "doppler_too_wide": ({"doppler_half_width": 16}, "Doppler window exceeds the recording's "
+                         "32 Doppler bins: doppler_half_width 16"),
 }
 
 

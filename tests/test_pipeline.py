@@ -2,13 +2,16 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from floorwatch import cfar, pipeline
 from floorwatch.capon import check_pair_geometry
-from floorwatch.cfar import GroundTruthBox
+from floorwatch.cfar import EDGE_POLICIES, CfarConfig, GroundTruthBox
 from floorwatch.core import ArrayGeometry, RadarConfig, default_geometry
-from floorwatch.pipeline import (cache_recording, flags_at_k, process_recording,
-                                 score_recording)
+from floorwatch.pipeline import (cache_recording, detections_from_maps, flags_at_k,
+                                 process_recording, score_recording, stack_maps)
 from floorwatch.recordings import RunManifest
 from floorwatch.sim import ClutterSpec, SceneSpec, TargetSpec, synthesize_recording
 
@@ -121,6 +124,52 @@ def test_flags_at_k_monotone_shrinkage():
     hits_low = flags_at_k(cached, 1.5).sum()
     hits_high = flags_at_k(cached, 30.0).sum()
     assert hits_high <= hits_low
+
+
+@st.composite
+def sweep_cases(draw):
+    """Small integer maps, so equal powers are common, with their training stats, boxes and k.
+
+    A frame is drawn, flat (no crossing), or drawn with a strong cell on its
+    first and last range rows, next to the neighbouring frames' rows in the
+    stack. k runs from below the smallest power/base ratio to above the largest.
+    """
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    cfg = CfarConfig(guard_cells=(draw(st.integers(0, 1)), draw(st.integers(0, 1))),
+                     training_cells=(draw(st.integers(1, 2)), draw(st.integers(1, 2))),
+                     edge_policy=draw(st.sampled_from(EDGE_POLICIES)))
+    maps = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(("drawn", "flat", "edge_rows")))
+        if kind == "flat":
+            power = np.full((rows, cols), float(draw(st.integers(0, 3))))
+        else:
+            power = draw(arrays(np.float64, (rows, cols), elements=st.integers(0, 4)))
+        if kind == "edge_rows":
+            power[0, draw(st.integers(0, cols - 1))] = 9.0
+            power[-1, draw(st.integers(0, cols - 1))] = 9.0
+        maps.append((power, *cfar.training_stats(power, cfg)))
+    axes = cfar.map_axes(1.0, np.arange(cols, dtype=float), rows)
+    boxes = tuple(GroundTruthBox(center=(draw(st.integers(0, rows - 1)),
+                                         draw(st.integers(0, cols - 1))),
+                                 half_extents=(draw(st.sampled_from((0.5, 1.5, 9.0))),
+                                               draw(st.sampled_from((0.5, 1.5, 9.0)))))
+                  for _ in range(draw(st.integers(1, 2))))
+    ratios = sorted({float(p / b) for power, base, ev in maps
+                     for p, b in zip(power[ev], base[ev]) if p > 0 and b > 0})
+    ks = ([ratios[0] / 2, *ratios, *np.add(ratios[:-1], ratios[1:]) / 2, ratios[-1] * 2]
+          if ratios else [0.5, 1.0, 2.0])
+    return maps, boxes, axes, draw(st.sampled_from(ks))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sweep_cases())
+def test_tall_map_sweep_flags_each_frame_as_its_own_map_would(case):
+    maps, boxes, axes, k = case
+    cached = stack_maps(boxes, axes, len(maps), maps)
+    want = [cfar.hit_test(detections_from_maps(power, base, ev, k), boxes, axes)
+            for power, base, ev in maps]
+    assert flags_at_k(cached, k).tolist() == want
 
 
 def test_mti_state_reset_between_recordings():

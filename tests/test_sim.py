@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from floorwatch.bench import (empty_benchmark_scenes, localization_scenes,
                               occupied_benchmark_scenes)
 from floorwatch.capon import capon_range_azimuth
-from floorwatch.core import RadarConfig, default_geometry, max_range, range_resolution
+from floorwatch.core import (SPEED_OF_LIGHT, RadarConfig, chirp_slope, default_geometry,
+                             max_range, range_resolution)
 from floorwatch.dbf import dbf_power, dbf_range_azimuth, dbf_weights, default_grid, element_phases
 from floorwatch.frontend import process_frame, zero_doppler_window
 from floorwatch.mti import init_clutter, mti_step
@@ -92,6 +94,64 @@ def test_superposition_exact():
     fb = synthesize_frame(b, CFG, GEOM, 0)
     fab = synthesize_frame(both, CFG, GEOM, 0)
     assert np.allclose(fab, fa + fb, rtol=1e-12, atol=1e-12 * np.abs(fab).max())
+
+
+def full_chirp_frame(scene, cfg, geom, frame_idx):
+    """The synthesis formula with every scatterer's tone evaluated on every chirp."""
+    slope = chirp_slope(cfg)
+    lam = geom.wavelength
+    t_frame = frame_idx / cfg.frame_rate
+    chirp_times = t_frame + np.arange(cfg.chirps_per_frame) * cfg.chirp_repetition_interval
+    sample_times = np.arange(cfg.samples_per_chirp) * (cfg.chirp_duration / cfg.samples_per_chirp)
+    cube = np.zeros(cfg.frame_shape, dtype=np.complex128)
+
+    def add_scatterer(r0, az, el, amp, mm_amp, mm_rate):
+        if amp == 0.0:
+            return
+        r = r0 + mm_amp * np.sin(2.0 * np.pi * mm_rate * chirp_times)
+        f_beat = slope * 2.0 * r / SPEED_OF_LIGHT
+        phase = (2.0 * np.pi * f_beat[:, None] * sample_times[None, :]
+                 - (4.0 * np.pi / lam) * r[:, None])
+        v = arrival_vector(az, el, geom)
+        cube[...] += amp * v[:, None, None] * np.exp(1j * phase)[None, :, :]
+
+    for t in scene.targets:
+        add_scatterer(t.range_m, t.azimuth_rad, t.elevation_rad, t.amplitude,
+                      t.micro_motion_amplitude_m, t.micro_motion_rate_hz)
+    for c in scene.clutter:
+        add_scatterer(c.range_m, c.azimuth_rad, c.elevation_rad, c.amplitude, 0.0, 0.0)
+    if scene.noise_std > 0:
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=scene.seed,
+                                                           spawn_key=(frame_idx,)))
+        scale = scene.noise_std / np.sqrt(2.0)
+        cube += scale * (rng.standard_normal(cube.shape) + 1j * rng.standard_normal(cube.shape))
+    return cube
+
+
+OCCUPIED_BENCH = occupied_benchmark_scenes(1, seed=7)[0]
+STILL_SCENES = {
+    "bench_occupied": OCCUPIED_BENCH,
+    "bench_occupied_noiseless": replace(OCCUPIED_BENCH, noise_std=0.0),
+    "bench_empty": empty_benchmark_scenes(None, 1, seed=7)[0],
+    "still_and_moving_targets": SceneSpec(
+        targets=(TargetSpec(range_m=3.1, azimuth_rad=0.2, micro_motion_amplitude_m=0.0),
+                 TargetSpec(range_m=5.3, azimuth_rad=-0.3, amplitude=0.7)),
+        clutter=(ClutterSpec(range_m=6.0, azimuth_rad=-0.5, amplitude=2.0),),
+        noise_std=0.0, seed=5),
+    "zero_amplitude_clutter": SceneSpec(
+        clutter=(ClutterSpec(range_m=2.5, azimuth_rad=0.4, amplitude=0.0),
+                 ClutterSpec(range_m=7.2, azimuth_rad=-0.1, amplitude=3.0)),
+        noise_std=0.05, seed=6),
+}
+
+
+@pytest.mark.parametrize("frame_idx", [0, 1, 249])
+@pytest.mark.parametrize("name", list(STILL_SCENES))
+def test_static_tones_on_one_chirp_row_are_bit_identical(name, frame_idx):
+    scene = STILL_SCENES[name]
+    got = synthesize_frame(scene, CFG, GEOM, frame_idx)
+    want = full_chirp_frame(scene, CFG, GEOM, frame_idx)
+    assert np.array_equal(got.view(np.float64), want.view(np.float64))
 
 
 def test_out_of_range_scatterer_rejected():

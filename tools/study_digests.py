@@ -6,10 +6,12 @@ Makes the study inputs with ``perfbench/gen.py --workload study`` (four
 scenes, one occupied and one empty per view, and one manifest per method),
 then runs the CLI from the sources under ``PATH/src`` (default: this
 checkout): ``simulate`` for every scene and, for each method, ``tune`` over
-the method's bench k grid, ``process --dump-maps`` for every recording at
-the tuned k, ``evaluate`` of every recording at the tuned k, ``evaluate``
-replaying the occupied recordings' detection CSVs, and one ``report`` over
-both methods' tables. Every step runs in a process of its own.
+the method's bench k grid, ``tune`` over ``DENSE_K_GRID`` (200 geometric
+steps from 1.01 to 5000, so that near-empty and tie-heavy k values are
+swept too), ``process --dump-maps`` for every recording at the tuned k,
+``evaluate`` of every recording at the tuned k, ``evaluate`` replaying the
+occupied recordings' detection CSVs, and one ``report`` over both methods'
+tables. Every step runs in a process of its own.
 
 Writes DIR/digests.json: the SHA-256 of every scene file and of every
 output file, keyed by its path under DIR. The manifest files are left out:
@@ -29,6 +31,7 @@ import sys
 from pathlib import Path
 
 METHODS = ("dbf", "capon")
+DENSE_K_GRID = tuple(1.01 * (5000 / 1.01) ** (i / 199) for i in range(200))
 
 
 def run(repo: Path, argv: list) -> None:
@@ -54,10 +57,10 @@ def study_chain(repo: Path, seed: int, root: Path) -> None:
 
     for method in METHODS:
         manifest, base = inputs["manifests"][method], out / method
-        grid = ",".join(repr(k) for k in inputs["k_grids"][method])
-        floorwatch(repo, "tune", "--recordings", *recordings, "--manifest", manifest,
-                   "--k-grid", grid, "--fpr-cap", repr(inputs["fpr_cap"]),
-                   "--out", base / "tune")
+        for grid, name in ((inputs["k_grids"][method], "tune"), (DENSE_K_GRID, "tune_dense")):
+            floorwatch(repo, "tune", "--recordings", *recordings, "--manifest", manifest,
+                       "--k-grid", ",".join(repr(k) for k in grid),
+                       "--fpr-cap", repr(inputs["fpr_cap"]), "--out", base / name)
         k = repr(json.loads((base / "tune" / "operating_point.json").read_text())["k"])
         (base / "process").mkdir()
         replay = []
