@@ -166,6 +166,9 @@ def cmd_evaluate(args) -> int:
         for i, entry in enumerate(listing):
             if not isinstance(entry, dict):
                 raise CliError(f"trials[{i}]: expected a JSON object, got {entry!r}")
+            for key in entry:
+                if key not in ("recording", "detections"):
+                    raise CliError(f"trials[{i}]: unknown key {key!r}")
             if "recording" not in entry:
                 raise CliError(f"trials[{i}].recording missing")
             rec_path, det_path = entry["recording"], entry.get("detections")

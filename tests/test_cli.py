@@ -176,11 +176,14 @@ def test_evaluate_trials_listing_with_empty_room(workspace):
     pytest.param({"recording": "s0.rec", "detections": True},
                  "trials[1].detections: expected a string or null, got True",
                  id="detections_true"),
+    pytest.param({"recording": "s0.rec", "detection": "d.csv"},
+                 "trials[1]: unknown key 'detection'", id="misspelled_key"),
 ])
 def test_evaluate_trials_entry_of_the_wrong_type_is_a_json_error(workspace, capsys, entry,
                                                                   message):
-    # at the parent the first three were TypeError tracebacks, and a number for
-    # "detections" was opened as a file descriptor
+    # at the parent the first three were TypeError tracebacks, a number for
+    # "detections" was opened as a file descriptor, and a misspelled key was
+    # ignored, so the recording was processed instead of its detections replayed
     tmp, _, _, _, manifest = workspace
     trials = write_json(tmp / "trials.json", [{"recording": str(tmp / "s0.rec")}, entry])
     rc = main(["evaluate", "--trials", trials, "--manifest", manifest,
