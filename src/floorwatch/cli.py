@@ -54,6 +54,13 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _write_table(path, header, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def cmd_simulate(args) -> int:
     scene = scene_from_dict(load_json(args.scene))
     if args.seed is not None:
@@ -119,12 +126,9 @@ def cmd_tune(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     sweep_path = out_dir / "sweep.csv"
-    with open(sweep_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "macro_f1", "fpr", "tpr", "feasible"])
-        for p in result.points:
-            writer.writerow([_fmt(p.k), _fmt(p.macro_f1), _fmt(p.fpr), _fmt(p.tpr),
-                             int(p.feasible)])
+    _write_table(sweep_path, ["k", "macro_f1", "fpr", "tpr", "feasible"],
+                 [[_fmt(p.k), _fmt(p.macro_f1), _fmt(p.fpr), _fmt(p.tpr), int(p.feasible)]
+                  for p in result.points])
     op_path = out_dir / "operating_point.json"
     if result.selected is None:
         dump_json({"feasible": False, "fpr_cap": args.fpr_cap,
@@ -157,9 +161,15 @@ def _parse_k_grid(spec: str):
 
 
 def cmd_evaluate(args) -> int:
+    if args.trials is not None and (args.recording, args.detections) != (None, None):
+        raise CliError("--trials lists every trial; it takes no --recording or --detections")
+    if args.detections is not None and args.recording is None:
+        raise CliError("--detections needs the --recording it was made from")
+    if args.trials is None and args.recording is None:
+        raise CliError("evaluate needs --recording or --trials")
     manifest = _load_manifest(args)
     pairs = []
-    if args.trials:
+    if args.trials is not None:
         listing = load_json(args.trials)
         if not isinstance(listing, list) or not listing:
             raise CliError("trials listing must be a non-empty JSON array")
@@ -178,17 +188,14 @@ def cmd_evaluate(args) -> int:
                 raise CliError(f"trials[{i}].detections: expected a string or null, "
                                f"got {det_path!r}")
             pairs.append((rec_path, det_path))
-    elif args.recording:
-        pairs.append((args.recording, args.detections))
     else:
-        raise CliError("evaluate needs --recording or --trials")
+        pairs.append((args.recording, args.detections))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     recordings = [(path, det, read_recording(path)) for path, det in pairs]
     by_view = _candidate_boxes(rec for _, _, rec in recordings)
-    rows = []
-    metrics = []
+    rows, metrics = [], []
     for rec_path, det_path, rec in recordings:
         if det_path:
             trial = _trial_from_detections(rec, det_path, manifest)
@@ -204,10 +211,7 @@ def cmd_evaluate(args) -> int:
             "n_frames": int(trial.flags.size),
             "frame_positive_rate": rate,
         })
-    with open(out_dir / "table.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["view", "location", "subject", "method", "rate"])
-        writer.writerows(rows)
+    _write_table(out_dir / "table.csv", ["view", "location", "subject", "method", "rate"], rows)
     dump_json(metrics, out_dir / "metrics.json")
     print(f"wrote {out_dir / 'metrics.json'} and {out_dir / 'table.csv'} "
           f"({len(rows)} trials)")
@@ -249,48 +253,36 @@ def _trial_from_detections(rec, det_path, manifest):
 
 
 def cmd_report(args) -> int:
-    rows = []
     with open(args.table, newline="", encoding="utf-8") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append(rec)
+        rows = list(csv.DictReader(fh))
     if not rows:
         raise CliError("metrics table is empty")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    rates = {}
+    rates, by_method = {}, {}
     for r in rows:
         key = (r["view"], r["location"], r["subject"])
         rates.setdefault(key, {})[r["method"]] = float(r["rate"])
+        by_method.setdefault(r["method"], []).append(float(r["rate"]))
 
     taus = [round(0.05 * i, 2) for i in range(21)]
-    by_method: dict[str, list] = {}
-    for r in rows:
-        by_method.setdefault(r["method"], []).append(float(r["rate"]))
-    with open(out_dir / "coverage.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "tau", "coverage"])
-        for method in sorted(by_method):
-            for pt in scoring.coverage_curve(by_method[method], taus):
-                writer.writerow([method, _fmt(pt.tau), _fmt(pt.coverage)])
+    _write_table(out_dir / "coverage.csv", ["method", "tau", "coverage"],
+                 [[method, _fmt(pt.tau), _fmt(pt.coverage)] for method in sorted(by_method)
+                  for pt in scoring.coverage_curve(by_method[method], taus)])
 
     paired = [(key, v["dbf"], v["capon"]) for key, v in sorted(rates.items())
               if "dbf" in v and "capon" in v]
-    with open(out_dir / "paired_deltas.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["view", "location", "subject", "dbf", "capon", "delta"])
-        for key, a, b in sorted(paired, key=lambda t: t[2] - t[1]):
-            writer.writerow([key[0], key[1], key[2], _fmt(a), _fmt(b), _fmt(b - a)])
+    _write_table(out_dir / "paired_deltas.csv",
+                 ["view", "location", "subject", "dbf", "capon", "delta"],
+                 [[*key, _fmt(a), _fmt(b), _fmt(b - a)]
+                  for key, a, b in sorted(paired, key=lambda t: t[2] - t[1])])
 
-    triples = [(r["view"], r["method"], float(r["rate"])) for r in rows]
-    stats = scoring.viewpoint_stats(triples)
-    with open(out_dir / "view_quartiles.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["view", "method", "min", "q1", "median", "q3", "max"])
-        for (view, method) in sorted(stats):
-            s = stats[(view, method)]
-            writer.writerow([view, method, _fmt(s.minimum), _fmt(s.q1),
-                             _fmt(s.median), _fmt(s.q3), _fmt(s.maximum)])
+    stats = scoring.viewpoint_stats([(r["view"], r["method"], float(r["rate"])) for r in rows])
+    _write_table(out_dir / "view_quartiles.csv",
+                 ["view", "method", "min", "q1", "median", "q3", "max"],
+                 [[view, method, _fmt(s.minimum), _fmt(s.q1), _fmt(s.median), _fmt(s.q3),
+                   _fmt(s.maximum)] for (view, method), s in sorted(stats.items())])
     print(f"wrote coverage.csv, paired_deltas.csv, view_quartiles.csv to {out_dir}")
     return 0
 

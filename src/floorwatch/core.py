@@ -177,6 +177,13 @@ def json_number(name: str, value) -> float:
     return float(value)
 
 
+def json_str(name: str, value) -> str:
+    """A JSON string field; null, a number or a bool is refused, not turned into text."""
+    if not isinstance(value, str):
+        raise ValueError(f"{name}: expected a string, got {value!r}")
+    return value
+
+
 def geometry_from_dict(d: dict) -> ArrayGeometry:
     return ArrayGeometry(
         wavelength=json_number("wavelength", d["wavelength"]),

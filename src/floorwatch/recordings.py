@@ -27,7 +27,7 @@ import numpy as np
 
 from .cfar import CfarConfig, GroundTruthBox
 from .core import (RadarConfig, config_from_dict, config_to_dict, geometry_from_dict,
-                   geometry_to_dict, json_int, json_number)
+                   geometry_to_dict, json_int, json_number, json_str)
 from .dbf import default_grid
 from .sim import Recording
 
@@ -53,8 +53,8 @@ def _box_from_dict(d: dict) -> GroundTruthBox:
     return GroundTruthBox(
         center=(r, math.radians(az)),
         half_extents=(dr, math.radians(daz)),
-        view_tag=str(d.get("view_tag", "")),
-        location_tag=str(d.get("location_tag", "")),
+        view_tag=json_str("view_tag", d.get("view_tag", "")),
+        location_tag=json_str("location_tag", d.get("location_tag", "")),
     )
 
 
@@ -113,9 +113,9 @@ def read_recording(path) -> Recording:
             config=cfg, geometry=geom, samples=samples.reshape((n_frames,) + cfg.frame_shape),
             truth=tuple(_box_from_dict(b) for b in header.get("truth", [])),
             label=header["label"], seed=json_int("seed", header.get("seed", 0)),
-            view_tag=str(header.get("view_tag", "")),
-            location_tag=str(header.get("location_tag", "")),
-            subject_tag=str(header.get("subject_tag", "")),
+            view_tag=json_str("view_tag", header.get("view_tag", "")),
+            location_tag=json_str("location_tag", header.get("location_tag", "")),
+            subject_tag=json_str("subject_tag", header.get("subject_tag", "")),
         )
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"recording header: {exc!r}") from exc

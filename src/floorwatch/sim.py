@@ -21,7 +21,7 @@ import numpy as np
 
 from .cfar import GroundTruthBox
 from .core import (SPEED_OF_LIGHT, ArrayGeometry, RadarConfig, chirp_slope, json_int,
-                   json_number, max_range)
+                   json_number, json_str, max_range)
 from .dbf import element_phases
 
 DEFAULT_BOX_HALF_EXTENTS = (0.45, math.radians(10.0))
@@ -243,7 +243,7 @@ def _from_json(spec, d, path: str):
         elif f.name == "box_half_extents":
             value = astuple(_from_json(_BoxHalfExtents, value, where))
         elif isinstance(f.default, str):
-            value = str(value)
+            value = json_str(where, value)
         else:
             integer = isinstance(f.default, int)
             value = json_int(where, value) if integer else json_number(where, value)

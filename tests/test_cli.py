@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from floorwatch import scoring
 from floorwatch.cfar import DetectionSet, hit_test
 from floorwatch.cli import DETECTION_COLUMNS, _fmt, main
 from floorwatch.core import RadarConfig, default_geometry
@@ -192,6 +193,42 @@ def test_evaluate_trials_entry_of_the_wrong_type_is_a_json_error(workspace, caps
     assert not (tmp / "eval").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["--recording", "a.rec"], id="trials_with_recording"),
+    pytest.param(["--detections", "d.csv"], id="trials_with_detections"),
+    pytest.param(["--recording", "a.rec", "--detections", "d.csv"], id="trials_with_both"),
+])
+def test_evaluate_trials_takes_no_recording_or_detections(tmp_path, capsys, argv):
+    # at the parent --recording or --detections was dropped without a word; none of
+    # the files named here exist, so the error comes before any file is read
+    argv = [a if a.startswith("--") else str(tmp_path / a) for a in argv]
+    rc = main(["evaluate", "--trials", str(tmp_path / "t.json"), *argv,
+               "--manifest", str(tmp_path / "m.json"), "--out", str(tmp_path / "eval")])
+    assert rc == 1 and json_error(capsys) == {
+        "error": "CliError",
+        "message": "--trials lists every trial; it takes no --recording or --detections"}
+    assert not (tmp_path / "eval").exists()
+
+
+def test_evaluate_detections_need_a_recording(tmp_path, capsys):
+    # at the parent --detections without --recording was dropped without a word
+    rc = main(["evaluate", "--detections", str(tmp_path / "d.csv"),
+               "--manifest", str(tmp_path / "m.json"), "--out", str(tmp_path / "eval")])
+    assert rc == 1 and json_error(capsys) == {
+        "error": "CliError", "message": "--detections needs the --recording it was made from"}
+    assert not (tmp_path / "eval").exists()
+
+
+def test_simulate_refuses_a_tag_that_is_not_a_string(workspace, capsys):
+    # at the parent this scene simulated, as view "None" and subject "7"
+    tmp, cfg, _, _, _ = workspace
+    scene = write_json(tmp / "scene.json", dict(SCENE, view_tag=None, subject_tag=7))
+    rc = main(["simulate", "--scene", scene, "--config", cfg, "--out", str(tmp / "a.rec")])
+    assert rc == 1 and json_error(capsys) == {
+        "error": "ValueError", "message": "view_tag: expected a string, got None"}
+    assert not (tmp / "a.rec").exists()
+
+
 def test_evaluate_empty_alone_fails(workspace, capsys):
     tmp, cfg, _, empty, manifest = workspace
     emp = tmp / "emp.rec"
@@ -223,15 +260,19 @@ def test_tune_outputs_operating_point(workspace):
 def test_report_outputs(workspace):
     tmp, _, _, _, _ = workspace
     table = tmp / "table.csv"
+    rows = []
+    for view in ("tv", "window"):
+        for loc in ("P1", "P2"):
+            for subj in ("S1", "S2"):
+                base = 0.5 if view == "tv" else 0.7
+                delta = -0.1 if (view, loc, subj) == ("window", "P1", "S2") else 0.2
+                rows.append([view, loc, subj, "dbf", base])
+                rows.append([view, loc, subj, "capon", base + delta])
+    rows.reverse()  # so that no output order is the input order by chance
     with table.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["view", "location", "subject", "method", "rate"])
-        for view in ("tv", "window"):
-            for loc in ("P1", "P2"):
-                for subj in ("S1", "S2"):
-                    base = 0.5 if view == "tv" else 0.7
-                    w.writerow([view, loc, subj, "dbf", base])
-                    w.writerow([view, loc, subj, "capon", base + 0.2])
+        w.writerows(rows)
     out = tmp / "report"
     assert main(["report", "--table", str(table), "--out", str(out)]) == 0
     cov = list(csv.DictReader((out / "coverage.csv").open()))
@@ -241,9 +282,24 @@ def test_report_outputs(workspace):
     assert all(float(r["coverage"]) == 1.0 for r in at_zero)
     deltas = list(csv.DictReader((out / "paired_deltas.csv").open()))
     assert len(deltas) == 8
-    assert all(float(r["delta"]) == pytest.approx(0.2) for r in deltas)
+    assert [float(r["delta"]) for r in deltas] == pytest.approx([-0.1] + [0.2] * 7)
     quarts = list(csv.DictReader((out / "view_quartiles.csv").open()))
     assert len(quarts) == 4
+
+    # paired deltas by delta; equal deltas in (view, location, subject) order
+    order = [(float(r["delta"]), r["view"], r["location"], r["subject"]) for r in deltas]
+    assert order == sorted(order) and order[0][1:] == ("window", "P1", "S2")
+    # coverage: each method, sorted, over the 21 tau values
+    taus = [_fmt(round(0.05 * i, 2)) for i in range(21)]
+    assert [(r["method"], r["tau"]) for r in cov] == [(m, t) for m in ("capon", "dbf")
+                                                       for t in taus]
+    # quartiles: by (view, method), the numbers of scoring.viewpoint_stats
+    stats = scoring.viewpoint_stats([(v, m, float(rate)) for v, _, _, m, rate in rows])
+    assert [list(r.values()) for r in quarts] == [
+        [view, method, *(_fmt(x) for x in (s.minimum, s.q1, s.median, s.q3, s.maximum))]
+        for (view, method), s in sorted(stats.items())]
+    assert [(r["view"], r["method"]) for r in quarts] == [
+        ("tv", "capon"), ("tv", "dbf"), ("window", "capon"), ("window", "dbf")]
 
 
 def test_report_empty_table_fails(workspace, capsys):

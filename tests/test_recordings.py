@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -332,6 +333,24 @@ def test_malformed_header_is_a_value_error_and_a_json_error(tmp_path, keys, valu
         read_recording(bad)
     rc, error = process_exit_and_error(bad, tmp_path / "d.csv")
     assert rc == 1 and error["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("keys, value, message", [
+    (("view_tag",), None, "view_tag: expected a string, got None"),  # read as "None"
+    (("location_tag",), 3, "location_tag: expected a string, got 3"),
+    (("subject_tag",), 7, "subject_tag: expected a string, got 7"),  # read as "7"
+    (("truth", 0, "view_tag"), None, "view_tag: expected a string, got None"),
+    (("truth", 0, "location_tag"), ["P1"], "location_tag: expected a string, got ['P1']"),
+])
+def test_header_tags_must_be_json_strings(tmp_path, keys, value, message):
+    # at the parent any JSON value was turned into a tag with str()
+    good = tmp_path / "good.rec"
+    write_recording(good, make_recording())
+    bad = with_header(good, tmp_path / "bad.rec", replaced(keys, value))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_recording(bad)
+    rc, error = process_exit_and_error(bad, tmp_path / "d.csv")
+    assert rc == 1 and error == {"error": "ValueError", "message": message}
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 from importlib import resources
 
@@ -321,6 +322,19 @@ def test_scene_unknown_keys_are_rejected_with_their_path(doc, message):
     # a misspelt key used to be ignored: the target above read as azimuth 0
     with pytest.raises(ValueError, match=message):
         scene_from_dict(doc)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"view_tag": None}, "view_tag: expected a string, got None"),
+    ({"subject_tag": 7}, "subject_tag: expected a string, got 7"),
+    ({"location_tag": True}, "location_tag: expected a string, got True"),
+    ({"view_tag": ["tv"]}, "view_tag: expected a string, got ['tv']"),
+])
+def test_scene_tags_must_be_json_strings(doc, message):
+    # read as the tags "None", "7", "True" and "['tv']" at the parent
+    with pytest.raises(ValueError, match=re.escape(message)):
+        scene_from_dict(doc)
+    assert scene_from_dict({"view_tag": "", "subject_tag": "7"}).subject_tag == "7"
 
 
 def test_scene_validation():

@@ -11,8 +11,8 @@ and slow spells of the host fall on both sides alike. At each
 ``--trace-seeds`` seed it also makes one ``--trace 1`` run per workload and
 checkout. Each run executes in its own checkout, with that checkout's
 ``perfbench/`` and sources, and records the checkout's revision: the commit,
-plus ``-dirty-`` and a digest of ``git diff HEAD`` when tracked files differ
-from it.
+plus ``-dirty-`` and a digest of ``git diff HEAD`` and of every untracked,
+non-ignored file (name and bytes) when the checkout differs from it.
 
 Writes ``--out`` after every run: the host (nproc, CPU, Python, numpy and
 scipy), every run's printed result, and a summary per workload and
@@ -67,8 +67,12 @@ def revision(repo: Path) -> str:
             raise SystemExit(f"git {' '.join(argv)} failed in {repo}: {proc.stderr.decode()}")
         return proc.stdout
     commit = git("rev-parse", "--short=12", "HEAD").decode().strip()
-    diff = git("diff", "HEAD", "--binary")
-    return f"{commit}-dirty-{hashlib.sha256(diff).hexdigest()[:12]}" if diff else commit
+    dirty = git("diff", "HEAD", "--binary")
+    for name in git("ls-files", "--others", "--exclude-standard", "-z").split(b"\0"):
+        if name:  # an untracked file counts by its name and bytes
+            data = (repo / os.fsdecode(name)).read_bytes()
+            dirty += b"\0untracked\0" + name + b"\0" + hashlib.sha256(data).digest()
+    return f"{commit}-dirty-{hashlib.sha256(dirty).hexdigest()[:12]}" if dirty else commit
 
 
 def bench_run(repo: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:

@@ -1,0 +1,150 @@
+"""Digest every output of the stream and study chains, to check that a refactor changes no output.
+
+    python3 tools/digests.py --seed 1 --out DIR [--repo PATH]
+
+Imports ``floorwatch`` from ``PATH/src`` (default: this checkout) and
+``gen`` from ``PATH/perfbench``. Writes DIR/digests.json with two groups of keys:
+
+``stream/scene<i>/<method>/<source>/frame<n>``: five ``bench`` scenes (three
+occupied, two empty, drawn at ``--seed``, 40 frames each) run through
+``pipeline.process_recording`` for both methods at ``gen.STREAM_K``, in memory
+and read back from DIR/recordings (the stream reads files, so it sees the
+complex64 samples). One SHA-256 per frame each of ``power``, ``threshold_base``,
+``evaluable`` and the detections, covering dtype and shape as well as bytes.
+
+``study/<path>``: the study inputs of ``gen.make_study`` go through ``cli.main``:
+``simulate`` every scene; per method, ``tune`` over the bench k grid and over
+``DENSE_K_GRID`` (200 geometric steps from 1.01 to 5000: near-empty and
+tie-heavy k values), ``process --dump-maps`` and ``evaluate`` of every
+recording at the tuned k, ``evaluate`` replaying the occupied recordings'
+CSVs; one ``report`` over both tables. One SHA-256 per scene and output file,
+keyed by its path under DIR; the manifests are left out, since a change may
+drop a manifest field on purpose.
+
+Identical digests.json files from two checkouts at one seed mean
+bit-identical frames and byte-identical files.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+METHODS = ("dbf", "capon")
+STREAM_FRAMES = 40
+DENSE_K_GRID = tuple(1.01 * (5000 / 1.01) ** (i / 199) for i in range(200))
+
+
+def digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(repr((a.dtype.str, a.shape)).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def stream_digests(seed: int, root: Path) -> dict:
+    from floorwatch.bench import bench_manifest, empty_benchmark_scenes, occupied_benchmark_scenes
+    from floorwatch.core import RadarConfig, default_geometry
+    from floorwatch.pipeline import process_recording
+    from floorwatch.recordings import read_recording, write_recording
+    from floorwatch.sim import synthesize_recording
+    from gen import STREAM_K
+
+    cfg = RadarConfig()
+    scenes = occupied_benchmark_scenes(3, seed=seed) + empty_benchmark_scenes(None, 2, seed=seed)
+    (root / "recordings").mkdir()
+    result = {}
+    for i, scene in enumerate(scenes):
+        rec = synthesize_recording(replace(scene, n_frames=STREAM_FRAMES), cfg,
+                                   default_geometry(cfg))
+        path = root / "recordings" / f"scene{i}.rec"
+        write_recording(path, rec)
+        for method, k in sorted(STREAM_K.items()):
+            for source, r in (("memory", rec), ("file", read_recording(path))):
+                for out in process_recording(r, bench_manifest(method, k)):
+                    d = out.detections
+                    key = f"stream/scene{i}/{method}/{source}/frame{out.frame_index:03d}"
+                    result[key] = {
+                        "power": digest(out.power), "threshold_base": digest(out.threshold_base),
+                        "evaluable": digest(out.evaluable),
+                        "detections": digest(d.range_bins, d.azimuth_bins, d.power, d.threshold)}
+    return result
+
+
+def floorwatch(*argv) -> None:
+    from floorwatch.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = main([str(a) for a in argv])
+    if status != 0:
+        raise SystemExit(f"floorwatch {argv[0]} exited with {status}")
+
+
+def study_digests(seed: int, root: Path) -> dict:
+    from gen import make_study
+
+    inputs_dir, work, out = root / "inputs", root / "work", root / "out"
+    for d in (inputs_dir, work, out):
+        d.mkdir()
+    inputs = make_study(seed, inputs_dir)
+    recordings = [out / f"rec{i}.rec" for i in range(len(inputs["scenes"]))]
+    for scene, rec in zip(inputs["scenes"], recordings):
+        floorwatch("simulate", "--scene", scene, "--out", rec)
+
+    for method in METHODS:
+        manifest, base = inputs["manifests"][method], out / method
+        for grid, name in ((inputs["k_grids"][method], "tune"), (DENSE_K_GRID, "tune_dense")):
+            floorwatch("tune", "--recordings", *recordings, "--manifest", manifest,
+                       "--k-grid", ",".join(repr(k) for k in grid),
+                       "--fpr-cap", repr(inputs["fpr_cap"]), "--out", base / name)
+        k = repr(json.loads((base / "tune" / "operating_point.json").read_text())["k"])
+        (base / "process").mkdir()
+        replay = []
+        for rec, label in zip(recordings, inputs["labels"]):
+            csv_path = base / "process" / f"{rec.stem}.csv"
+            floorwatch("process", "--recording", rec, "--manifest", manifest, "--k", k,
+                       "--dump-maps", csv_path.with_suffix(".npy"), "--out", csv_path)
+            if label == "occupied":
+                replay.append({"recording": str(rec), "detections": str(csv_path)})
+        listings = {"evaluate": [{"recording": str(r)} for r in recordings], "replay": replay}
+        for name, listing in listings.items():
+            path = work / f"{method}_{name}.json"
+            path.write_text(json.dumps(listing))
+            floorwatch("evaluate", "--trials", path, "--manifest", manifest, "--k", k,
+                       "--out", base / name)
+    # one table under one header, as the benchmark's study hands it to report
+    tables = [(out / m / "evaluate" / "table.csv").read_bytes().splitlines(keepends=True)
+              for m in METHODS]
+    (work / "table.csv").write_bytes(b"".join(tables[0] + tables[1][1:]))
+    floorwatch("report", "--table", work / "table.csv", "--out", out / "report")
+
+    files = list(inputs_dir.glob("scene*.json")) + [p for p in out.rglob("*") if p.is_file()]
+    return {f"study/{p.relative_to(root)}": hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(files)}
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--out", required=True, help="output directory; must not exist")
+    parser.add_argument("--repo", default=str(Path(__file__).resolve().parents[1]),
+                        help="checkout whose src/ and perfbench/gen.py are imported")
+    args = parser.parse_args()
+    root, repo = Path(args.out).resolve(), Path(args.repo).resolve()
+    if root.exists():
+        parser.error(f"--out {root} already exists")
+    root.mkdir(parents=True)
+    sys.path[:0] = [str(repo / "src"), str(repo / "perfbench")]
+    result = stream_digests(args.seed, root) | study_digests(args.seed, root)
+    (root / "digests.json").write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {root / 'digests.json'}: {len(result)} keys")
+
+
+if __name__ == "__main__":
+    main()
