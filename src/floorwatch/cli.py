@@ -195,7 +195,8 @@ def cmd_evaluate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     recordings = [(path, det, read_recording(path)) for path, det in pairs]
     by_view = _candidate_boxes(rec for _, _, rec in recordings)
-    rows, metrics = [], []
+    rows = []
+    metrics = []
     for rec_path, det_path, rec in recordings:
         if det_path:
             trial = _trial_from_detections(rec, det_path, manifest)
@@ -253,20 +254,24 @@ def _trial_from_detections(rec, det_path, manifest):
 
 
 def cmd_report(args) -> int:
+    rows = []
     with open(args.table, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
+        for rec in csv.DictReader(fh):
+            rows.append(rec)
     if not rows:
         raise CliError("metrics table is empty")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    rates, by_method = {}, {}
+    rates = {}
     for r in rows:
         key = (r["view"], r["location"], r["subject"])
         rates.setdefault(key, {})[r["method"]] = float(r["rate"])
-        by_method.setdefault(r["method"], []).append(float(r["rate"]))
 
     taus = [round(0.05 * i, 2) for i in range(21)]
+    by_method: dict[str, list] = {}
+    for r in rows:
+        by_method.setdefault(r["method"], []).append(float(r["rate"]))
     _write_table(out_dir / "coverage.csv", ["method", "tau", "coverage"],
                  [[method, _fmt(pt.tau), _fmt(pt.coverage)] for method in sorted(by_method)
                   for pt in scoring.coverage_curve(by_method[method], taus)])
@@ -278,7 +283,8 @@ def cmd_report(args) -> int:
                  [[*key, _fmt(a), _fmt(b), _fmt(b - a)]
                   for key, a, b in sorted(paired, key=lambda t: t[2] - t[1])])
 
-    stats = scoring.viewpoint_stats([(r["view"], r["method"], float(r["rate"])) for r in rows])
+    triples = [(r["view"], r["method"], float(r["rate"])) for r in rows]
+    stats = scoring.viewpoint_stats(triples)
     _write_table(out_dir / "view_quartiles.csv",
                  ["view", "method", "min", "q1", "median", "q3", "max"],
                  [[view, method, _fmt(s.minimum), _fmt(s.q1), _fmt(s.median), _fmt(s.q3),

@@ -1,0 +1,95 @@
+"""tools/bench_record.py: the revision label of a checkout and the --append workflow.
+
+The benchmark runs themselves are stubbed; these tests make small git
+checkouts under tmp_path and call the tool's functions in process.
+"""
+
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_record.py"
+
+
+@pytest.fixture
+def bench_record():
+    spec = importlib.util.spec_from_file_location("bench_record", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _git(repo, *argv):
+    subprocess.run(["git", "-C", str(repo), "-c", "user.name=bench", "-c",
+                    "user.email=bench@example.com", *argv], check=True, capture_output=True)
+
+
+@pytest.fixture
+def checkout(tmp_path):
+    repo = tmp_path / "change"
+    (repo / "perfbench").mkdir(parents=True)
+    (repo / "src" / "floorwatch").mkdir(parents=True)
+    (repo / "perfbench" / "run.py").write_text("")
+    (repo / "src" / "floorwatch" / "__init__.py").write_text("")
+    (repo / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "end_to_end": [{"name": "frames_per_s", "better": "higher"}]}))
+    _git(repo, "init", "-q")
+    _git(repo, "add", ".")
+    _git(repo, "commit", "-q", "-m", "sources")
+    return repo
+
+
+def test_revision_follows_the_sources_a_run_reads(bench_record, checkout):
+    clean = bench_record.revision(checkout)
+    assert "-dirty-" not in clean
+    (checkout / "BENCH_1.json").write_text("{}")
+    (checkout / "NOTES.md").write_text("notes\n")
+    assert bench_record.revision(checkout) == clean
+
+    newmod = checkout / "src" / "floorwatch" / "newmod.py"
+    newmod.write_text("x = 1\n")
+    untracked = bench_record.revision(checkout)
+    assert untracked.startswith(clean + "-dirty-")
+    newmod.write_text("x = 2\n")
+    assert bench_record.revision(checkout) not in (clean, untracked)
+    newmod.unlink()
+
+    _git(checkout, "add", "BENCH_1.json")
+    _git(checkout, "commit", "-q", "-m", "results")
+    committed = bench_record.revision(checkout)
+    (checkout / "BENCH_1.json").write_text('{"runs": []}')
+    assert bench_record.revision(checkout) == committed
+    (checkout / "perfbench" / "run.py").write_text("# edited\n")
+    assert bench_record.revision(checkout).startswith(committed + "-dirty-")
+
+
+def _stub_run(repo, workload, seed, seconds, trace):
+    return {"workload": workload, "seed": seed, "trace": trace, "wall_s": 0.0,
+            "correct": True, "attempted": 1, "failed": 0,
+            "metrics": {"frames_per_s": {"value": 10.0 + seed}}}
+
+
+def test_append_keeps_working_with_out_inside_the_checkout(bench_record, checkout,
+                                                           monkeypatch):
+    monkeypatch.setattr(bench_record, "bench_run", _stub_run)
+    out = checkout / "BENCH_1.json"
+    argv = ["bench_record.py", "--repo", f"change={checkout}", "--workloads", "stream",
+            "--trace-seeds", "--out", str(out)]
+    monkeypatch.setattr(sys, "argv", argv + ["--seeds", "1"])
+    assert bench_record.main() == 0
+    monkeypatch.setattr(sys, "argv", argv + ["--seeds", "2", "--append"])
+    assert bench_record.main() == 0
+    record = json.loads(out.read_text())
+    assert [r["seed"] for r in record["runs"]] == [1, 2]
+    assert {r["revision"] for r in record["runs"]} == {bench_record.revision(checkout)}
+
+    (checkout / "src" / "floorwatch" / "newmod.py").write_text("x = 1\n")
+    monkeypatch.setattr(sys, "argv", argv + ["--seeds", "3", "--append"])
+    with pytest.raises(SystemExit) as excinfo:
+        bench_record.main()
+    assert excinfo.value.code == 2
+    assert len(json.loads(out.read_text())["runs"]) == 2

@@ -12,7 +12,9 @@ and slow spells of the host fall on both sides alike. At each
 checkout. Each run executes in its own checkout, with that checkout's
 ``perfbench/`` and sources, and records the checkout's revision: the commit,
 plus ``-dirty-`` and a digest of ``git diff HEAD`` and of every untracked,
-non-ignored file (name and bytes) when the checkout differs from it.
+non-ignored file (name and bytes) when the checkout differs from it in
+``BENCHMARK.json``, ``perfbench/`` or ``src/``, the files a run reads (so a
+BENCH file written into the checkout leaves its revision as it was).
 
 Writes ``--out`` after every run: the host (nproc, CPU, Python, numpy and
 scipy), every run's printed result, and a summary per workload and
@@ -44,6 +46,8 @@ from importlib import metadata
 from pathlib import Path
 
 WORKLOADS = ("stream", "stream_dbf", "study")
+# what a benchmark run reads from its checkout; BENCH files and docs are not part of it
+BENCHMARK_INPUTS = ("BENCHMARK.json", "perfbench", "src")
 
 
 def host() -> dict:
@@ -67,8 +71,9 @@ def revision(repo: Path) -> str:
             raise SystemExit(f"git {' '.join(argv)} failed in {repo}: {proc.stderr.decode()}")
         return proc.stdout
     commit = git("rev-parse", "--short=12", "HEAD").decode().strip()
-    dirty = git("diff", "HEAD", "--binary")
-    for name in git("ls-files", "--others", "--exclude-standard", "-z").split(b"\0"):
+    dirty = git("diff", "HEAD", "--binary", "--", *BENCHMARK_INPUTS)
+    for name in git("ls-files", "--others", "--exclude-standard", "-z", "--",
+                    *BENCHMARK_INPUTS).split(b"\0"):
         if name:  # an untracked file counts by its name and bytes
             data = (repo / os.fsdecode(name)).read_bytes()
             dirty += b"\0untracked\0" + name + b"\0" + hashlib.sha256(data).digest()
