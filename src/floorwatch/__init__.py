@@ -7,7 +7,7 @@ reliability evaluation harness.
 """
 
 from .core import ArrayGeometry, RadarConfig, default_geometry
-from .frontend import RangeDopplerCube, process_frame
+from .frontend import process_frame
 from .mti import ClutterState, init_clutter, mti_step
 from .dbf import RangeAzimuthMap, SteeringGrid, dbf_power, dbf_range_azimuth, dbf_weights, default_grid
 from .capon import capon_range_azimuth, capon_spectrum, capon_steering, spatial_covariance

@@ -26,6 +26,7 @@ from .recordings import (RunManifest, dump_json, load_json, manifest_from_dict,
                          read_recording, write_recording)
 from .sim import scene_from_dict, synthesize_recording
 
+MAX_K_POINTS = 10_000
 DETECTION_COLUMNS = ("frame_index", "range_bin", "azimuth_bin", "range_m",
                      "azimuth_deg", "power", "threshold")
 
@@ -111,6 +112,7 @@ def _candidate_boxes(recordings):
 def cmd_tune(args) -> int:
     if not 0.0 <= args.fpr_cap <= 1.0:
         raise CliError(f"--fpr-cap must be in [0, 1], got {args.fpr_cap}")
+    k_grid = _parse_k_grid(args.k_grid)
     manifest = _load_manifest(args)
     recs = [read_recording(p) for p in args.recordings]
     occupied = [r for r in recs if r.label == "occupied"]
@@ -120,8 +122,7 @@ def cmd_tune(args) -> int:
     by_view = _candidate_boxes(occupied)
     occ_cached = [cache_recording(r, manifest) for r in occupied]
     emp_cached = [cache_recording(r, manifest, by_view.get(r.view_tag)) for r in empty]
-    result = scoring.tune_k(occ_cached, emp_cached, _parse_k_grid(args.k_grid),
-                            args.fpr_cap, flags_at_k)
+    result = scoring.tune_k(occ_cached, emp_cached, k_grid, args.fpr_cap, flags_at_k)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -152,7 +153,10 @@ def _parse_k_grid(spec: str):
         start, stop, step = (float(p) for p in parts)
         if not (0.0 < step < math.inf and 0.0 < start <= stop < math.inf):
             raise CliError("bad k grid bounds: need finite 0 < start <= stop and step > 0")
-        n = int(math.floor((stop - start) / step + 1e-9)) + 1
+        steps = (stop - start) / step + 1e-9
+        if steps >= MAX_K_POINTS:
+            raise CliError(f"k grid {spec!r} has more than {MAX_K_POINTS} points")
+        n = int(math.floor(steps)) + 1
         return [round(start + i * step, 10) for i in range(n)]
     grid = [float(p) for p in spec.split(",") if p]
     if not all(0.0 < k < math.inf for k in grid):

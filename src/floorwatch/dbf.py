@@ -4,9 +4,11 @@ Steering weights carry one unit-modulus phase term per receiver offset:
 w_m(theta, phi) = exp(j * 2*pi/lambda * (d_x,m * sin(theta) * cos(phi)
                                          + d_y,m * sin(phi))),
 with azimuth theta measured from broadside so the map is one-to-one over a
-symmetric look grid. The beam output sums z_m * w_m without conjugation;
-the simulator generates arrivals as the elementwise conjugate of these
-weights so the beam peak lands on the true direction.
+symmetric look grid. The input is the clutter-filtered range-Doppler
+cube, an (rx, range_bin, doppler_bin) array z. The beam output sums
+z_m * w_m without conjugation; the simulator generates arrivals as the
+elementwise conjugate of these weights so the beam peak lands on the true
+direction.
 
 The spectrum has shape (range, azimuth, elevation, doppler) but its memory
 is laid out (azimuth, elevation, doppler, range), as the 4-D
@@ -22,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ArrayGeometry
-from .frontend import RangeDopplerCube
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,7 @@ def dbf_weights(grid: SteeringGrid, geom: ArrayGeometry) -> np.ndarray:
     return np.exp(1j * element_phases(geom, theta, phi))
 
 
-def dbf_power(rd: RangeDopplerCube, weights: np.ndarray, doppler_window: np.ndarray) -> np.ndarray:
+def dbf_power(rd: np.ndarray, weights: np.ndarray, doppler_window: np.ndarray) -> np.ndarray:
     """Complex beam spectrum over (range, azimuth, elevation, doppler-in-window).
 
     P[r, t, p, d] = sum_m z_m[r, d] * w_m[t, p] on the selected Doppler bins,
@@ -93,14 +94,14 @@ def dbf_power(rd: RangeDopplerCube, weights: np.ndarray, doppler_window: np.ndar
     dw = np.asarray(doppler_window, dtype=int)
     if dw.size == 0:
         raise ValueError("doppler_window must be non-empty")
-    if dw.min() < 0 or dw.max() >= rd.num_doppler_bins:
+    if dw.min() < 0 or dw.max() >= rd.shape[2]:
         raise ValueError("doppler_window out of bin range")
     if weights.ndim != 3:
         raise ValueError("weights must be [azimuth][elevation][rx]")
     n_t, n_p, n_rx = weights.shape
-    if n_rx != rd.num_rx:
+    if n_rx != rd.shape[0]:
         raise ValueError("weight receiver count does not match cube")
-    z = rd.values[:, :, dw]  # (rx, range, d)
+    z = rd[:, :, dw]  # (rx, range, d)
     n_r, n_d = z.shape[1:]
     s = np.einsum("mk,jm->jk", z.transpose(0, 2, 1).reshape(n_rx, -1),
                   weights.reshape(-1, n_rx))  # (t*p, d*r)

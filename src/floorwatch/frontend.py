@@ -7,41 +7,17 @@ consistency matters. The range axis keeps the lower half
 of the spectrum; the Doppler axis is centered so zero velocity sits at bin
 chirps_per_frame // 2. Complex phase across receivers is preserved
 throughout for the later spatial processing.
+
+The cube ``process_frame`` returns, and the clutter filter, DBF and Capon
+take, is a plain complex128 (rx, range_bin, doppler_bin) array. Samples are
+checked where they enter, by ``Recording``; the cube is not checked again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import RadarConfig
-
-
-@dataclass(frozen=True)
-class RangeDopplerCube:
-    """Per-receiver complex range-Doppler maps, indexed [rx][range_bin][doppler_bin]."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values)
-        if v.ndim != 3:
-            raise ValueError("values must be [rx][range_bin][doppler_bin]")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("range-Doppler values contain non-finite entries")
-
-    @property
-    def num_rx(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def num_range_bins(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def num_doppler_bins(self) -> int:
-        return self.values.shape[2]
 
 
 def range_fft(frame: np.ndarray, cfg: RadarConfig) -> np.ndarray:
@@ -56,7 +32,7 @@ def range_fft(frame: np.ndarray, cfg: RadarConfig) -> np.ndarray:
     return spectrum[:, :, : cfg.num_range_bins]
 
 
-def doppler_fft(profiles: np.ndarray, cfg: RadarConfig) -> RangeDopplerCube:
+def doppler_fft(profiles: np.ndarray, cfg: RadarConfig) -> np.ndarray:
     """Hann-windowed FFT across chirps, spectrum centered on zero Doppler.
 
     ``profiles`` is the [rx][chirp][range_bin] output of range_fft.
@@ -68,11 +44,11 @@ def doppler_fft(profiles: np.ndarray, cfg: RadarConfig) -> RangeDopplerCube:
     w = np.hanning(cfg.chirps_per_frame)
     spectrum = np.fft.fft(profiles * w[None, :, None], axis=1)
     spectrum = np.fft.fftshift(spectrum, axes=1)
-    return RangeDopplerCube(values=np.moveaxis(spectrum, 1, 2))  # -> [rx][range_bin][doppler_bin]
+    return np.moveaxis(spectrum, 1, 2)  # -> [rx][range_bin][doppler_bin]
 
 
-def process_frame(frame: np.ndarray, cfg: RadarConfig) -> RangeDopplerCube:
-    """Range FFT followed by Doppler FFT."""
+def process_frame(frame: np.ndarray, cfg: RadarConfig) -> np.ndarray:
+    """Range FFT followed by Doppler FFT: the frame's (rx, range_bin, doppler_bin) cube."""
     return doppler_fft(range_fft(frame, cfg), cfg)
 
 

@@ -4,7 +4,9 @@ Per bin, the clutter map follows C_k = alpha * C_{k-1} + (1 - alpha) * X_k
 and the filter output is Y_k = X_k - C_k. With the bundled alpha = 0.01 the
 clutter map tracks the newest frame almost exactly, so Y_k is a scaled
 first difference; alpha near 1 gives the slow-adaptation reading instead.
-State is per recording and must be stepped sequentially.
+State is per recording and must be stepped sequentially. Input and output
+are (rx, range_bin, doppler_bin) cubes, the arrays ``frontend.process_frame``
+returns.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .frontend import RangeDopplerCube
 
 DEFAULT_ALPHA = 0.01
 
@@ -30,7 +30,7 @@ def init_clutter(dims: tuple, alpha: float = DEFAULT_ALPHA) -> ClutterState:
     return ClutterState(estimate=np.zeros(dims, dtype=np.complex128), alpha=alpha)
 
 
-def mti_step(state: ClutterState, rdm: RangeDopplerCube) -> tuple[ClutterState, RangeDopplerCube]:
+def mti_step(state: ClutterState, x: np.ndarray) -> tuple[ClutterState, np.ndarray]:
     """Advance the clutter map one frame and return the clutter-subtracted cube.
 
     The update is computed in the algebraically equivalent incremental form
@@ -38,10 +38,9 @@ def mti_step(state: ClutterState, rdm: RangeDopplerCube) -> tuple[ClutterState, 
     drives a constant input to exact numeric zero instead of leaving
     round-off residue. Complex phase is preserved per receiver.
     """
-    x = rdm.values
     if x.shape != state.estimate.shape:
         raise ValueError(f"cube shape {x.shape} does not match state {state.estimate.shape}")
     diff = x - state.estimate
     filtered = state.alpha * diff
     new_estimate = state.estimate + (1.0 - state.alpha) * diff
-    return ClutterState(estimate=new_estimate, alpha=state.alpha), RangeDopplerCube(filtered)
+    return ClutterState(estimate=new_estimate, alpha=state.alpha), filtered

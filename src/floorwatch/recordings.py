@@ -63,6 +63,12 @@ def payload_nbytes(cfg: RadarConfig, n_frames: int) -> int:
 
 
 def write_recording(path, rec: Recording) -> None:
+    """Write ``rec``; a real or imaginary part beyond float32's range, or NaN, raises first."""
+    limit = np.finfo(np.float32).max
+    for i, frame in enumerate(rec.samples):  # frame by frame: no whole-array temporary
+        if not (np.abs(frame.real) <= limit).all() or not (np.abs(frame.imag) <= limit).all():
+            raise ValueError(f"frame {i}: a sample component exceeds the float32 range "
+                             "of the recording format")
     cfg = rec.config
     header = {
         "format_version": FORMAT_VERSION,

@@ -93,3 +93,16 @@ def test_append_keeps_working_with_out_inside_the_checkout(bench_record, checkou
         bench_record.main()
     assert excinfo.value.code == 2
     assert len(json.loads(out.read_text())["runs"]) == 2
+
+
+def test_a_run_whose_last_line_is_not_json_is_recorded_as_failed(bench_record, tmp_path,
+                                                                 monkeypatch):
+    # at the parent json.loads raised and stopped the whole recording
+    def run(argv, **kwargs):
+        return subprocess.CompletedProcess(argv, 0, stdout='{"correct": true}\nTraceback\n',
+                                           stderr="warning\n")
+    monkeypatch.setattr(bench_record.subprocess, "run", run)
+    result = bench_record.bench_run(tmp_path, "stream", 1, 1.0, 0)
+    assert result["correct"] is False and result["failed"] == 0 and result["metrics"] == {}
+    assert result["error"] == "last stdout line is not a JSON result: Traceback"
+    assert result["stderr"] == "warning\n"

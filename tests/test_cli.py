@@ -8,7 +8,7 @@ import pytest
 
 from floorwatch import scoring
 from floorwatch.cfar import DetectionSet, hit_test
-from floorwatch.cli import DETECTION_COLUMNS, _fmt, main
+from floorwatch.cli import DETECTION_COLUMNS, CliError, _fmt, _parse_k_grid, main
 from floorwatch.core import RadarConfig, default_geometry
 from floorwatch.pipeline import build_axes, build_grid
 from floorwatch.recordings import manifest_to_dict, RunManifest, write_recording
@@ -229,6 +229,19 @@ def test_simulate_refuses_a_tag_that_is_not_a_string(workspace, capsys):
     assert not (tmp / "a.rec").exists()
 
 
+def test_simulate_refuses_samples_beyond_the_float32_range(workspace, capsys):
+    # at the parent this wrote inf samples after a numpy overflow warning, and every
+    # command then refused the file
+    tmp, cfg, _, _, _ = workspace
+    loud = dict(SCENE, targets=[dict(SCENE["targets"][0], amplitude=1e39)])
+    scene = write_json(tmp / "loud.json", loud)
+    rc = main(["simulate", "--scene", scene, "--config", cfg, "--out", str(tmp / "a.rec")])
+    assert rc == 1 and json_error(capsys) == {
+        "error": "ValueError",
+        "message": "frame 0: a sample component exceeds the float32 range of the recording format"}
+    assert not (tmp / "a.rec").exists()
+
+
 def test_evaluate_empty_alone_fails(workspace, capsys):
     tmp, cfg, _, empty, manifest = workspace
     emp = tmp / "emp.rec"
@@ -386,6 +399,25 @@ def test_tune_rejects_non_positive_or_non_finite_k_grid(tune_inputs, capsys, gri
     capsys.readouterr()
     assert main(tune_inputs + [f"--k-grid={grid}"]) != 0
     assert json_error(capsys)["error"] == "CliError"
+
+
+def test_k_grid_point_count_is_capped_before_the_grid_is_built():
+    # at the parent the first grid ended in an OverflowError traceback
+    for grid in ("1:1e308:1e-300", "1:10001:1"):
+        with pytest.raises(CliError, match="more than 10000 points"):
+            _parse_k_grid(grid)
+    assert len(_parse_k_grid("1:10000:1")) == 10_000
+
+
+@pytest.mark.parametrize("grid", ["1:1e308:1e-300", "1:2:1e-9", "1:10001:1"])
+def test_tune_refuses_a_huge_k_grid_before_reading_recordings(tmp_path, capsys, grid):
+    # the recordings named here do not exist, so the grid error must come first; at the
+    # parent the grid was parsed after every recording was read and processed
+    rc = main(["tune", "--recordings", str(tmp_path / "occ.rec"), str(tmp_path / "emp.rec"),
+               f"--k-grid={grid}", "--out", str(tmp_path / "tune")])
+    assert rc == 1 and json_error(capsys) == {
+        "error": "CliError", "message": f"k grid {grid!r} has more than 10000 points"}
+    assert not (tmp_path / "tune").exists()
 
 
 @pytest.mark.parametrize("cap", ["nan", "-0.1", "1.5"])

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from floorwatch.frontend import RangeDopplerCube
 from floorwatch.mti import init_clutter, mti_step
 
 DIMS = (2, 4, 8)
 
 
 def cube(values):
-    return RangeDopplerCube(values=np.broadcast_to(values, DIMS).astype(complex).copy())
+    return np.broadcast_to(values, DIMS).astype(complex)
 
 
 def run_constant(x, alpha, steps):
@@ -16,7 +15,7 @@ def run_constant(x, alpha, steps):
     outs = []
     for _ in range(steps):
         state, out = mti_step(state, cube(x))
-        outs.append(out.values[0, 0, 0])
+        outs.append(out[0, 0, 0])
     return state, np.array(outs)
 
 
@@ -82,8 +81,8 @@ def test_filter_linearity_over_streams():
         state = init_clutter(DIMS, 0.01)
         out = []
         for v in stream:
-            state, o = mti_step(state, RangeDopplerCube(values=v))
-            out.append(o.values)
+            state, o = mti_step(state, v)
+            out.append(o)
         return np.array(out)
 
     lhs = run(a * xs + b * ys)
@@ -104,7 +103,7 @@ def test_alternating_input_steady_state_gain():
         for k in range(steps):
             sign = 1.0 if k % 2 == 0 else -1.0
             state, out = mti_step(state, cube(sign * x))
-            val = abs(out.values[0, 0, 0])
+            val = abs(out[0, 0, 0])
         expected = 2 * alpha / (1 + alpha) * abs(x)
         assert val == pytest.approx(expected, rel=1e-6)
         if alpha >= np.sqrt(2) - 1:
@@ -113,7 +112,7 @@ def test_alternating_input_steady_state_gain():
 
 def test_dimension_mismatch_rejected():
     state = init_clutter(DIMS, 0.01)
-    wrong = RangeDopplerCube(values=np.zeros((2, 5, 8), dtype=complex))
+    wrong = np.zeros((2, 5, 8), dtype=complex)
     with pytest.raises(ValueError):
         mti_step(state, wrong)
 

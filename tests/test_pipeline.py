@@ -12,7 +12,7 @@ from floorwatch.cfar import EDGE_POLICIES, CfarConfig, GroundTruthBox
 from floorwatch.core import ArrayGeometry, RadarConfig, default_geometry
 from floorwatch.pipeline import (cache_recording, detections_from_maps, flags_at_k,
                                  process_recording, score_recording, stack_maps)
-from floorwatch.recordings import RunManifest
+from floorwatch.recordings import RunManifest, read_recording, write_recording
 from floorwatch.sim import ClutterSpec, SceneSpec, TargetSpec, synthesize_recording
 
 CFG = RadarConfig()
@@ -205,3 +205,44 @@ def test_capon_pair_must_be_half_a_wavelength_along_azimuth(dx, dy, ok):
         with pytest.raises(ValueError, match="half a wavelength"):
             process_recording(rec, RunManifest(method="capon"))  # at the call, not at next()
     assert len(list(process_recording(rec, RunManifest(method="dbf")))) == 2
+
+
+F32 = np.finfo(np.float32)
+
+
+@pytest.mark.parametrize("method", ["dbf", "capon"])
+@pytest.mark.parametrize("value", [F32.max, F32.tiny, F32.smallest_subnormal],
+                         ids=["max", "smallest_normal", "smallest_subnormal"])
+def test_recording_files_at_the_float32_limits_give_finite_maps(tmp_path, method, value):
+    # the chain checks its input once, where a recording enters; every legal file must
+    # then give finite maps without a further check on the range-Doppler cube
+    rec = occupied_recording(3)
+    signs = np.random.default_rng(7).choice([-1.0, 1.0], (2,) + rec.samples.shape)
+    path = tmp_path / "limit.rec"
+    write_recording(path, dataclasses.replace(rec, samples=value * (signs[0] + 1j * signs[1])))
+    outs = list(process_recording(read_recording(path), RunManifest(method=method)))
+    assert len(outs) == 3
+    for out in outs:
+        assert np.isfinite(out.power).all() and np.isfinite(out.threshold_base).all()
+
+
+@pytest.mark.parametrize("method, amplitude, message", [
+    ("dbf", 1e306, "power map contains non-finite values"),
+    ("capon", 1e306, "snapshots contain non-finite values"),
+    ("capon", 1e-155, "power map contains non-finite values"),
+])
+def test_in_memory_recordings_beyond_the_chain_range_are_refused(method, amplitude, message):
+    # complex128 recordings made in memory can leave the range a file can hold: at 1e306
+    # the FFT overflows, and at 1e-155 Capon's pseudoinverse does; the map or snapshot
+    # check must refuse the frame rather than yield a non-finite map
+    rec = occupied_recording(3)
+    scaled = dataclasses.replace(rec, samples=amplitude / np.abs(rec.samples).max() * rec.samples)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match=message):
+        list(process_recording(scaled, RunManifest(method=method)))
+
+
+def test_dbf_at_a_tiny_in_memory_amplitude_stays_finite():
+    rec = occupied_recording(3)
+    scaled = dataclasses.replace(rec, samples=1e-155 / np.abs(rec.samples).max() * rec.samples)
+    for out in process_recording(scaled, RunManifest(method="dbf")):
+        assert np.isfinite(out.power).all() and np.isfinite(out.threshold_base).all()

@@ -16,6 +16,8 @@ non-ignored file (name and bytes) when the checkout differs from it in
 ``BENCHMARK.json``, ``perfbench/`` or ``src/``, the files a run reads (so a
 BENCH file written into the checkout leaves its revision as it was).
 
+A run that exits nonzero, prints nothing, or whose last printed line is not
+a JSON object is recorded as not ``correct``, with the reason in ``error``.
 Writes ``--out`` after every run: the host (nproc, CPU, Python, numpy and
 scipy), every run's printed result, and a summary per workload and
 checkout: the median and quartiles of each end-to-end metric, the per-layer
@@ -80,6 +82,10 @@ def revision(repo: Path) -> str:
     return f"{commit}-dirty-{hashlib.sha256(dirty).hexdigest()[:12]}" if dirty else commit
 
 
+def failed_run(error: str) -> dict:
+    return {"correct": False, "attempted": 0, "failed": 0, "metrics": {}, "error": error}
+
+
 def bench_run(repo: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
@@ -87,10 +93,14 @@ def bench_run(repo: Path, workload: str, seed: int, seconds: float, trace: int) 
     proc = subprocess.run(argv, cwd=repo, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        result = {"correct": False, "attempted": 0, "failed": 0, "metrics": {},
-                  "error": f"exit {proc.returncode}: {proc.stderr[-2000:]}"}
+        result = failed_run(f"exit {proc.returncode}: {proc.stderr[-2000:]}")
     else:
-        result = json.loads(lines[-1])
+        try:
+            result = json.loads(lines[-1])
+        except json.JSONDecodeError:
+            result = None
+        if not isinstance(result, dict):
+            result = failed_run(f"last stdout line is not a JSON result: {lines[-1][-2000:]}")
         if proc.stderr.strip():
             result["stderr"] = proc.stderr[-2000:]
     return {"workload": workload, "seed": seed, "trace": trace,
