@@ -155,8 +155,9 @@ def capon_range_azimuth(rd: np.ndarray, grid: SteeringGrid, doppler_window: np.n
                         channels) -> RangeAzimuthMap:
     """Capon map of one frame: one snapshot stack, one covariance stack, one spectrum.
 
-    ``channels`` is the (reference, offset) receiver pair of ``capon_steering``.
+    ``channels`` is the (reference, offset) receiver pair of ``capon_steering``,
+    whose columns on the grid are made once per grid (``grid.pair_steering``).
     """
     x = collect_snapshots(rd, np.arange(rd.shape[1]), doppler_window, channels)
-    power, clamped = capon_spectrum(spatial_covariance(x), capon_steering(grid.azimuth_angles))
+    power, clamped = capon_spectrum(spatial_covariance(x), grid.pair_steering)
     return RangeAzimuthMap(power=power, clamp_count=clamped)

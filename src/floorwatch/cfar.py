@@ -16,6 +16,7 @@ the earliest in the set; the kept cells come out in label order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -81,23 +82,47 @@ class DetectionSet:
         return m
 
 
-def _window_sums(cum: np.ndarray, half_r: int, half_c: int):
-    """Clipped window sum and in-map cell count around every cell.
-
-    ``cum`` is the map's cumulative sum over rows, then columns, with a
-    leading row and column of zeros.
-    """
-    n_r, n_c = cum.shape[0] - 1, cum.shape[1] - 1
+def _window_bounds(n_r: int, n_c: int, half_r: int, half_c: int):
+    """Clipped window bounds (r0, r1, c0, c1) and in-map cell count around every cell."""
     rows, cols = np.arange(n_r), np.arange(n_c)
     # clipped to the map; each bound can leave it on one side only
     r0 = np.maximum(rows - half_r, 0)
     r1 = np.minimum(rows + half_r, n_r - 1) + 1
     c0 = np.maximum(cols - half_c, 0)
     c1 = np.minimum(cols + half_c, n_c - 1) + 1
+    return (r0, r1, c0, c1), (r1 - r0)[:, None] * (c1 - c0)[None, :]
+
+
+def _window_sums(cum: np.ndarray, bounds) -> np.ndarray:
+    """Window sums from ``cum``, the map's cumulative sum over rows, then columns,
+    with a leading row and column of zeros."""
+    r0, r1, c0, c1 = bounds
     top, bot = cum[r1], cum[r0]
-    sums = top[:, c1] - bot[:, c1] - top[:, c0] + bot[:, c0]
-    counts = (r1 - r0)[:, None] * (c1 - c0)[None, :]
-    return sums, counts
+    return top[:, c1] - bot[:, c1] - top[:, c0] + bot[:, c0]
+
+
+@functools.lru_cache(maxsize=32)
+def _ring_geometry(shape: tuple, guard: tuple, training: tuple, edge_policy: str):
+    """Full and guard window bounds, ring counts, ``ring_cnt > 0`` and the evaluable mask.
+
+    They depend only on the map shape and the ring, so each is made once and
+    shared: every array is read-only.
+    """
+    (n_r, n_c), (gr, gc), (tr, tc) = shape, guard, training
+    full, full_cnt = _window_bounds(n_r, n_c, gr + tr, gc + tc)
+    inner, guard_cnt = _window_bounds(n_r, n_c, gr, gc)
+    ring_cnt = full_cnt - guard_cnt
+    if edge_policy == "skip_cell":
+        rows = np.arange(n_r)[:, None]
+        cols = np.arange(n_c)[None, :]
+        evaluable = ((rows - (gr + tr) >= 0) & (rows + (gr + tr) <= n_r - 1)
+                     & (cols - (gc + tc) >= 0) & (cols + (gc + tc) <= n_c - 1))
+    else:
+        evaluable = ring_cnt >= 1
+    arrays = (ring_cnt, ring_cnt > 0, evaluable)
+    for a in (*full, *inner, *arrays):
+        a.flags.writeable = False
+    return (full, inner, *arrays)
 
 
 def training_stats(power: np.ndarray, cfg: CfarConfig):
@@ -105,30 +130,21 @@ def training_stats(power: np.ndarray, cfg: CfarConfig):
 
     The ring is the (guard+training) window minus the guard block (which
     contains the cell under test). Thresholds are k * mean; the cells the
-    edge policy skips are ``~evaluable``.
+    edge policy skips are ``~evaluable``, a new array on every call. The map
+    is non-negative, so no partial sum exceeds its total: a total beyond the
+    float64 range is refused, as the means would not be finite.
     """
     power = np.asarray(power, dtype=float)
-    gr, gc = cfg.guard_cells
-    tr, tc = cfg.training_cells
+    full, inner, ring_cnt, has_ring, evaluable = _ring_geometry(
+        power.shape, tuple(cfg.guard_cells), tuple(cfg.training_cells), cfg.edge_policy)
     cum = np.zeros((power.shape[0] + 1, power.shape[1] + 1))
     cum[1:, 1:] = power.cumsum(axis=0).cumsum(axis=1)
-    full_sum, full_cnt = _window_sums(cum, gr + tr, gc + tc)
-    guard_sum, guard_cnt = _window_sums(cum, gr, gc)
-    ring_sum = full_sum - guard_sum
-    ring_cnt = full_cnt - guard_cnt
-
-    if cfg.edge_policy == "skip_cell":
-        n_r, n_c = power.shape
-        rows = np.arange(n_r)[:, None]
-        cols = np.arange(n_c)[None, :]
-        evaluable = ((rows - (gr + tr) >= 0) & (rows + (gr + tr) <= n_r - 1)
-                     & (cols - (gc + tc) >= 0) & (cols + (gc + tc) <= n_c - 1))
-    else:
-        evaluable = ring_cnt >= 1
-
+    if not np.isfinite(cum[-1, -1]):
+        raise ValueError("map total exceeds the float64 range")
     mean = np.zeros_like(power)
-    np.divide(ring_sum, ring_cnt, out=mean, where=ring_cnt > 0)
-    return mean, evaluable
+    np.divide(_window_sums(cum, full) - _window_sums(cum, inner), ring_cnt, out=mean,
+              where=has_ring)
+    return mean, evaluable.copy()
 
 
 def threshold(power: np.ndarray, base: np.ndarray, evaluable: np.ndarray, k: float) -> DetectionSet:

@@ -19,6 +19,7 @@ spectrum in another layout gives maps that differ in the last bits.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,14 @@ class SteeringGrid:
             raise ValueError("look directions must lie within +/-90 degrees")
         object.__setattr__(self, "azimuth_angles", az)
         object.__setattr__(self, "elevation_angles", el)
+
+    @functools.cached_property
+    def pair_steering(self) -> np.ndarray:
+        """Read-only ``capon.capon_steering`` of the azimuth grid, made once per grid."""
+        from .capon import capon_steering  # capon imports this module
+        a = capon_steering(self.azimuth_angles)
+        a.flags.writeable = False
+        return a
 
 
 def default_grid(theta_max_deg: float = 60.0, theta_step_deg: float = 1.0,

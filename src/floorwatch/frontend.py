@@ -1,7 +1,8 @@
 """Fast-time / slow-time FFT frontend: raw frames to per-receiver range-Doppler maps.
 
 A frame is one (rx, chirp, sample) complex array. Both stages apply a Hann
-taper, which bounds leakage from strong static clutter, and use
+taper, which bounds leakage from strong static clutter (each taper is made
+once per length, as a read-only complex128 array), and use
 unnormalized forward FFTs; thresholds downstream are relative, so only
 consistency matters. The range axis keeps the lower half
 of the spectrum; the Doppler axis is centered so zero velocity sits at bin
@@ -9,15 +10,27 @@ chirps_per_frame // 2. Complex phase across receivers is preserved
 throughout for the later spatial processing.
 
 The cube ``process_frame`` returns, and the clutter filter, DBF and Capon
-take, is a plain complex128 (rx, range_bin, doppler_bin) array. Samples are
+take, is a plain complex128 (rx, range_bin, doppler_bin) array; the
+pipeline keeps only the zero-Doppler window's bins of it. Samples are
 checked where they enter, by ``Recording``; the cube is not checked again.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .core import RadarConfig
+
+
+@functools.lru_cache(maxsize=None)
+def _hann(n: int) -> np.ndarray:
+    """Read-only complex128 ``np.hanning(n)``: the product numpy makes with the float
+    taper, without casting the taper on every frame."""
+    w = np.hanning(n).astype(np.complex128)
+    w.flags.writeable = False
+    return w
 
 
 def range_fft(frame: np.ndarray, cfg: RadarConfig) -> np.ndarray:
@@ -27,8 +40,8 @@ def range_fft(frame: np.ndarray, cfg: RadarConfig) -> np.ndarray:
     """
     if frame.shape != cfg.frame_shape:
         raise ValueError(f"frame shape {frame.shape} does not match config {cfg.frame_shape}")
-    samples = np.asarray(frame, dtype=np.complex128)
-    spectrum = np.fft.fft(samples * np.hanning(cfg.samples_per_chirp), axis=2)
+    # the product widens complex64 samples to complex128 as it goes, with no copy first
+    spectrum = np.fft.fft(frame * _hann(cfg.samples_per_chirp), axis=2)
     return spectrum[:, :, : cfg.num_range_bins]
 
 
@@ -41,8 +54,7 @@ def doppler_fft(profiles: np.ndarray, cfg: RadarConfig) -> np.ndarray:
     expected = (cfg.num_rx, cfg.chirps_per_frame, cfg.num_range_bins)
     if profiles.shape != expected:
         raise ValueError(f"profiles shape {profiles.shape} does not match {expected}")
-    w = np.hanning(cfg.chirps_per_frame)
-    spectrum = np.fft.fft(profiles * w[None, :, None], axis=1)
+    spectrum = np.fft.fft(profiles * _hann(cfg.chirps_per_frame)[:, None], axis=1)
     spectrum = np.fft.fftshift(spectrum, axes=1)
     return np.moveaxis(spectrum, 1, 2)  # -> [rx][range_bin][doppler_bin]
 

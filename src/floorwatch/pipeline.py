@@ -1,11 +1,17 @@
 """End-to-end composition: frames -> range-Doppler -> clutter filter -> RA map -> detections.
 
 The clutter state is reset at the start of every recording and stepped
-sequentially; distinct recordings are independent. Sweeping the detector
-sensitivity k reuses the per-frame power and training-mean maps, since the
-threshold is k times a k-independent mean: a recording's maps are cached as
-one tall map, each frame followed by an all-zero separator row, and each k
-makes one threshold-and-suppress pass over it.
+sequentially; distinct recordings are independent. Only the zero-Doppler
+window's bins are clutter filtered, as they are the only bins DBF and Capon
+read. A frame does only per-frame work: the Hann tapers, the CFAR ring
+geometry (per map shape and config) and the Capon pair steering (per
+grid) are made once and reused.
+
+Sweeping the detector sensitivity k reuses the per-frame power and
+training-mean maps, since the threshold is k times a k-independent mean: a
+recording's maps are cached as one tall map, each frame followed by an
+all-zero separator row, and each k makes one threshold-and-suppress pass
+over it.
 """
 
 from __future__ import annotations
@@ -76,17 +82,18 @@ def _frame_outputs(rec: Recording, manifest: RunManifest, window: np.ndarray):
     geom = rec.geometry
     weights = dbf_mod.dbf_weights(manifest.grid, geom) if manifest.method == "dbf" else None
 
-    state = init_clutter((cfg.num_rx, cfg.num_range_bins, cfg.chirps_per_frame),
-                         alpha=manifest.mti_alpha)
+    # MTI is per bin, so filtering only the window's bins gives the same values
+    state = init_clutter((cfg.num_rx, cfg.num_range_bins, window.size), alpha=manifest.mti_alpha)
+    bins = np.arange(window.size)
 
     for i, frame in enumerate(rec.samples):
-        rd = process_frame(frame, cfg)
+        rd = process_frame(frame, cfg)[:, :, window]
         state, filtered = mti_step(state, rd)
         if manifest.method == "dbf":
-            spectrum = dbf_mod.dbf_power(filtered, weights, window)
+            spectrum = dbf_mod.dbf_power(filtered, weights, bins)
             ra = dbf_mod.dbf_range_azimuth(spectrum)
         else:
-            ra = capon_mod.capon_range_azimuth(filtered, manifest.grid, window, geom.azimuth_pair)
+            ra = capon_mod.capon_range_azimuth(filtered, manifest.grid, bins, geom.azimuth_pair)
         power = ra.power
         base, evaluable = cfar_mod.training_stats(power, manifest.cfar)
         dets = detections_from_maps(power, base, evaluable, manifest.k)

@@ -138,7 +138,10 @@ def synthesize_frame(scene: SceneSpec, cfg: RadarConfig, geom: ArrayGeometry,
         rng = _frame_rng(scene.seed, frame_idx)
         shape = cube.shape
         scale = scene.noise_std / np.sqrt(2.0)
-        cube += scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        noise = np.empty(shape, dtype=np.complex128)
+        np.multiply(scale, rng.standard_normal(shape), out=noise.real)
+        np.multiply(scale, rng.standard_normal(shape), out=noise.imag)
+        cube += noise
 
     return cube
 

@@ -128,6 +128,17 @@ def test_capon_steering_columns_match_scalar_calls():
         capon_steering(np.array([0.0, 2.0]))
 
 
+def test_grid_pair_steering_is_made_once_and_read_only():
+    grid = default_grid()
+    a = grid.pair_steering
+    assert a is grid.pair_steering
+    assert np.array_equal(a, capon_steering(grid.azimuth_angles))
+    with pytest.raises(ValueError):
+        a[1, 0] = 0.0
+    other = grid_deg()
+    assert np.array_equal(other.pair_steering, capon_steering(other.azimuth_angles))
+
+
 # --- spectrum ---
 
 def test_spectrum_identity_covariance_is_flat():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from floorwatch.cfar import (CfarConfig, DetectionSet, GroundTruthBox, ca_cfar_2d,
+from floorwatch.cfar import (CfarConfig, DetectionSet, GroundTruthBox, _ring_geometry, ca_cfar_2d,
                              cfar_mask, hit_test, map_axes, suppress, training_stats)
 
 
@@ -156,6 +156,44 @@ def test_cfar_input_validation():
         ca_cfar_2d(np.array([[1.0, -2.0]]), CfarConfig())
     with pytest.raises(ValueError):
         ca_cfar_2d(np.array([[1.0, np.inf]]), CfarConfig())
+
+
+
+def test_map_whose_total_overflows_is_refused():
+    # every cell is finite and non-negative, but the cumulative sum passes the float64
+    # maximum: the training means used to come back NaN and the detector found nothing
+    power = np.random.default_rng(1).uniform(0.0, 1e307, (32, 121))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="float64 range"):
+        ca_cfar_2d(power, CfarConfig())
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="float64 range"):
+        training_stats(power, CfarConfig())
+    mean, _ = training_stats(power / 1e3, CfarConfig())
+    assert np.isfinite(mean).all()
+
+
+def test_cached_ring_geometry_is_read_only():
+    full, inner, *arrays = _ring_geometry((32, 121), (2, 2), (4, 4), "shrink_window")
+    for a in (*full, *inner, *arrays):
+        with pytest.raises(ValueError):
+            a[0] = 0
+    _, evaluable = training_stats(np.ones((32, 121)), CfarConfig())
+    evaluable[...] = False  # the caller's own copy
+    assert arrays[-1].all()
+
+
+def test_each_shape_and_config_gets_its_own_ring_geometry():
+    rng = np.random.default_rng(4)
+    cases = [((32, 121), CfarConfig()), ((32, 121), CfarConfig(edge_policy="skip_cell")),
+             ((32, 121), CfarConfig(guard_cells=(1, 3), training_cells=(2, 5))),
+             ((32, 121), CfarConfig(guard_cells=[1, 3], training_cells=[2, 5], k=9.0)),
+             ((20, 50), CfarConfig()), ((50, 20), CfarConfig(edge_policy="skip_cell"))]
+    for _ in range(2):  # the second pass reads every geometry back from the cache
+        for shape, cfg in cases:
+            power = rng.exponential(1.0, shape)
+            mean, evaluable = training_stats(power, cfg)
+            want_mean, want_evaluable = two_cumsum_stats(power, cfg)
+            assert np.array_equal(mean, want_mean)
+            assert np.array_equal(evaluable, want_evaluable)
 
 
 # --- suppression ---

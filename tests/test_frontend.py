@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from floorwatch.core import RadarConfig
-from floorwatch.frontend import doppler_fft, process_frame, range_fft, zero_doppler_window
+from floorwatch.frontend import _hann, doppler_fft, process_frame, range_fft, zero_doppler_window
 
 
 def small_cfg():
@@ -130,3 +130,18 @@ def test_zero_doppler_window():
     assert list(zero_doppler_window(cube.shape[2], 2)) == [6, 7, 8, 9, 10]
     with pytest.raises(ValueError):
         zero_doppler_window(cube.shape[2], 9)
+
+
+@pytest.mark.parametrize("n", [1, 16, 64, 128])
+def test_cached_taper_gives_the_float_taper_product_and_is_read_only(n):
+    # one complex128 taper per length replaces the float64 taper numpy cast on every frame
+    w = _hann(n)
+    assert w is _hann(n)
+    assert w.dtype == np.complex128 and np.array_equal(w.real, np.hanning(n)) and not w.imag.any()
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((3, 5, n)) + 1j * rng.standard_normal((3, 5, n))
+    x[0, 0] = -0.0 + 0.0j
+    x[0, 1] = 0.0 - 0.0j
+    assert np.array_equal((x * w).view(np.float64), (x * np.hanning(n)).view(np.float64))
+    with pytest.raises(ValueError):
+        w[0] = 1.0

@@ -246,3 +246,91 @@ def test_dbf_at_a_tiny_in_memory_amplitude_stays_finite():
     scaled = dataclasses.replace(rec, samples=1e-155 / np.abs(rec.samples).max() * rec.samples)
     for out in process_recording(scaled, RunManifest(method="dbf")):
         assert np.isfinite(out.power).all() and np.isfinite(out.threshold_base).all()
+
+
+def test_in_memory_dbf_recording_whose_map_total_overflows_is_refused():
+    # Gaussian samples at 1e306 give a finite DBF map (max about 2e307) whose total passes
+    # the float64 maximum; the training means used to come back NaN with no detections
+    rng = np.random.default_rng(0)
+    rec = occupied_recording(3)
+    noise = rng.standard_normal(rec.samples.shape) + 1j * rng.standard_normal(rec.samples.shape)
+    scaled = dataclasses.replace(rec, samples=1e306 * noise)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="float64 range"):
+        for out in process_recording(scaled, RunManifest(method="dbf")):
+            assert np.isfinite(out.threshold_base).all()
+
+
+# --- the windowed chain equals the full-cube composition it replaced ---
+
+def full_cube_outputs(rec, manifest):
+    """Clutter filter on all Doppler bins; DBF or Capon picks the zero-Doppler window."""
+    from floorwatch import capon as capon_mod, dbf as dbf_mod
+    from floorwatch.frontend import process_frame, zero_doppler_window
+    from floorwatch.mti import init_clutter, mti_step
+
+    cfg = rec.config
+    window = zero_doppler_window(cfg.chirps_per_frame, manifest.doppler_half_width)
+    weights = dbf_mod.dbf_weights(manifest.grid, rec.geometry)
+    state = init_clutter((cfg.num_rx, cfg.num_range_bins, cfg.chirps_per_frame),
+                         alpha=manifest.mti_alpha)
+    for frame in rec.samples:
+        state, filtered = mti_step(state, process_frame(frame, cfg))
+        if manifest.method == "dbf":
+            ra = dbf_mod.dbf_range_azimuth(dbf_mod.dbf_power(filtered, weights, window))
+        else:
+            ra = capon_mod.capon_range_azimuth(filtered, manifest.grid, window,
+                                               rec.geometry.azimuth_pair)
+        base, evaluable = cfar.training_stats(ra.power, manifest.cfar)
+        yield ra.power, base, evaluable, detections_from_maps(ra.power, base, evaluable,
+                                                              manifest.k)
+
+
+@pytest.fixture(scope="module")
+def bench_recording_pair(tmp_path_factory):
+    from floorwatch.bench import occupied_benchmark_scenes
+
+    scene = dataclasses.replace(occupied_benchmark_scenes(1, seed=1)[0], n_frames=40)
+    rec = synthesize_recording(scene, CFG, GEOM)
+    path = tmp_path_factory.mktemp("bench") / "bench.rec"
+    write_recording(path, rec)
+    return {"memory": rec, "file": read_recording(path)}
+
+
+@pytest.mark.parametrize("source", ["memory", "file"])
+@pytest.mark.parametrize("method", ["dbf", "capon"])
+def test_windowed_chain_equals_the_full_cube_composition(bench_recording_pair, method, source):
+    from floorwatch.bench import bench_manifest
+
+    rec = bench_recording_pair[source]
+    assert rec.samples.dtype == (np.complex128 if source == "memory" else np.complex64)
+    manifest = bench_manifest(method, 4.6352 if method == "capon" else 7.5441)
+    outs = list(process_recording(rec, manifest))
+    assert len(outs) == rec.n_frames == 40
+    n_detections = 0
+    for out, (power, base, evaluable, dets) in zip(outs, full_cube_outputs(rec, manifest)):
+        assert np.array_equal(out.power, power)
+        assert np.array_equal(out.threshold_base, base)
+        assert np.array_equal(out.evaluable, evaluable)
+        got = out.detections
+        for name in ("range_bins", "azimuth_bins", "power", "threshold"):
+            assert np.array_equal(getattr(got, name), getattr(dets, name))
+        n_detections += len(got)
+    assert n_detections > 0
+
+
+@pytest.mark.parametrize("method", ["dbf", "capon"])
+@pytest.mark.parametrize("edge_policy", EDGE_POLICIES)
+def test_writing_into_one_frame_output_leaves_the_next_frame_alone(method, edge_policy):
+    # the ring geometry is cached per map shape and config; no frame may hand it out
+    rec = occupied_recording(4)
+    manifest = RunManifest(method=method, k=3.0, mti_alpha=0.99, edge_policy=edge_policy)
+    want = [(out.power.copy(), out.threshold_base.copy(), out.evaluable.copy())
+            for out in process_recording(rec, manifest)]
+    for _ in range(2):  # a second recording must not see the first one's writes either
+        for out, (power, base, evaluable) in zip(process_recording(rec, manifest), want):
+            assert np.array_equal(out.power, power)
+            assert np.array_equal(out.threshold_base, base)
+            assert np.array_equal(out.evaluable, evaluable)
+            out.power[...] = -1.0
+            out.threshold_base[...] = -1.0
+            out.evaluable[...] = ~out.evaluable
