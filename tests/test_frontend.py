@@ -140,8 +140,22 @@ def test_cached_taper_gives_the_float_taper_product_and_is_read_only(n):
     assert w.dtype == np.complex128 and np.array_equal(w.real, np.hanning(n)) and not w.imag.any()
     rng = np.random.default_rng(n)
     x = rng.standard_normal((3, 5, n)) + 1j * rng.standard_normal((3, 5, n))
-    x[0, 0] = -0.0 + 0.0j
-    x[0, 1] = 0.0 - 0.0j
-    assert np.array_equal((x * w).view(np.float64), (x * np.hanning(n)).view(np.float64))
+    x[0, 0] = complex(-0.0, 0.0)
+    x[0, 1] = complex(0.0, -0.0)
+    x[0, 2] = complex(-0.0, -0.0)
+    assert np.array_equal((x * w).view(np.uint64), (x * np.hanning(n)).view(np.uint64))
     with pytest.raises(ValueError):
         w[0] = 1.0
+
+
+def test_range_fft_of_complex64_samples_equals_the_widened_copy_bit_for_bit():
+    # the taper product widens complex64 samples itself, so no complex128 copy is made first
+    cfg = small_cfg()
+    rng = np.random.default_rng(11)
+    x = (rng.standard_normal(cfg.frame_shape)
+         + 1j * rng.standard_normal(cfg.frame_shape)).astype(np.complex64)
+    want = np.fft.fft(x.astype(np.complex128) * np.hanning(cfg.samples_per_chirp), axis=2)
+    got = range_fft(x, cfg)
+    assert got.dtype == np.complex128
+    assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
+                          np.ascontiguousarray(want[:, :, : cfg.num_range_bins]).view(np.uint64))

@@ -6,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from floorwatch import cfar, pipeline
+from floorwatch import capon, cfar, dbf, pipeline
+from floorwatch.bench import bench_manifest, occupied_benchmark_scenes
 from floorwatch.capon import check_pair_geometry
 from floorwatch.cfar import EDGE_POLICIES, CfarConfig, GroundTruthBox
 from floorwatch.core import ArrayGeometry, RadarConfig, default_geometry
+from floorwatch.frontend import process_frame, zero_doppler_window
+from floorwatch.mti import init_clutter, mti_step
 from floorwatch.pipeline import (cache_recording, detections_from_maps, flags_at_k,
                                  process_recording, score_recording, stack_maps)
 from floorwatch.recordings import RunManifest, read_recording, write_recording
@@ -264,22 +267,18 @@ def test_in_memory_dbf_recording_whose_map_total_overflows_is_refused():
 
 def full_cube_outputs(rec, manifest):
     """Clutter filter on all Doppler bins; DBF or Capon picks the zero-Doppler window."""
-    from floorwatch import capon as capon_mod, dbf as dbf_mod
-    from floorwatch.frontend import process_frame, zero_doppler_window
-    from floorwatch.mti import init_clutter, mti_step
-
     cfg = rec.config
     window = zero_doppler_window(cfg.chirps_per_frame, manifest.doppler_half_width)
-    weights = dbf_mod.dbf_weights(manifest.grid, rec.geometry)
+    weights = dbf.dbf_weights(manifest.grid, rec.geometry)
     state = init_clutter((cfg.num_rx, cfg.num_range_bins, cfg.chirps_per_frame),
                          alpha=manifest.mti_alpha)
     for frame in rec.samples:
         state, filtered = mti_step(state, process_frame(frame, cfg))
         if manifest.method == "dbf":
-            ra = dbf_mod.dbf_range_azimuth(dbf_mod.dbf_power(filtered, weights, window))
+            ra = dbf.dbf_range_azimuth(dbf.dbf_power(filtered, weights, window))
         else:
-            ra = capon_mod.capon_range_azimuth(filtered, manifest.grid, window,
-                                               rec.geometry.azimuth_pair)
+            ra = capon.capon_range_azimuth(filtered, manifest.grid, window,
+                                           rec.geometry.azimuth_pair)
         base, evaluable = cfar.training_stats(ra.power, manifest.cfar)
         yield ra.power, base, evaluable, detections_from_maps(ra.power, base, evaluable,
                                                               manifest.k)
@@ -287,8 +286,6 @@ def full_cube_outputs(rec, manifest):
 
 @pytest.fixture(scope="module")
 def bench_recording_pair(tmp_path_factory):
-    from floorwatch.bench import occupied_benchmark_scenes
-
     scene = dataclasses.replace(occupied_benchmark_scenes(1, seed=1)[0], n_frames=40)
     rec = synthesize_recording(scene, CFG, GEOM)
     path = tmp_path_factory.mktemp("bench") / "bench.rec"
@@ -299,8 +296,6 @@ def bench_recording_pair(tmp_path_factory):
 @pytest.mark.parametrize("source", ["memory", "file"])
 @pytest.mark.parametrize("method", ["dbf", "capon"])
 def test_windowed_chain_equals_the_full_cube_composition(bench_recording_pair, method, source):
-    from floorwatch.bench import bench_manifest
-
     rec = bench_recording_pair[source]
     assert rec.samples.dtype == (np.complex128 if source == "memory" else np.complex64)
     manifest = bench_manifest(method, 4.6352 if method == "capon" else 7.5441)
