@@ -10,9 +10,13 @@ chirps_per_frame // 2. Complex phase across receivers is preserved
 throughout for the later spatial processing.
 
 The cube ``process_frame`` returns, and the clutter filter, DBF and Capon
-take, is a plain complex128 (rx, range_bin, doppler_bin) array; the
-pipeline keeps only the zero-Doppler window's bins of it. Samples are
-checked where they enter, by ``Recording``; the cube is not checked again.
+take, is a plain complex128 (rx, range_bin, doppler_bin) array. By default
+it holds every Doppler bin; the pipeline asks for the zero-Doppler window's
+bins only, which are gathered from the unshifted spectrum (no ``fftshift``
+copy), and passes ``frame_buffers`` made once per recording, so both FFTs
+run in place in the same two arrays on every frame. The cube is a fresh
+array either way. Samples are checked where they enter, by ``Recording``;
+the cube is not checked again.
 """
 
 from __future__ import annotations
@@ -33,35 +37,58 @@ def _hann(n: int) -> np.ndarray:
     return w
 
 
-def range_fft(frame: np.ndarray, cfg: RadarConfig) -> np.ndarray:
+def frame_buffers(cfg: RadarConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The two complex128 arrays ``process_frame`` computes the range and Doppler
+    spectra in. A recording's loop makes one pair for all its frames, so the heap
+    does not trim and fault these temporaries back in on every frame."""
+    return (np.empty(cfg.frame_shape, dtype=np.complex128),
+            np.empty((cfg.num_rx, cfg.chirps_per_frame, cfg.num_range_bins), dtype=np.complex128))
+
+
+def range_fft(frame: np.ndarray, cfg: RadarConfig, out: np.ndarray | None = None) -> np.ndarray:
     """Hann-windowed FFT over fast time; returns [rx][chirp][range_bin] keeping the lower half.
 
-    A pure beat tone at a bin-center frequency concentrates in that bin.
+    Computed in ``out`` (complex128, the frame's shape; fresh if None), which the
+    result is a view of. A pure beat tone at a bin-center frequency concentrates in that bin.
     """
     if frame.shape != cfg.frame_shape:
         raise ValueError(f"frame shape {frame.shape} does not match config {cfg.frame_shape}")
     # the product widens complex64 samples to complex128 as it goes, with no copy first
-    spectrum = np.fft.fft(frame * _hann(cfg.samples_per_chirp), axis=2)
+    spectrum = np.multiply(frame, _hann(cfg.samples_per_chirp), out=out)
+    np.fft.fft(spectrum, axis=2, out=spectrum)
     return spectrum[:, :, : cfg.num_range_bins]
 
 
-def doppler_fft(profiles: np.ndarray, cfg: RadarConfig) -> np.ndarray:
-    """Hann-windowed FFT across chirps, spectrum centered on zero Doppler.
+def doppler_fft(profiles: np.ndarray, cfg: RadarConfig, window: np.ndarray | None = None,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Hann-windowed FFT across chirps: the Doppler bins ``window`` (default: all) of
+    the spectrum centered on zero Doppler, as a fresh [rx][range_bin][doppler_bin] array.
 
-    ``profiles`` is the [rx][chirp][range_bin] output of range_fft.
+    ``profiles`` is the [rx][chirp][range_bin] output of range_fft. The spectrum
+    is computed in ``out`` (complex128, the profiles' shape; fresh if None) and
+    never shifted: centered bin b is bin (b - n // 2) % n of it.
     """
     profiles = np.asarray(profiles, dtype=np.complex128)
     expected = (cfg.num_rx, cfg.chirps_per_frame, cfg.num_range_bins)
     if profiles.shape != expected:
         raise ValueError(f"profiles shape {profiles.shape} does not match {expected}")
-    spectrum = np.fft.fft(profiles * _hann(cfg.chirps_per_frame)[:, None], axis=1)
-    spectrum = np.fft.fftshift(spectrum, axes=1)
-    return np.moveaxis(spectrum, 1, 2)  # -> [rx][range_bin][doppler_bin]
+    n = cfg.chirps_per_frame
+    spectrum = np.multiply(profiles, _hann(n)[:, None], out=out)
+    np.fft.fft(spectrum, axis=1, out=spectrum)
+    if window is None:
+        window = np.arange(n)  # (arange(n) - n // 2) % n is the fftshift permutation
+    return np.moveaxis(spectrum, 1, 2)[:, :, (window - n // 2) % n]
 
 
-def process_frame(frame: np.ndarray, cfg: RadarConfig) -> np.ndarray:
-    """Range FFT followed by Doppler FFT: the frame's (rx, range_bin, doppler_bin) cube."""
-    return doppler_fft(range_fft(frame, cfg), cfg)
+def process_frame(frame: np.ndarray, cfg: RadarConfig, window: np.ndarray | None = None,
+                  buffers: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Range FFT followed by Doppler FFT: the frame's (rx, range_bin, doppler_bin) cube.
+
+    Only the centered Doppler bins ``window`` (default: all) are returned, in a
+    fresh array; both FFTs run in ``buffers`` (``frame_buffers(cfg)``; fresh if None).
+    """
+    spectrum, doppler = (None, None) if buffers is None else buffers
+    return doppler_fft(range_fft(frame, cfg, spectrum), cfg, window, doppler)
 
 
 def zero_doppler_window(num_doppler_bins: int, half_width: int = 2) -> np.ndarray:

@@ -6,9 +6,10 @@ clutter map tracks the newest frame almost exactly, so Y_k is a scaled
 first difference; alpha near 1 gives the slow-adaptation reading instead.
 State is per recording and must be stepped sequentially. Input and output
 are (rx, range_bin, doppler_bin) cubes, the arrays ``frontend.process_frame``
-returns. Each bin is filtered on its own, so the pipeline filters only the
-bins of the zero-Doppler window (a state of that many Doppler bins) and
-gets the same values there as a filter over the whole cube.
+returns: every Doppler bin by default, only the zero-Doppler window's bins
+in the pipeline. Each bin is filtered on its own, so the pipeline's filter
+(a state of that many Doppler bins) gets the same values there as a filter
+over the whole cube.
 """
 
 from __future__ import annotations

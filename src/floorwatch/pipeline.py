@@ -2,10 +2,11 @@
 
 The clutter state is reset at the start of every recording and stepped
 sequentially; distinct recordings are independent. Only the zero-Doppler
-window's bins are clutter filtered, as they are the only bins DBF and Capon
-read. A frame does only per-frame work: the Hann tapers, the CFAR ring
-geometry (per map shape and config) and the Capon pair steering (per
-grid) are made once and reused.
+window's bins are computed by the frontend and clutter filtered, as they are
+the only bins DBF and Capon read. A frame does only per-frame work: the Hann
+tapers, the CFAR ring geometry (per map shape and config) and the Capon pair
+steering (per grid) are made once and reused, and the frontend's two FFT
+buffers are made once per recording, as its clutter state is.
 
 Sweeping the detector sensitivity k reuses the per-frame power and
 training-mean maps, since the threshold is k times a k-independent mean: a
@@ -25,7 +26,7 @@ from . import cfar as cfar_mod
 from . import dbf as dbf_mod
 from .cfar import DetectionSet, MapAxes
 from .core import RadarConfig, range_resolution
-from .frontend import process_frame, zero_doppler_window
+from .frontend import frame_buffers, process_frame, zero_doppler_window
 from .mti import init_clutter, mti_step
 from .recordings import RunManifest
 from .scoring import TrialRecord
@@ -84,10 +85,11 @@ def _frame_outputs(rec: Recording, manifest: RunManifest, window: np.ndarray):
 
     # MTI is per bin, so filtering only the window's bins gives the same values
     state = init_clutter((cfg.num_rx, cfg.num_range_bins, window.size), alpha=manifest.mti_alpha)
+    buffers = frame_buffers(cfg)
     bins = np.arange(window.size)
 
     for i, frame in enumerate(rec.samples):
-        rd = process_frame(frame, cfg)[:, :, window]
+        rd = process_frame(frame, cfg, window, buffers)
         state, filtered = mti_step(state, rd)
         if manifest.method == "dbf":
             spectrum = dbf_mod.dbf_power(filtered, weights, bins)

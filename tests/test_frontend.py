@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floorwatch.core import RadarConfig
-from floorwatch.frontend import _hann, doppler_fft, process_frame, range_fft, zero_doppler_window
+from floorwatch.frontend import (_hann, doppler_fft, frame_buffers, process_frame, range_fft,
+                                 zero_doppler_window)
 
 
 def small_cfg():
@@ -159,3 +162,65 @@ def test_range_fft_of_complex64_samples_equals_the_widened_copy_bit_for_bit():
     assert got.dtype == np.complex128
     assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
                           np.ascontiguousarray(want[:, :, : cfg.num_range_bins]).view(np.uint64))
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def unaligned_complex64(x):
+    """``x`` as complex64 two bytes into a buffer, as recording payloads are laid out."""
+    frame = np.frombuffer(bytearray(2 + x.size * 8), dtype=np.complex64, count=x.size,
+                          offset=2).reshape(x.shape)
+    frame[...] = x
+    assert not frame.flags.aligned
+    return frame
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_windowed_frontend_equals_the_full_cube_bit_for_bit(data):
+    # the window's bins come from the unshifted spectrum, computed in reused buffers
+    n = 2 * data.draw(st.integers(1, 64), label="chirps_per_frame / 2")
+    cfg = RadarConfig(chirps_per_frame=n,
+                      samples_per_chirp=2 * data.draw(st.integers(1, 32), label="samples / 2"),
+                      num_rx=data.draw(st.integers(2, 4), label="num_rx"))
+    window = zero_doppler_window(n, data.draw(st.integers(0, n // 2 - 1), label="half_width"))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    x = rng.standard_normal(cfg.frame_shape) + 1j * rng.standard_normal(cfg.frame_shape)
+    # a receiver of signed zeros gives signed zeros in its spectra
+    zero = data.draw(st.sampled_from([None, complex(-0.0, -0.0), complex(-0.0, 0.0),
+                                      complex(0.0, -0.0)]), label="rx 0 zeros")
+    if zero is not None:
+        x[0] = zero
+    frame = unaligned_complex64(x) if data.draw(st.booleans(), label="complex64") else x
+    full = process_frame(frame, cfg)
+    # the fftshift composition the frontend used to compute
+    profiles = np.fft.fft(frame.astype(np.complex128) * np.hanning(cfg.samples_per_chirp), axis=2)
+    shifted = np.fft.fftshift(np.fft.fft(profiles[:, :, : cfg.num_range_bins]
+                                         * np.hanning(n)[:, None], axis=1), axes=1)
+    assert np.array_equal(bits(full), bits(np.moveaxis(shifted, 1, 2)))
+    # stale buffer contents must not reach the result
+    buffers = tuple(np.full_like(b, np.nan) for b in frame_buffers(cfg))
+    for _ in range(2):
+        got = process_frame(frame, cfg, window, buffers)
+        assert got.shape == (cfg.num_rx, cfg.num_range_bins, window.size)
+        assert got.dtype == np.complex128
+        assert np.array_equal(bits(got), bits(full[:, :, window]))
+
+
+def test_frames_computed_in_shared_buffers_are_their_own_arrays():
+    cfg = small_cfg()
+    window = zero_doppler_window(cfg.chirps_per_frame, 3)
+    rng = np.random.default_rng(7)
+    f0, f1 = (rng.standard_normal(cfg.frame_shape) + 1j * rng.standard_normal(cfg.frame_shape)
+              for _ in range(2))
+    want0, want1 = process_frame(f0, cfg, window), process_frame(f1, cfg, window)
+    buffers = frame_buffers(cfg)
+    cube0 = process_frame(f0, cfg, window, buffers)
+    cube1 = process_frame(f1, cfg, window, buffers)
+    for a, b in [(cube0, cube1), *((c, buf) for c in (cube0, cube1) for buf in buffers)]:
+        assert not np.shares_memory(a, b)
+    assert np.array_equal(cube0, want0)
+    cube0[...] = np.nan
+    assert np.array_equal(cube1, want1)
