@@ -21,7 +21,7 @@ import numpy as np
 from . import scoring
 from .core import RadarConfig, config_from_dict, default_geometry
 from .pipeline import (build_axes, cache_recording, flags_at_k, process_recording,
-                       score_recording)
+                       score_recording, scoring_boxes)
 from .recordings import (RunManifest, dump_json, load_json, manifest_from_dict,
                          read_recording, write_recording)
 from .sim import scene_from_dict, synthesize_recording
@@ -203,7 +203,8 @@ def cmd_evaluate(args) -> int:
     metrics = []
     for rec_path, det_path, rec in recordings:
         if det_path:
-            trial = _trial_from_detections(rec, det_path, manifest)
+            trial = _trial_from_detections(rec, det_path, manifest,
+                                           scoring_boxes(rec, by_view.get(rec.view_tag)))
         else:
             trial = score_recording(rec, manifest, by_view.get(rec.view_tag))
         rate = scoring.frame_positive_rate(trial)
@@ -223,15 +224,13 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _trial_from_detections(rec, det_path, manifest):
-    """Re-score recorded detections against the recording's truth boxes.
+def _trial_from_detections(rec, det_path, manifest, boxes):
+    """Re-score recorded detections against ``boxes``, the recording's ``scoring_boxes``.
 
     Each row is scored at its bins' centres on the manifest's map axes, the
     numbers ``hit_test`` uses; a row whose bins or coordinates do not belong
     to that map (a CSV made on another grid) is refused.
     """
-    if rec.label != "occupied":
-        raise CliError("replaying detections requires an occupied recording")
     axes = build_axes(rec.config, manifest.grid)
     hits = np.zeros(rec.n_frames, dtype=bool)
     with open(det_path, newline="", encoding="utf-8") as fh:
@@ -250,7 +249,7 @@ def _trial_from_detections(rec, det_path, manifest):
             if (row["range_m"], row["azimuth_deg"]) != (_fmt(r), _fmt(math.degrees(th))):
                 raise CliError(f"{where}: range_m/azimuth_deg are not bin ({rb}, {ab}) of "
                                "the manifest's map; was the CSV made on another grid?")
-            if any(b.contains(r, th) for b in rec.truth):
+            if any(b.contains(r, th) for b in boxes):
                 hits[idx] = True
     return scoring.TrialRecord(subject_id=rec.subject_tag, view_tag=rec.view_tag,
                                location_tag=rec.location_tag, method_tag=manifest.method,

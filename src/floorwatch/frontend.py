@@ -1,13 +1,13 @@
 """Fast-time / slow-time FFT frontend: raw frames to per-receiver range-Doppler maps.
 
-A frame is one (rx, chirp, sample) complex array. Both stages apply a Hann
-taper, which bounds leakage from strong static clutter (each taper is made
-once per length, as a read-only complex128 array), and use
-unnormalized forward FFTs; thresholds downstream are relative, so only
-consistency matters. The range axis keeps the lower half
-of the spectrum; the Doppler axis is centered so zero velocity sits at bin
-chirps_per_frame // 2. Complex phase across receivers is preserved
-throughout for the later spatial processing.
+A frame is one (rx, chirp, sample) complex array, and ``process_frame`` is the
+frontend's one FFT function. Both of its stages apply a Hann taper, which
+bounds leakage from strong static clutter (each taper is made once per length,
+as a read-only complex128 array), and use unnormalized forward FFTs;
+thresholds downstream are relative, so only consistency matters. The range
+axis keeps the lower half of the spectrum; the Doppler axis is centered so
+zero velocity sits at bin chirps_per_frame // 2. Complex phase across
+receivers is preserved throughout for the later spatial processing.
 
 The cube ``process_frame`` returns, and the clutter filter, DBF and Capon
 take, is a plain complex128 (rx, range_bin, doppler_bin) array. By default
@@ -45,50 +45,27 @@ def frame_buffers(cfg: RadarConfig) -> tuple[np.ndarray, np.ndarray]:
             np.empty((cfg.num_rx, cfg.chirps_per_frame, cfg.num_range_bins), dtype=np.complex128))
 
 
-def range_fft(frame: np.ndarray, cfg: RadarConfig, out: np.ndarray | None = None) -> np.ndarray:
-    """Hann-windowed FFT over fast time; returns [rx][chirp][range_bin] keeping the lower half.
+def process_frame(frame: np.ndarray, cfg: RadarConfig, window: np.ndarray | None = None,
+                  buffers: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Hann-windowed range FFT, then Hann-windowed Doppler FFT of the lower range half:
+    the centered Doppler bins ``window`` (default: all) of the frame's
+    (rx, range_bin, doppler_bin) cube, in a fresh array.
 
-    Computed in ``out`` (complex128, the frame's shape; fresh if None), which the
-    result is a view of. A pure beat tone at a bin-center frequency concentrates in that bin.
+    Both FFTs run in ``buffers`` (``frame_buffers(cfg)``; fresh if None). The Doppler
+    spectrum is never shifted: centered bin b is bin (b - n // 2) % n of it.
     """
     if frame.shape != cfg.frame_shape:
         raise ValueError(f"frame shape {frame.shape} does not match config {cfg.frame_shape}")
+    spectrum, doppler = (None, None) if buffers is None else buffers
     # the product widens complex64 samples to complex128 as it goes, with no copy first
-    spectrum = np.multiply(frame, _hann(cfg.samples_per_chirp), out=out)
+    spectrum = np.multiply(frame, _hann(cfg.samples_per_chirp), out=spectrum)
     np.fft.fft(spectrum, axis=2, out=spectrum)
-    return spectrum[:, :, : cfg.num_range_bins]
-
-
-def doppler_fft(profiles: np.ndarray, cfg: RadarConfig, window: np.ndarray | None = None,
-                out: np.ndarray | None = None) -> np.ndarray:
-    """Hann-windowed FFT across chirps: the Doppler bins ``window`` (default: all) of
-    the spectrum centered on zero Doppler, as a fresh [rx][range_bin][doppler_bin] array.
-
-    ``profiles`` is the [rx][chirp][range_bin] output of range_fft. The spectrum
-    is computed in ``out`` (complex128, the profiles' shape; fresh if None) and
-    never shifted: centered bin b is bin (b - n // 2) % n of it.
-    """
-    profiles = np.asarray(profiles, dtype=np.complex128)
-    expected = (cfg.num_rx, cfg.chirps_per_frame, cfg.num_range_bins)
-    if profiles.shape != expected:
-        raise ValueError(f"profiles shape {profiles.shape} does not match {expected}")
     n = cfg.chirps_per_frame
-    spectrum = np.multiply(profiles, _hann(n)[:, None], out=out)
-    np.fft.fft(spectrum, axis=1, out=spectrum)
+    doppler = np.multiply(spectrum[:, :, : cfg.num_range_bins], _hann(n)[:, None], out=doppler)
+    np.fft.fft(doppler, axis=1, out=doppler)
     if window is None:
         window = np.arange(n)  # (arange(n) - n // 2) % n is the fftshift permutation
-    return np.moveaxis(spectrum, 1, 2)[:, :, (window - n // 2) % n]
-
-
-def process_frame(frame: np.ndarray, cfg: RadarConfig, window: np.ndarray | None = None,
-                  buffers: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """Range FFT followed by Doppler FFT: the frame's (rx, range_bin, doppler_bin) cube.
-
-    Only the centered Doppler bins ``window`` (default: all) are returned, in a
-    fresh array; both FFTs run in ``buffers`` (``frame_buffers(cfg)``; fresh if None).
-    """
-    spectrum, doppler = (None, None) if buffers is None else buffers
-    return doppler_fft(range_fft(frame, cfg, spectrum), cfg, window, doppler)
+    return np.moveaxis(doppler, 1, 2)[:, :, (window - n // 2) % n]
 
 
 def zero_doppler_window(num_doppler_bins: int, half_width: int = 2) -> np.ndarray:

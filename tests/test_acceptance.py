@@ -8,9 +8,11 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from floorwatch.bench import (CAPON_K_GRID, DBF_K_GRID, bench_manifest,
                               candidate_boxes_by_view, empty_benchmark_scenes,
@@ -205,53 +207,81 @@ def test_criterion_05_localization():
 # --------------------------------------------------------------------------
 # criteria 6 and 7: clutter benchmark with per-method tuning
 
+METHODS = (("dbf", DBF_K_GRID), ("capon", CAPON_K_GRID))
+ANSWERS = Path(__file__).parent / "data" / "bench_answers.json"
+
+
 @dataclass
 class BenchResults:
-    rates: dict
-    fprs: dict
-    tuned_k: dict
+    flags: dict     # method -> (occupied, empty) lists of per-frame flags at the tuned k
+    sweeps: dict    # method -> the tuning SweepResult
     time_occupied: float
     time_empty: float
     time_tuning: float
 
+    @property
+    def tuned_k(self) -> dict:
+        return {method: sweep.selected.k for method, sweep in self.sweeps.items()}
 
-@pytest.fixture(scope="session")
-def bench() -> BenchResults:
+    @property
+    def rates(self) -> dict:
+        return {m: np.array([f.mean() for f in occ]) for m, (occ, _) in self.flags.items()}
+
+    @property
+    def fprs(self) -> dict:
+        return {m: np.array([f.mean() for f in emp]) for m, (_, emp) in self.flags.items()}
+
+    def answers(self) -> dict:
+        """What ``tests/data/bench_answers.json`` pins: per method the tuned k, every
+        recording's flags at it (``np.packbits`` hex) and every sweep point
+        (k, TPR, FPR, Macro-F1, feasible), with floats as ``repr``."""
+        return {method: {
+            "tuned_k": repr(sweep.selected.k),
+            "frames": sorted({f.size for flags in self.flags[method] for f in flags}),
+            "occupied_flags": [np.packbits(f).tobytes().hex() for f in self.flags[method][0]],
+            "empty_flags": [np.packbits(f).tobytes().hex() for f in self.flags[method][1]],
+            "sweep": [[repr(p.k), repr(p.tpr), repr(p.fpr), repr(p.macro_f1), p.feasible]
+                      for p in sweep.points],
+        } for method, sweep in self.sweeps.items()}
+
+
+def run_bench() -> BenchResults:
+    """Criteria 6/7's clutter benchmark. Each recording is synthesized, cached for both
+    methods and dropped, so one recording's samples are held at a time; its time is
+    charged to the occupied or the empty phase, as its label says."""
     cfg = RadarConfig()
     geom = default_geometry(cfg)
     cands = candidate_boxes_by_view()
+    manifests = {method: bench_manifest(method) for method, _ in METHODS}
+    cached = {method: ([], []) for method in manifests}  # occupied, empty
+    elapsed = [0.0, 0.0]
+    for i, scenes in enumerate((occupied_benchmark_scenes(20), empty_benchmark_scenes(cands, 10))):
+        for scene in scenes:
+            t0 = time.perf_counter()
+            rec = synthesize_recording(scene, cfg, geom)
+            for method, manifest in manifests.items():
+                cached[method][i].append(cache_recording(rec, manifest, cands[rec.view_tag]))
+            elapsed[i] += time.perf_counter() - t0
+            del rec
 
-    t0 = time.perf_counter()
-    occ_recs = [synthesize_recording(s, cfg, geom) for s in occupied_benchmark_scenes(20)]
-    t_occ_synth = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    emp_recs = [synthesize_recording(s, cfg, geom)
-                for s in empty_benchmark_scenes(cands, 10)]
-    t_emp_synth = time.perf_counter() - t0
-
-    rates, fprs, tuned_k = {}, {}, {}
-    t_occ_proc = t_emp_proc = t_tune = 0.0
-    for method, k_grid in (("dbf", DBF_K_GRID), ("capon", CAPON_K_GRID)):
-        manifest = bench_manifest(method)
-        t0 = time.perf_counter()
-        occ_cached = [cache_recording(r, manifest) for r in occ_recs]
-        t_occ_proc += time.perf_counter() - t0
-        t0 = time.perf_counter()
-        emp_cached = [cache_recording(r, manifest, candidate_boxes=cands[r.view_tag])
-                      for r in emp_recs]
-        t_emp_proc += time.perf_counter() - t0
+    flags, sweeps = {}, {}
+    t_tune = 0.0
+    for method, k_grid in METHODS:
+        occ_cached, emp_cached = cached[method]
         t0 = time.perf_counter()
         sweep = tune_k(occ_cached[:4], emp_cached[:4], k_grid, 0.1, flags_at_k)
         t_tune += time.perf_counter() - t0
         assert sweep.feasible, f"no feasible operating point for {method}"
-        k = sweep.selected.k
-        tuned_k[method] = k
-        rates[method] = np.array([flags_at_k(c, k).mean() for c in occ_cached])
-        fprs[method] = np.array([flags_at_k(c, k).mean() for c in emp_cached])
-    return BenchResults(rates=rates, fprs=fprs, tuned_k=tuned_k,
-                        time_occupied=t_occ_synth + t_occ_proc,
-                        time_empty=t_emp_synth + t_emp_proc,
-                        time_tuning=t_tune)
+        sweeps[method] = sweep
+        flags[method] = tuple([flags_at_k(c, sweep.selected.k) for c in trials]
+                              for trials in (occ_cached, emp_cached))
+    return BenchResults(flags=flags, sweeps=sweeps, time_occupied=elapsed[0],
+                        time_empty=elapsed[1], time_tuning=t_tune)
+
+
+@pytest.fixture(scope="session")
+def bench() -> BenchResults:
+    return run_bench()
 
 
 def test_criterion_06_method_ordering_under_clutter(bench):
@@ -274,6 +304,20 @@ def test_criterion_07_empty_room_specificity(bench):
     report(7, capon_fpr == 0.0 and dbf_fpr <= 0.05 and elapsed < 300.0, elapsed,
            f"10 clutter-only recordings at tuned k: capon FPR {capon_fpr:.4f}, "
            f"dbf FPR {dbf_fpr:.4f}")
+
+
+def test_bench_answers_match_the_committed_file(bench):
+    # flags, tuned k and sweep points are exact functions of the maps; a change that
+    # moves one (say, reorders a recording's flags) can leave every printed mean alone
+    pinned = json.loads(ANSWERS.read_text())
+    got = bench.answers()
+    moved = [f"{method}/{key}" for method, want in pinned["answers"].items()
+             for key in want if got[method][key] != want[key]]
+    assert not moved, (
+        f"bench answers {moved} differ from {ANSWERS.name}, made with numpy "
+        f"{pinned['numpy']} and scipy {pinned['scipy']} (this run: numpy {np.__version__}, "
+        f"scipy {scipy.__version__}); another FFT build can flip a flag. A change meant to "
+        "move an answer regenerates the file with tools/bench_answers.py")
 
 
 # --------------------------------------------------------------------------

@@ -166,6 +166,41 @@ def test_evaluate_trials_listing_with_empty_room(workspace):
     assert labels == {"occupied", "empty"}
 
 
+def test_replayed_detections_of_an_empty_recording_score_as_the_stream_does(workspace):
+    # an empty recording is scored against the truth boxes of its view's occupied
+    # recordings; replaying its detections was refused before
+    tmp, cfg, scene, empty, manifest = workspace
+    listing = []
+    for name, spec in (("occ", scene), ("emp", empty)):
+        rec, det = tmp / f"{name}.rec", tmp / f"{name}.csv"
+        main(["simulate", "--scene", spec, "--config", cfg, "--out", str(rec)])
+        main(["process", "--recording", str(rec), "--manifest", manifest, "--k", "2.0",
+              "--out", str(det)])
+        listing.append({"recording": str(rec), "detections": str(det)})
+    streamed = write_json(tmp / "stream.json", [{"recording": e["recording"]} for e in listing])
+    replayed = write_json(tmp / "replay.json", listing)
+    for trials, out in ((streamed, "stream"), (replayed, "replay")):
+        assert main(["evaluate", "--trials", trials, "--manifest", manifest, "--k", "2.0",
+                     "--out", str(tmp / out)]) == 0
+    table = tmp / "stream" / "table.csv"
+    assert [r["rate"] for r in csv.DictReader(table.open())] == ["1.0", "0.125"]  # 1 of 8 empty
+    assert (tmp / "replay" / "table.csv").read_bytes() == table.read_bytes()
+
+
+def test_replaying_an_empty_recording_without_its_view_is_a_json_error(workspace, capsys):
+    tmp, cfg, _, empty, manifest = workspace
+    rec, det = tmp / "emp.rec", tmp / "emp.csv"
+    main(["simulate", "--scene", empty, "--config", cfg, "--out", str(rec)])
+    main(["process", "--recording", str(rec), "--manifest", manifest, "--out", str(det)])
+    capsys.readouterr()
+    rc = main(["evaluate", "--recording", str(rec), "--detections", str(det),
+               "--manifest", manifest, "--out", str(tmp / "eval")])
+    assert rc != 0
+    assert json_error(capsys) == {
+        "error": "ValueError",
+        "message": "empty recording of view 'tv' has no candidate boxes to score against"}
+
+
 @pytest.mark.parametrize("entry, message", [
     pytest.param("recording.rec", "trials[1]: expected a JSON object, got 'recording.rec'",
                  id="string"),

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from floorwatch.core import RadarConfig
-from floorwatch.frontend import (_hann, doppler_fft, frame_buffers, process_frame, range_fft,
-                                 zero_doppler_window)
+from floorwatch.frontend import _hann, frame_buffers, process_frame, zero_doppler_window
 
 
 def small_cfg():
@@ -20,65 +19,69 @@ def dft_oracle(x):
     return np.array([np.sum(x * np.exp(-2j * np.pi * k * m / n)) for m in range(n)])
 
 
+@pytest.mark.parametrize("range_bin, doppler_offset", [
+    pytest.param(5, 0, id="range_tone_5"),
+    pytest.param(0, 3, id="doppler_ramp_3"),
+])
+def test_process_frame_matches_the_separable_dft_oracle(range_bin, doppler_offset):
+    # x[rx, c, s] = a[c] * b[s] has the cube B[r] * A[d]: the lower half of b's tapered
+    # DFT times the centered tapered DFT of a, on every receiver
+    cfg = small_cfg()
+    n, s = cfg.chirps_per_frame, cfg.samples_per_chirp
+    a = np.exp(2j * np.pi * doppler_offset * np.arange(n) / n)
+    b = np.exp(2j * np.pi * range_bin * np.arange(s) / s)
+    cube = process_frame(np.tile(np.outer(a, b), (cfg.num_rx, 1, 1)), cfg)
+    want = np.outer(dft_oracle(b)[: s // 2], np.fft.fftshift(dft_oracle(a)))
+    assert cube.shape == (cfg.num_rx, *want.shape)
+    assert np.allclose(cube, want, rtol=1e-9, atol=1e-9)
+    for rx in range(cfg.num_rx):
+        peak = np.unravel_index(np.argmax(np.abs(cube[rx])), want.shape)
+        assert peak == (range_bin, n // 2 + doppler_offset)
+
+
 def test_range_fft_dc_input():
+    # a static frame of ones: every range profile peaks at bin 0 and the whole cube is the
+    # lower half of the tapered DFT of ones times the centered one of the slow-time ones
     cfg = small_cfg()
-    prof = range_fft(np.ones((2, 16, 32), dtype=complex), cfg)
-    assert prof.shape == (2, 16, 16)
-    assert np.argmax(np.abs(prof[0, 0])) == 0
-    oracle = dft_oracle(np.ones(32))[:16]
-    assert np.allclose(prof, oracle, rtol=1e-9, atol=1e-9)
-
-
-def test_range_fft_pure_tone_matches_dft_oracle():
-    cfg = small_cfg()
-    n = cfg.samples_per_chirp
-    t = np.arange(n)
-    tone = np.exp(2j * np.pi * 5 * t / n)
-    prof = range_fft(np.tile(tone, (2, 16, 1)), cfg)
-    assert np.argmax(np.abs(prof[0, 0])) == 5
-    oracle = dft_oracle(tone)[: n // 2]
-    assert np.allclose(prof, oracle, rtol=1e-9, atol=1e-9)
-
-
-def test_range_fft_zero_frame():
-    cfg = small_cfg()
-    assert np.all(range_fft(np.zeros((2, 16, 32), dtype=complex), cfg) == 0)
-
-
-def test_range_fft_dimension_mismatch():
-    cfg = small_cfg()
-    with pytest.raises(ValueError):
-        range_fft(np.zeros((2, 16, 8), dtype=complex), cfg)
-
-
-def test_doppler_fft_static_input_centered():
-    cfg = small_cfg()
-    profiles = np.ones((2, 16, 16), dtype=complex)
-    cube = doppler_fft(profiles, cfg)
-    assert cube.shape[2] // 2 == 8
-    assert np.argmax(np.abs(cube[0, 0])) == 8
-    oracle = np.fft.fftshift(dft_oracle(np.ones(16)))
+    cube = process_frame(np.ones((2, 16, 32), dtype=complex), cfg)
+    assert cube.shape == (2, 16, 16)
+    assert np.all(np.argmax(np.abs(cube[:, :, 8]), axis=1) == 0)
+    oracle = np.outer(dft_oracle(np.ones(32))[:16], np.fft.fftshift(dft_oracle(np.ones(16))))
     assert np.allclose(cube, oracle, rtol=1e-9, atol=1e-9)
 
 
-def test_doppler_fft_phase_ramp_offsets_peak():
+def test_doppler_fft_static_input_centered():
+    # the same static frame seen along slow time: its Doppler peak is the centered bin n // 2
     cfg = small_cfg()
-    n = cfg.chirps_per_frame
-    d0 = 3
-    ramp = np.exp(2j * np.pi * d0 * np.arange(n) / n)
-    profiles = np.tile(ramp[None, :, None], (2, 1, 16))
-    cube = doppler_fft(profiles, cfg)
-    mags = np.abs(cube[1, 4])
-    assert np.argmax(mags) == cube.shape[2] // 2 + d0
-    # oracle: direct DFT of the tapered slow-time sequence, recentered
-    oracle = np.fft.fftshift(dft_oracle(ramp))
-    assert np.allclose(cube[0, 0], oracle, rtol=1e-9, atol=1e-9)
+    cube = process_frame(np.ones((2, 16, 32), dtype=complex), cfg)
+    assert cube.shape[2] // 2 == 8
+    assert np.all(np.argmax(np.abs(cube[:, 0]), axis=1) == 8)
+    oracle = dft_oracle(np.ones(32))[0] * np.fft.fftshift(dft_oracle(np.ones(16)))
+    assert np.allclose(cube[:, 0], oracle, rtol=1e-9, atol=1e-9)
+
+
+def test_range_fft_zero_frame():
+    # a zero frame gives the exact zero cube, also when computed in buffers holding NaN
+    cfg = small_cfg()
+    buffers = tuple(np.full_like(b, np.nan) for b in frame_buffers(cfg))
+    cube = process_frame(np.zeros((2, 16, 32), dtype=complex), cfg, buffers=buffers)
+    assert cube.shape == (2, 16, 16)
+    assert np.all(cube == 0)
 
 
 def test_doppler_fft_zero_input():
+    # a zero complex64 frame gives exact zeros in the zero-Doppler window
     cfg = small_cfg()
-    cube = doppler_fft(np.zeros((2, 16, 16), dtype=complex), cfg)
+    window = zero_doppler_window(cfg.chirps_per_frame)
+    cube = process_frame(np.zeros((2, 16, 32), dtype=np.complex64), cfg, window)
+    assert cube.shape == (2, 16, window.size)
     assert np.all(cube == 0)
+
+
+def test_process_frame_refuses_a_frame_of_another_shape():
+    cfg = small_cfg()
+    with pytest.raises(ValueError, match="does not match config"):
+        process_frame(np.zeros((2, 16, 8), dtype=complex), cfg)
 
 
 def test_process_frame_composes():
@@ -86,25 +89,6 @@ def test_process_frame_composes():
     cube = process_frame(np.zeros((2, 16, 32), dtype=complex), cfg)
     assert cube.shape == (2, 16, 16)
     assert np.all(cube == 0)
-
-
-def test_parseval_each_stage_full_spectrum():
-    # unnormalized FFT: sum|X|^2 = N * sum|w x|^2 for the Hann-tapered input,
-    # checked against the full spectrum before the kept-half convention discards bins
-    cfg = small_cfg()
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal((2, 16, 32)) + 1j * rng.standard_normal((2, 16, 32))
-    tapered = x * np.hanning(32)
-    energy_in = np.sum(np.abs(tapered) ** 2, axis=(1, 2))
-    full_range = np.fft.fft(tapered, axis=2)
-    assert np.allclose(np.sum(np.abs(full_range) ** 2, axis=(1, 2)),
-                       cfg.samples_per_chirp * energy_in, rtol=1e-6)
-    prof = range_fft(x, cfg)
-    assert np.allclose(prof, full_range[:, :, :16], rtol=1e-12)
-    full_doppler = np.fft.fft(prof, axis=1)
-    assert np.allclose(np.sum(np.abs(full_doppler) ** 2, axis=(1, 2)),
-                       cfg.chirps_per_frame * np.sum(np.abs(prof) ** 2, axis=(1, 2)),
-                       rtol=1e-6)
 
 
 def test_process_frame_linearity():
@@ -149,19 +133,6 @@ def test_cached_taper_gives_the_float_taper_product_and_is_read_only(n):
     assert np.array_equal((x * w).view(np.uint64), (x * np.hanning(n)).view(np.uint64))
     with pytest.raises(ValueError):
         w[0] = 1.0
-
-
-def test_range_fft_of_complex64_samples_equals_the_widened_copy_bit_for_bit():
-    # the taper product widens complex64 samples itself, so no complex128 copy is made first
-    cfg = small_cfg()
-    rng = np.random.default_rng(11)
-    x = (rng.standard_normal(cfg.frame_shape)
-         + 1j * rng.standard_normal(cfg.frame_shape)).astype(np.complex64)
-    want = np.fft.fft(x.astype(np.complex128) * np.hanning(cfg.samples_per_chirp), axis=2)
-    got = range_fft(x, cfg)
-    assert got.dtype == np.complex128
-    assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
-                          np.ascontiguousarray(want[:, :, : cfg.num_range_bins]).view(np.uint64))
 
 
 def bits(a):
