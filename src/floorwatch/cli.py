@@ -156,9 +156,9 @@ def _parse_k_grid(spec: str):
         steps = (stop - start) / step + 1e-9
         if steps >= MAX_K_POINTS:
             raise CliError(f"k grid {spec!r} has more than {MAX_K_POINTS} points")
-        n = int(math.floor(steps)) + 1
-        return [round(start + i * step, 10) for i in range(n)]
-    grid = [float(p) for p in spec.split(",") if p]
+        grid = [round(start + i * step, 10) for i in range(int(steps) + 1)]
+    else:
+        grid = [float(p) for p in spec.split(",") if p]
     if not all(0.0 < k < math.inf for k in grid):
         raise CliError("k grid values must be finite and > 0")
     return grid

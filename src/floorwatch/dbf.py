@@ -10,11 +10,12 @@ z_m * w_m without conjugation; the simulator generates arrivals as the
 elementwise conjugate of these weights so the beam peak lands on the true
 direction.
 
-The spectrum has shape (range, azimuth, elevation, doppler) but its memory
-is laid out (azimuth, elevation, doppler, range), as the 4-D
-``einsum("mrd,tpm->rtpd")`` lays it out. ``dbf_range_azimuth`` sums |P| in
-memory order, so this layout fixes the rounding of every map: the same
-spectrum in another layout gives maps that differ in the last bits.
+The beam is one BLAS matrix product laid out in memory (azimuth, elevation,
+doppler, range), as the 4-D ``einsum("mrd,tpm->rtpd")`` lays it out.
+``dbf_range_azimuth`` sums |P| in memory order, so this layout still fixes
+the rounding of every map. Each spectrum element is within
+``(n_rx + 2) * eps * sum_m |z_m|`` of the einsum's and all-zero range bins
+stay exactly zero; like the FFT's, its last bits depend on the BLAS build.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ def dbf_power(rd: np.ndarray, weights: np.ndarray, doppler_window: np.ndarray) -
     """Complex beam spectrum over (range, azimuth, elevation, doppler-in-window).
 
     P[r, t, p, d] = sum_m z_m[r, d] * w_m[t, p] on the selected Doppler bins,
-    as one 2-D einsum whose (t, p, d, r) result is returned as a view.
+    as one matrix product whose (t, p, d, r) result is returned as a view.
     """
     dw = np.asarray(doppler_window, dtype=int)
     if dw.size == 0:
@@ -112,8 +113,7 @@ def dbf_power(rd: np.ndarray, weights: np.ndarray, doppler_window: np.ndarray) -
         raise ValueError("weight receiver count does not match cube")
     z = rd[:, :, dw]  # (rx, range, d)
     n_r, n_d = z.shape[1:]
-    s = np.einsum("mk,jm->jk", z.transpose(0, 2, 1).reshape(n_rx, -1),
-                  weights.reshape(-1, n_rx))  # (t*p, d*r)
+    s = weights @ z.transpose(0, 2, 1).reshape(n_rx, -1)  # (t, p, d*r)
     return s.reshape(n_t, n_p, n_d, n_r).transpose(3, 0, 1, 2)
 
 

@@ -1,4 +1,4 @@
-"""tools/bench_record.py: the revision label of a checkout and the --append workflow.
+"""tools/bench_record.py: the revision label of a checkout, the --append workflow and the summary.
 
 The benchmark runs themselves are stubbed; these tests make small git
 checkouts under tmp_path and call the tool's functions in process.
@@ -106,3 +106,21 @@ def test_a_run_whose_last_line_is_not_json_is_recorded_as_failed(bench_record, t
     assert result["correct"] is False and result["failed"] == 0 and result["metrics"] == {}
     assert result["error"] == "last stdout line is not a JSON result: Traceback"
     assert result["stderr"] == "warning\n"
+
+
+def test_per_layer_metrics_get_a_median_over_the_traced_seeds(bench_record):
+    def run(repo, seed, trace, metrics):
+        return {"repo": repo, "workload": "stream", "seed": seed, "trace": trace,
+                "correct": True, "failed": 0,
+                "metrics": {n: {"value": v} for n, v in metrics.items()}}
+    runs = [run("change", 1, 0, {"frames_per_s": 10.0}),
+            run("change", 1, 1, {"dbf.beam_ms": 0.9, "mti.step_ms": 0.2}),
+            run("change", 2, 1, {"dbf.beam_ms": 0.3, "mti.step_ms": 0.1}),
+            run("change", 3, 1, {"dbf.beam_ms": 0.5}),
+            run("parent", 1, 1, {"dbf.beam_ms": 2.0})]
+    summary = bench_record.summarise(runs, ["parent", "change"], {"frames_per_s": "higher"})
+    change = summary["stream"]["change"]
+    assert change["layers"]["seed2"] == {"dbf.beam_ms": 0.3, "mti.step_ms": 0.1}
+    assert change["layer_medians"] == pytest.approx({"dbf.beam_ms": 0.5, "mti.step_ms": 0.15})
+    assert change["medians"] == {"frames_per_s": 10.0}
+    assert summary["stream"]["parent"]["layer_medians"] == {"dbf.beam_ms": 2.0}

@@ -429,7 +429,8 @@ def tune_inputs(workspace):
 
 
 @pytest.mark.parametrize("grid", ["-1,0,nan,inf", "0,2.0", "nan", "2.0,inf",
-                                  "0:4:1", "1:nan:0.5", "1:inf:0.5", "nan:4:1", "1:4:inf"])
+                                  "0:4:1", "1:nan:0.5", "1:inf:0.5", "nan:4:1", "1:4:inf",
+                                  "1e-12:1e-11:1e-12"])  # a range that rounds to k = 0
 def test_tune_rejects_non_positive_or_non_finite_k_grid(tune_inputs, capsys, grid):
     capsys.readouterr()
     assert main(tune_inputs + [f"--k-grid={grid}"]) != 0

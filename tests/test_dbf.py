@@ -156,18 +156,26 @@ def test_dbf_power_checks_weight_shape_and_receiver_count():
         dbf_power(cube, w[:, :, :2], np.array([4]))
 
 
-# --- bit equality with the 4-D einsum the beam stage replaced ---
+# --- the 4-D einsum the beam stage replaced, as the oracle at the stated tolerance ---
 
 def assert_beam_is_the_4d_einsum(cube, w, window):
-    """Spectrum, memory layout and map equal those of einsum("mrd,tpm->rtpd"), bit for bit."""
-    want = np.einsum("mrd,tpm->rtpd", cube[:, :, window], w)
+    """Spectrum within (n_rx + 2) * eps * sum_m |z_m| of einsum("mrd,tpm->rtpd"), same layout.
+
+    The matrix product may round otherwise than the einsum, but all-zero range
+    bins stay exactly zero, and the map is the sum of |P| in memory order.
+    """
+    z = cube[:, :, window]
+    want = np.einsum("mrd,tpm->rtpd", z, w)
     got = dbf_power(cube, w, window)
     assert got.shape == want.shape
-    assert np.array_equal(got, want)
+    bound = (z.shape[0] + 2) * np.finfo(float).eps * np.abs(z).sum(axis=0)[:, None, None, :]
+    assert np.all(np.abs(got - want) <= bound)
+    zero_bins = ~np.any(z, axis=(0, 2))
+    assert np.all(got[zero_bins] == 0)
     if min(got.shape) > 1:  # the layout of a tensor with a length-1 axis is numpy's choice
         assert got.strides == want.strides
-    # the map reduces in memory order, so the layout is what makes it equal
-    assert np.array_equal(dbf_range_azimuth(got).power, np.abs(want).sum(axis=(2, 3)))
+    # the map reduces in memory order, so the layout fixes its rounding
+    assert np.array_equal(dbf_range_azimuth(got).power, np.abs(got).sum(axis=(2, 3)))
 
 
 @st.composite

@@ -21,16 +21,17 @@ a JSON object is recorded as not ``correct``, with the reason in ``error``.
 Writes ``--out`` after every run: the host (nproc, CPU, Python, numpy and
 scipy), every run's printed result, and a summary per workload and
 checkout: the median and quartiles of each end-to-end metric, the per-layer
-metrics of the traced runs, whether every run was ``correct`` and how many
-operations failed. With two or more checkouts, the summary also compares
-each later checkout with the first one, per end-to-end metric: the ratio
-and difference of the medians, the first checkout's interquartile range,
-and how many same-seed pairs the later one won, by the direction that
-``BENCHMARK.json`` gives the metric (the i-th run of a seed on one side
-pairs with the i-th on the other). ``--append`` keeps the runs already in
-``--out`` and adds the new ones; it refuses a file made on another host, at
-another run length, or with a label whose checkout is now at another
-revision.
+metrics of each traced run (``layers``, by seed) and their median over the
+traced runs (``layer_medians``, since one traced run can be a quarter off),
+whether every run was ``correct`` and how many operations failed. With
+two or more checkouts, the summary also compares each later checkout with
+the first one, per end-to-end metric: the ratio and difference of the
+medians, the first checkout's interquartile range, and how many same-seed
+pairs the later one won, by the direction that ``BENCHMARK.json`` gives the
+metric (the i-th run of a seed on one side pairs with the i-th on the
+other). ``--append`` keeps the runs already in ``--out`` and adds the new
+ones; it refuses a file made on another host, at another run length, or
+with a label whose checkout is now at another revision.
 """
 
 from __future__ import annotations
@@ -115,6 +116,14 @@ def quartiles(values: list) -> list:
     return [q1, q3]
 
 
+def values_by_name(runs: list) -> dict:
+    values = {}
+    for r in runs:
+        for n, m in r["metrics"].items():
+            values.setdefault(n, []).append(m["value"])
+    return dict(sorted(values.items()))
+
+
 def summarise(runs: list, labels: list, better: dict) -> dict:
     summary = {}
     for workload in WORKLOADS:
@@ -125,19 +134,18 @@ def summarise(runs: list, labels: list, better: dict) -> dict:
                 continue
             untraced = [r for r in mine if not r["trace"]]
             traced = [r for r in mine if r["trace"]]
-            values = {}
-            for r in untraced:
-                for n, m in r["metrics"].items():
-                    values.setdefault(n, []).append(m["value"])
+            values = values_by_name(untraced)
             per_label[label] = {
                 "runs": len(mine),
                 "correct": all(r["correct"] for r in mine),
                 "failed": sum(r["failed"] for r in mine),
                 "seeds": sorted({r["seed"] for r in untraced}),
-                "medians": {n: statistics.median(v) for n, v in sorted(values.items())},
-                "quartiles": {n: quartiles(v) for n, v in sorted(values.items())},
+                "medians": {n: statistics.median(v) for n, v in values.items()},
+                "quartiles": {n: quartiles(v) for n, v in values.items()},
                 "layers": {f"seed{r['seed']}": {n: m["value"] for n, m in r["metrics"].items()}
                            for r in traced},
+                "layer_medians": {n: statistics.median(v)
+                                  for n, v in values_by_name(traced).items()},
             }
         if per_label:
             summary[workload] = per_label

@@ -10,7 +10,9 @@ occupied, two empty, drawn at ``--seed``, 40 frames each) run through
 ``pipeline.process_recording`` for both methods at ``gen.STREAM_K``, in memory
 and read back from DIR/recordings (the stream reads files, so it sees the
 complex64 samples). One SHA-256 per frame each of ``power``, ``threshold_base``,
-``evaluable`` and the detections, covering dtype and shape as well as bytes.
+``evaluable`` and the detections, covering dtype and shape as well as bytes;
+``cells`` digests the detections' (range bin, azimuth bin) cells alone, so a
+change whose maps move in the last bits can show that no detection moved.
 
 ``study/<path>``: the study inputs of ``gen.make_study`` go through ``cli.main``:
 ``simulate`` every scene; per method, ``tune`` over the bench k grid and over
@@ -74,7 +76,8 @@ def stream_digests(seed: int, root: Path) -> dict:
                     result[key] = {
                         "power": digest(out.power), "threshold_base": digest(out.threshold_base),
                         "evaluable": digest(out.evaluable),
-                        "detections": digest(d.range_bins, d.azimuth_bins, d.power, d.threshold)}
+                        "detections": digest(d.range_bins, d.azimuth_bins, d.power, d.threshold),
+                        "cells": digest(d.range_bins, d.azimuth_bins)}
     return result
 
 
