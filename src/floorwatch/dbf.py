@@ -10,12 +10,12 @@ z_m * w_m without conjugation; the simulator generates arrivals as the
 elementwise conjugate of these weights so the beam peak lands on the true
 direction.
 
-The beam is one BLAS matrix product laid out in memory (azimuth, elevation,
-doppler, range), as the 4-D ``einsum("mrd,tpm->rtpd")`` lays it out.
-``dbf_range_azimuth`` sums |P| in memory order, so this layout still fixes
-the rounding of every map. Each spectrum element is within
-``(n_rx + 2) * eps * sum_m |z_m|`` of the einsum's and all-zero range bins
-stay exactly zero; like the FFT's, its last bits depend on the BLAS build.
+The beam is one matrix product, which BLAS runs per azimuth on the calling
+thread, laid out in memory (azimuth, elevation, doppler, range) as the 4-D
+``einsum("mrd,tpm->rtpd")`` lays it out; ``dbf_range_azimuth`` sums |P| in
+memory order, so this layout still fixes the rounding of every map. Each
+element is within ``(n_rx + 2) * eps * sum_m |z_m|`` of the einsum's, zero
+range bins stay zero, and as with the FFT the last bits depend on the build.
 """
 
 from __future__ import annotations
