@@ -4,18 +4,22 @@ Near-zero Doppler bins of the two azimuth-pair receivers in the
 clutter-filtered cube, an (rx, range_bin, doppler_bin) array, are stacked
 as snapshots, one (channel, snapshot) matrix per range bin, and a frame is
 processed as one stack: the sample spatial covariances R = X X^H / N_D of
-every range bin come from one batched product and one batched
-pseudoinverse, and one evaluation of 1 / (a^H R^+ a) on the azimuth grid
-gives the whole range-azimuth map. The
-arithmetic is the same per bin as for a single matrix, so a stacked map
-equals the map built bin by bin. The only steering is the pair model
-a = [1, exp(-j pi sin(theta))], which assumes the offset receiver sits half
-a carrier wavelength from the reference along azimuth.
+every range bin come from one batched product, their pseudoinverses from
+one closed-form 2x2 inverse over the stack (one batched ``np.linalg.pinv``
+for n != 2 channels), and one evaluation of 1 / (a^H R^+ a) on the azimuth
+grid gives the whole range-azimuth map. The arithmetic is elementwise per
+bin, so a stacked map equals the map built bin by bin. The only steering is
+the pair model a = [1, exp(-j pi sin(theta))], which assumes the offset
+receiver sits half a carrier wavelength from the reference along azimuth.
 R is inverted through its Moore-Penrose pseudoinverse with no diagonal
 loading, so exactly singular look directions are possible; those cells are
 clamped to the finite maximum of their range row and counted.
-"""
 
+The closed form keeps ``pinv``'s rank rule and, where ``pinv``'s map is
+finite, gives the same clamps and every cell within 16 kappa eps (relative)
+of it, kappa being lmax / lmin of R capped at 1 / PINV_RCOND; where
+``pinv``'s inverse overflows (R below about 1e-300), so does it.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -25,7 +29,8 @@ import numpy as np
 from .core import ArrayGeometry
 from .dbf import RangeAzimuthMap, SteeringGrid
 
-# quadratic forms at or below this are treated as rank-deficient directions
+# a look direction whose (a^H R^+ a) tr(R) is at or below this is treated as
+# lying in the covariance null space
 QUADFORM_FLOOR = 1e-30
 PINV_RCOND = 1e-12
 
@@ -74,12 +79,14 @@ class SpatialCovariance:
 
 
 def spatial_covariance(snapshots: np.ndarray) -> SpatialCovariance:
-    """Sample covariance R = X X^H / N_D with an SVD pseudoinverse.
+    """Sample covariance R = X X^H / N_D and its Moore-Penrose pseudoinverse.
 
     ``snapshots`` is (..., channel, N_D); leading axes are a stack, and every
-    matrix of it gets the same product, symmetrisation and pseudoinverse in
-    one batched call each. Singular values below 1e-12 of the largest (per
-    matrix) are treated as zero; no diagonal loading is applied.
+    matrix of it gets the same product and symmetrisation in one batched
+    call each. Eigenvalues below 1e-12 of the largest (per matrix) are
+    treated as zero; no diagonal loading is applied. Two channels take the
+    closed form of ``_pair_pseudo_inverse``; other channel counts take one
+    batched ``np.linalg.pinv``.
     """
     x = np.asarray(snapshots, dtype=np.complex128)
     if x.ndim < 2 or x.shape[-1] < 1:
@@ -87,8 +94,40 @@ def spatial_covariance(snapshots: np.ndarray) -> SpatialCovariance:
     if not np.all(np.isfinite(x)):
         raise ValueError("snapshots contain non-finite values")
     r = _hermitian_part(x @ x.conj().swapaxes(-1, -2) / x.shape[-1])
-    rinv = _hermitian_part(np.linalg.pinv(r, rcond=PINV_RCOND, hermitian=True))
+    if r.shape[-1] == 2:
+        rinv = _pair_pseudo_inverse(r)
+    else:
+        rinv = _hermitian_part(np.linalg.pinv(r, rcond=PINV_RCOND, hermitian=True))
     return SpatialCovariance(matrix=r, pseudo_inverse=rinv)
+
+
+def _pair_pseudo_inverse(r: np.ndarray) -> np.ndarray:
+    """Pseudoinverses of a (..., 2, 2) stack of Hermitian PSD matrices, written out.
+
+    Each R is first divided by its trace t, so the rank test and the
+    adjugate work on Rn = R / t, whose entries lie in [-1, 1]: on raw R the
+    determinant and t^2 under- or overflow long before R^+ does. Rn is full
+    rank iff det(Rn) > rcond * lmax(Rn)^2, the ``pinv`` rule
+    lmin > rcond * lmax; then R^+ = adj(Rn) / (det(Rn) t). Otherwise R is
+    taken as rank one, R^+ = Rn / t = R / t^2, and an all-zero R gives zeros.
+    The result is exactly Hermitian.
+    """
+    t = r[..., 0, 0].real + r[..., 1, 1].real
+    t = np.where(t > 0.0, t, 1.0)  # an all-zero R stays zero under any t
+    p = r[..., 0, 0].real / t
+    s = r[..., 1, 1].real / t
+    q = r[..., 0, 1] / t
+    qq = q.real * q.real + q.imag * q.imag
+    det = p * s - qq
+    lmax = 0.5 * (1.0 + np.sqrt((p - s) ** 2 + 4.0 * qq))  # largest eigenvalue of Rn
+    full = det > PINV_RCOND * lmax * lmax
+    coef = 1.0 / (t * np.where(full, det, 1.0))
+    out = np.empty(r.shape, dtype=np.complex128)
+    out[..., 0, 0] = np.where(full, s, p) * coef
+    out[..., 1, 1] = np.where(full, p, s) * coef
+    out[..., 0, 1] = np.where(full, -q, q) * coef
+    out[..., 1, 0] = out[..., 0, 1].conj()
+    return out
 
 
 def capon_steering(theta) -> np.ndarray:
@@ -119,34 +158,56 @@ def check_pair_geometry(geom: ArrayGeometry) -> None:
                          f"({dx:.6g} m, {dy:.6g} m)")
 
 
+def _trace(m: np.ndarray) -> np.ndarray:
+    return np.trace(m, axis1=-2, axis2=-1).real
+
+
 def capon_spectrum(cov: SpatialCovariance, steering: np.ndarray) -> tuple[np.ndarray, int]:
     """Adaptive power spectrum 1 / (a^H R^+ a) over the steering columns.
 
     A stack of covariances gives a stack of spectrum rows, one per matrix.
-    Returns the spectrum and the total number of clamped (singular) cells.
-    A clamped cell takes the finite maximum of its row; rows with no
-    invertible direction at all come back as zeros.
+    Returns the spectrum and the total number of clamped (singular) cells:
+    a cell is singular when (a^H R^+ a) tr(R) <= QUADFORM_FLOOR, a test that
+    does not change when R is scaled. A clamped cell takes the finite
+    maximum of its row; rows with no invertible direction at all come back
+    as zeros. Two-row steering evaluates the quadratic form written out,
+    |a0|^2 m00 + |a1|^2 m11 + 2 Re(conj(a0) a1 m01), other sizes an einsum.
     """
     a = np.asarray(steering)
-    if a.shape[0] != cov.pseudo_inverse.shape[-1]:
+    rinv = cov.pseudo_inverse
+    if a.shape[0] != rinv.shape[-1]:
         raise ValueError("steering dimension does not match covariance")
-    quad = np.real(np.einsum("ct,...cd,dt->...t", a.conj(), cov.pseudo_inverse, a))
-    singular = quad <= QUADFORM_FLOOR
+    if a.shape[0] == 2:
+        norm2 = (a.conj() * a).real
+        cross = 2.0 * a[0].conj() * a[1]
+        quad = rinv[..., 0, 0, None].real * norm2[0]
+        quad += rinv[..., 1, 1, None].real * norm2[1]
+        quad += rinv[..., 0, 1, None].real * cross.real
+        quad -= rinv[..., 0, 1, None].imag * cross.imag
+    else:
+        quad = np.real(np.einsum("ct,...cd,dt->...t", a.conj(), rinv, a))
+    singular = quad * _trace(cov.matrix)[..., None] <= QUADFORM_FLOOR
+    n_singular = np.count_nonzero(singular)
+    if n_singular == 0:
+        return 1.0 / quad, 0
     spectrum = np.zeros(quad.shape)
     np.divide(1.0, quad, out=spectrum, where=~singular)
     # finite cells are > 0 and singular ones still 0, so this is each row's
     # finite maximum, or 0 for a row with no finite cell
     row_max = spectrum.max(axis=-1, keepdims=True)
     spectrum = np.where(singular, row_max, spectrum)
-    return spectrum, int(singular.sum())
+    return spectrum, n_singular
 
 
 def mvdr_weight(cov: SpatialCovariance, steering: np.ndarray) -> np.ndarray:
-    """Closed-form minimum-variance weight R^+ a / (a^H R^+ a)."""
+    """Closed-form minimum-variance weight R^+ a / (a^H R^+ a).
+
+    Raises where ``capon_spectrum`` would clamp: (a^H R^+ a) tr(R) <= QUADFORM_FLOOR.
+    """
     a = np.asarray(steering)
     num = cov.pseudo_inverse @ a
     denom = np.real(a.conj() @ num)
-    if denom <= QUADFORM_FLOOR:
+    if denom * _trace(cov.matrix) <= QUADFORM_FLOOR:
         raise ValueError("steering direction lies in the covariance null space")
     return num / denom
 

@@ -161,6 +161,11 @@ def _parse_k_grid(spec: str):
         grid = [float(p) for p in spec.split(",") if p]
     if not all(0.0 < k < math.inf for k in grid):
         raise CliError("k grid values must be finite and > 0")
+    seen = set()
+    for k in grid:
+        if k in seen:
+            raise CliError(f"k grid {spec!r} repeats k={k!r}; its values must be distinct")
+        seen.add(k)
     return grid
 
 

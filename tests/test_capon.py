@@ -2,16 +2,21 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import floorwatch.capon as capon_module
 from floorwatch.bench import bench_manifest, occupied_benchmark_scenes
-from floorwatch.capon import (SpatialCovariance, capon_range_azimuth,
-                              capon_spectrum, capon_steering, collect_snapshots,
-                              mvdr_weight, spatial_covariance)
+from floorwatch.capon import (PINV_RCOND, QUADFORM_FLOOR, SpatialCovariance,
+                              capon_range_azimuth, capon_spectrum, capon_steering,
+                              collect_snapshots, mvdr_weight, spatial_covariance)
 from floorwatch.core import ArrayGeometry, RadarConfig, default_geometry
 from floorwatch.dbf import SteeringGrid, default_grid, element_phases
 from floorwatch.frontend import process_frame, zero_doppler_window
 from floorwatch.mti import init_clutter, mti_step
-from floorwatch.sim import synthesize_frame
+from floorwatch.pipeline import process_recording
+from floorwatch.recordings import RunManifest, read_recording, write_recording
+from floorwatch.sim import synthesize_frame, synthesize_recording
 
 LAM = 5e-3
 
@@ -352,21 +357,209 @@ def test_rank_deficient_and_all_zero_bins_in_one_stack():
     assert np.all(np.delete(ra.power, [1, 3], axis=0) > 0)
 
 
+# --- the closed-form two-channel inverse against pinv ---
+
+EPS = np.finfo(float).eps
+# Each spectrum cell and each pseudoinverse entry of the closed form is within
+# CELL_TOL * kappa * eps of the pinv result, relative to the cell or to the
+# pseudoinverse's norm; kappa = lmax / lmin of R, capped at 1 / PINV_RCOND,
+# the largest condition pinv inverts. Both paths round R / tr(R) or R's
+# eigenvalues to eps, which moves R^+ and each quadratic form by kappa * eps
+# relative (a quadratic form is at least |a|^2 / lmax, R^+ is at most 1 / lmin).
+CELL_TOL = 16.0
+
+
+def condition(r):
+    """lmax / lmin of each matrix of the stack, capped at 1 / PINV_RCOND."""
+    lam = np.linalg.eigvalsh(r)
+    lmin, lmax = lam[..., 0], lam[..., -1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kappa = np.where(lmin > PINV_RCOND * lmax, lmax / lmin, 1.0 / PINV_RCOND)
+    return np.where(lmax > 0, kappa, 1.0)
+
+
+def pinv_covariance(x):
+    """R and the pinv pseudoinverse as the n-channel path makes them."""
+    r = x @ x.conj().swapaxes(-1, -2) / x.shape[-1]
+    r = (r + r.conj().swapaxes(-1, -2)) / 2.0
+    with np.errstate(all="ignore"):  # pinv's inverse overflows below about 1e-308
+        rinv = np.linalg.pinv(r, rcond=PINV_RCOND, hermitian=True)
+    return r, (rinv + rinv.conj().swapaxes(-1, -2)) / 2.0
+
+
+def pinv_spectrum(x, a):
+    """Spectrum and clamp count from pinv and the einsum: the oracle for two channels."""
+    r, rinv = pinv_covariance(x)
+    quad = np.real(np.einsum("ct,...cd,dt->...t", a.conj(), rinv, a))
+    singular = quad * np.trace(r, axis1=-2, axis2=-1).real[..., None] <= QUADFORM_FLOOR
+    spectrum = np.zeros(quad.shape)
+    np.divide(1.0, quad, out=spectrum, where=~singular)
+    spectrum = np.where(singular, spectrum.max(axis=-1, keepdims=True), spectrum)
+    return spectrum, int(singular.sum())
+
+
+def assert_spectrum_matches_pinv(x, a):
+    """Closed form against the pinv oracle; returns the worst error in units of kappa * eps."""
+    with np.errstate(all="ignore"):
+        want, want_clamped = pinv_spectrum(x, a)
+        got, got_clamped = capon_spectrum(spatial_covariance(x), a)
+    if not np.isfinite(want).all():
+        assert not np.isfinite(got).all()
+        return 0.0
+    assert np.isfinite(got).all()
+    assert got_clamped == want_clamped
+    kappa = condition(pinv_covariance(x)[0])[..., None]
+    err = np.abs(got - want)
+    assert np.all(err <= CELL_TOL * kappa * EPS * want)
+    return float(np.max(err / (kappa * EPS * np.where(want > 0, want, 1.0)), initial=0.0))
+
+
 def test_stacked_covariance_is_the_per_matrix_arithmetic():
     # the two-dimensional formulas written out: R = X X^H / N_D, symmetrised,
-    # pinv, symmetrised again; a stack must give each matrix's exact bits
+    # pinv, symmetrised again; a stack must give each matrix's exact bits for
+    # three channels, and within CELL_TOL * kappa * eps for two, which take
+    # the closed form (rank one in matrix 6, all zero in matrix 4)
     rng = np.random.default_rng(13)
-    x = rng.standard_normal((9, 2, 5)) + 1j * rng.standard_normal((9, 2, 5))
-    x[4] = 0.0
-    x[6, 1] = x[6, 0]
-    cov = spatial_covariance(x)
-    for m in range(x.shape[0]):
-        r = x[m] @ x[m].conj().T / x.shape[2]
-        r = (r + r.conj().T) / 2.0
-        rinv = np.linalg.pinv(r, rcond=1e-12, hermitian=True)
-        rinv = (rinv + rinv.conj().T) / 2.0
-        assert np.array_equal(cov.matrix[m], r)
-        assert np.array_equal(cov.pseudo_inverse[m], rinv)
+    for n_ch in (2, 3):
+        x = rng.standard_normal((9, n_ch, 5)) + 1j * rng.standard_normal((9, n_ch, 5))
+        x[4] = 0.0
+        x[6, 1] = x[6, 0]
+        cov = spatial_covariance(x)
+        for m in range(x.shape[0]):
+            r, rinv = pinv_covariance(x[m])
+            assert np.array_equal(cov.matrix[m], r)
+            if n_ch == 3:
+                assert np.array_equal(cov.pseudo_inverse[m], rinv)
+            else:
+                tol = CELL_TOL * condition(r) * EPS * np.linalg.norm(rinv, 2)
+                assert np.all(np.abs(cov.pseudo_inverse[m] - rinv) <= tol)
+                assert np.array_equal(cov.pseudo_inverse[m], cov.pseudo_inverse[m].conj().T)
+        assert np.all(cov.pseudo_inverse[4] == 0)
+
+
+def pair_snapshots(rng, kind, n_snap, rcond_factor):
+    """One (2, n_snap) snapshot matrix of the given kind, at unit scale."""
+    if kind == "zero":
+        return np.zeros((2, n_snap), dtype=complex)
+    if kind == "random":
+        return rng.standard_normal((2, n_snap)) + 1j * rng.standard_normal((2, n_snap))
+    if kind == "rank_one" or n_snap == 1:
+        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        return np.outer(v, rng.standard_normal(n_snap) + 1j * rng.standard_normal(n_snap))
+    # eigenvalues 1 and rcond_factor * PINV_RCOND, so lmin / lmax sits on the
+    # chosen side of pinv's rank cut: R = X X^H / N = U diag(lam) U^H
+    q = np.linalg.qr(rng.standard_normal((n_snap, 2)) + 1j * rng.standard_normal((n_snap, 2)))[0]
+    u = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+    lam = np.array([1.0, rcond_factor * PINV_RCOND])
+    return np.sqrt(n_snap) * (u * np.sqrt(lam)) @ q.conj().T
+
+
+@st.composite
+def pair_stacks(draw):
+    """(..., 2, N) stacks whose matrices are random, rank one, all zero or near the rank cut.
+
+    Each matrix has its own scale 10^e, e in [-150, 150]. Near the cut,
+    lmin / lmax is 1.1 to 10 times PINV_RCOND above it or below it.
+    """
+    shape = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=2)))
+    n_snap = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = np.empty(shape + (2, n_snap), dtype=complex)
+    for idx in np.ndindex(*shape):
+        kind = draw(st.sampled_from(["random", "rank_one", "zero", "above_cut", "below_cut"]))
+        factor = 10.0 ** draw(st.floats(0.05, 1.0))
+        if kind == "below_cut":
+            factor = 1.0 / factor
+        x[idx] = 10.0 ** draw(st.integers(-150, 150)) * pair_snapshots(rng, kind, n_snap, factor)
+    return x
+
+
+def near_pinv_overflow(x):
+    # pinv and the closed form both overflow once 1 / lmin nears the float64
+    # maximum, but by their own rounding; that band is left out of the comparison
+    r = pinv_covariance(x)[0]
+    lam = np.linalg.eigvalsh(r)
+    kept = np.where(lam > PINV_RCOND * lam[..., -1:], lam, np.inf)
+    lmin = kept.min(axis=-1)
+    return bool(np.any((lmin > 1e-311) & (lmin < 1e-305)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_stacks())
+def test_closed_form_spectrum_matches_pinv_on_drawn_stacks(x):
+    # wherever pinv gives a finite spectrum, the closed form gives the same
+    # clamp count and cells within CELL_TOL * kappa * eps; wherever pinv's
+    # spectrum is not finite (its inverse overflows), neither is the closed form's
+    assume(not near_pinv_overflow(x))
+    assert_spectrum_matches_pinv(x, capon_steering(grid_deg(step=1.0).azimuth_angles))
+
+
+def test_closed_form_map_matches_pinv_on_clutter_filtered_bench_frames():
+    cfg = RadarConfig()
+    geom = default_geometry(cfg)
+    manifest = bench_manifest("capon")
+    scene = dataclasses.replace(occupied_benchmark_scenes(1, seed=5)[0], n_frames=6)
+    state = init_clutter((cfg.num_rx, cfg.num_range_bins, cfg.chirps_per_frame),
+                         alpha=manifest.mti_alpha)
+    for i in range(scene.n_frames):
+        state, filtered = mti_step(state, process_frame(synthesize_frame(scene, cfg, geom, i),
+                                                        cfg))
+        window = zero_doppler_window(filtered.shape[2], manifest.doppler_half_width)
+        x = collect_snapshots(filtered, np.arange(filtered.shape[1]), window, geom.azimuth_pair)
+        assert_spectrum_matches_pinv(x, manifest.grid.pair_steering)
+
+
+def test_spectrum_floor_does_not_depend_on_scale():
+    # the singular test is (a^H R^+ a) tr(R) <= QUADFORM_FLOOR, so a scaled
+    # stack gives the scaled spectrum and no clamps; with an absolute floor on
+    # a^H R^+ a alone, a stack at 1e100 clamped every cell to a zero row
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal((4, 2, 5)) + 1j * rng.standard_normal((4, 2, 5))
+    a = capon_steering(grid_deg().azimuth_angles)
+    unit, clamped = capon_spectrum(spatial_covariance(x), a)
+    assert clamped == 0
+    for scale in (1e-100, 1e-20, 1e20, 1e100):
+        spec, clamped = capon_spectrum(spatial_covariance(scale * x), a)
+        assert clamped == 0
+        assert np.allclose(spec, scale ** 2 * unit, rtol=1e-9, atol=0.0)
+        w = mvdr_weight(spatial_covariance(scale * x[0]), a[:, 3])
+        assert abs(np.vdot(w, a[:, 3]) - 1.0) <= 1e-10
+
+
+def capon_maps_of_file(path, monkeypatch):
+    """The Capon maps ``process_recording`` makes from a file, with each frame's snapshots."""
+    maps = []
+
+    def keep(rd, grid, window, channels):
+        ra = capon_range_azimuth(rd, grid, window, channels)
+        maps.append((ra, collect_snapshots(rd, np.arange(rd.shape[1]), window, channels)))
+        return ra
+
+    monkeypatch.setattr(capon_module, "capon_range_azimuth", keep)
+    list(process_recording(read_recording(path), RunManifest(method="capon")))
+    return maps
+
+
+def test_recording_file_at_the_float32_maximum_gives_the_scaled_map(tmp_path, monkeypatch):
+    # components at +-float32 max make R about 1e84 and a^H R^+ a about 1e-84; the
+    # singular test on (a^H R^+ a) tr(R) clamps none of it, so the map is max^2
+    # times the unit-amplitude map (an absolute floor on a^H R^+ a zeroed every cell)
+    cfg = RadarConfig()
+    scene = dataclasses.replace(occupied_benchmark_scenes(1, seed=5)[0], n_frames=3)
+    rec = synthesize_recording(scene, cfg, default_geometry(cfg))
+    signs = np.random.default_rng(7).choice([-1.0, 1.0], (2,) + rec.samples.shape)
+    f32_max = float(np.finfo(np.float32).max)
+    runs = {}
+    for value in (1.0, f32_max):
+        path = tmp_path / f"{value}.rec"
+        write_recording(path, dataclasses.replace(rec, samples=value * (signs[0] + 1j * signs[1])))
+        runs[value] = capon_maps_of_file(path, monkeypatch)
+    assert len(runs[f32_max]) == 3
+    for (unit, x), (big, _) in zip(runs[1.0], runs[f32_max]):
+        assert unit.clamp_count == big.clamp_count == 0
+        want = f32_max ** 2 * unit.power
+        kappa = condition(spatial_covariance(x).matrix)[:, None]
+        assert np.all(np.abs(big.power - want) <= CELL_TOL * kappa * EPS * want)
 
 
 def test_stacked_covariance_checks_every_matrix():

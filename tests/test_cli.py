@@ -1,12 +1,15 @@
 import csv
 import hashlib
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from floorwatch import scoring
+from floorwatch.bench import CAPON_K_GRID, DBF_K_GRID
 from floorwatch.cfar import DetectionSet, hit_test
 from floorwatch.cli import DETECTION_COLUMNS, CliError, _fmt, _parse_k_grid, main
 from floorwatch.core import RadarConfig, default_geometry
@@ -443,6 +446,26 @@ def test_k_grid_point_count_is_capped_before_the_grid_is_built():
         with pytest.raises(CliError, match="more than 10000 points"):
             _parse_k_grid(grid)
     assert len(_parse_k_grid("1:10000:1")) == 10_000
+
+
+@pytest.mark.parametrize("grid, k", [("1:1.00000000009:1e-11", "1.0"),  # range rounded to 1e-10
+                                     ("2,3,2", "2.0"), ("2.0,2", "2.0")])
+def test_tune_refuses_a_k_grid_with_a_repeated_point(tune_inputs, capsys, grid, k):
+    # the range gave five 1.0 and five 1.0000000001, and tune swept and wrote each again
+    capsys.readouterr()
+    assert main(tune_inputs + [f"--k-grid={grid}"]) == 1
+    assert json_error(capsys) == {
+        "error": "CliError",
+        "message": f"k grid {grid!r} repeats k={k}; its values must be distinct"}
+
+
+def test_bundled_k_grids_have_distinct_points():
+    spec = importlib.util.spec_from_file_location(
+        "digests", Path(__file__).resolve().parents[1] / "tools" / "digests.py")
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    for grid in (DBF_K_GRID, CAPON_K_GRID, digests.DENSE_K_GRID):
+        assert _parse_k_grid(",".join(repr(k) for k in grid)) == list(grid)
 
 
 @pytest.mark.parametrize("grid", ["1:1e308:1e-300", "1:2:1e-9", "1:10001:1"])
