@@ -20,6 +20,7 @@ finite, gives the same clamps and every cell within 16 kappa eps (relative)
 of it, kappa being lmax / lmin of R capped at 1 / PINV_RCOND; where
 ``pinv``'s inverse overflows (R below about 1e-300), so does it.
 """
+
 from __future__ import annotations
 
 from dataclasses import dataclass

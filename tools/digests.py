@@ -1,6 +1,7 @@
 """Digest every output of the stream and study chains, to check that a refactor changes no output.
 
     python3 tools/digests.py --seed 1 --out DIR [--repo PATH]
+    python3 tools/digests.py --compare A/digests.json B/digests.json
 
 Imports ``floorwatch`` from ``PATH/src`` (default: this checkout) and
 ``gen`` from ``PATH/perfbench``. Writes DIR/digests.json with two groups of keys:
@@ -25,6 +26,12 @@ drop a manifest field on purpose.
 
 Identical digests.json files from two checkouts at one seed mean
 bit-identical frames and byte-identical files.
+
+``--compare A B`` prints the keys whose digests differ between two
+digests.json files, grouped by kind: ``power``, ``threshold_base``,
+``evaluable``, ``detections`` and ``cells`` for stream frames, ``study``
+for study files, and ``only in A`` / ``only in B`` for keys one file lacks.
+It exits 0 when nothing differs and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -132,13 +139,47 @@ def study_digests(seed: int, root: Path) -> dict:
             for p in sorted(files)}
 
 
+def differing_keys(a: dict, b: dict) -> dict:
+    """{kind: sorted keys} of the digests that differ between two digests.json mappings."""
+    groups = {}
+    for key in sorted(a.keys() | b.keys()):
+        if key not in b or key not in a:
+            kinds = ["only in A" if key in a else "only in B"]
+        elif key.startswith("study/"):
+            kinds = ["study"] if a[key] != b[key] else []
+        else:
+            kinds = [k for k in sorted(a[key].keys() | b[key].keys())
+                     if a[key].get(k) != b[key].get(k)]
+        for kind in kinds:
+            groups.setdefault(kind, []).append(key)
+    return groups
+
+
+def compare(path_a: Path, path_b: Path) -> int:
+    groups = differing_keys(json.loads(Path(path_a).read_text()),
+                            json.loads(Path(path_b).read_text()))
+    for kind, keys in groups.items():
+        print(f"{kind}: {len(keys)} differ")
+        for key in keys:
+            print(f"  {key}")
+    if not groups:
+        print("no digest differs")
+    return 1 if groups else 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--out", required=True, help="output directory; must not exist")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--out", help="output directory; must not exist")
     parser.add_argument("--repo", default=str(Path(__file__).resolve().parents[1]),
                         help="checkout whose src/ and perfbench/gen.py are imported")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                        help="print the keys that differ between two digests.json files")
     args = parser.parse_args()
+    if args.compare:
+        raise SystemExit(compare(*args.compare))
+    if args.seed is None or args.out is None:
+        parser.error("--seed and --out are required unless --compare is given")
     root, repo = Path(args.out).resolve(), Path(args.repo).resolve()
     if root.exists():
         parser.error(f"--out {root} already exists")
