@@ -18,7 +18,12 @@ clamped to the finite maximum of their range row and counted.
 The closed form keeps ``pinv``'s rank rule and, where ``pinv``'s map is
 finite, gives the same clamps and every cell within 16 kappa eps (relative)
 of it, kappa being lmax / lmin of R capped at 1 / PINV_RCOND; where
-``pinv``'s inverse overflows (R below about 1e-300), so does it.
+``pinv``'s inverse overflows (R below about 1e-300), so does it. One
+exception: along the null direction of a rank-one R the quadratic form is
+taken from one column of R^+ and reliably clamps, where ``pinv`` and the
+einsum leave a rounding residue of about eps that may or may not pass the
+floor, so ``pinv``'s map spikes to about 1e16 times its row or clamps by
+chance.
 """
 
 from __future__ import annotations
@@ -73,10 +78,14 @@ class SpatialCovariance:
     Both arrays are (..., channel, channel); leading axes index a stack of
     matrices. Not checked: ``spatial_covariance`` makes both exactly
     Hermitian, and R = X X^H / N_D of finite snapshots is PSD up to round-off.
+    ``rank_deficient`` (shape ...) marks, for two channels, the matrices of
+    rank one or zero, whose R^+ = R / tr(R)^2 is of rank one too; None (other
+    channel counts) takes every R^+ as it comes.
     """
 
     matrix: np.ndarray
     pseudo_inverse: np.ndarray
+    rank_deficient: np.ndarray | None = None
 
 
 def spatial_covariance(snapshots: np.ndarray) -> SpatialCovariance:
@@ -96,13 +105,13 @@ def spatial_covariance(snapshots: np.ndarray) -> SpatialCovariance:
         raise ValueError("snapshots contain non-finite values")
     r = _hermitian_part(x @ x.conj().swapaxes(-1, -2) / x.shape[-1])
     if r.shape[-1] == 2:
-        rinv = _pair_pseudo_inverse(r)
-    else:
-        rinv = _hermitian_part(np.linalg.pinv(r, rcond=PINV_RCOND, hermitian=True))
+        rinv, full = _pair_pseudo_inverse(r)
+        return SpatialCovariance(matrix=r, pseudo_inverse=rinv, rank_deficient=~full)
+    rinv = _hermitian_part(np.linalg.pinv(r, rcond=PINV_RCOND, hermitian=True))
     return SpatialCovariance(matrix=r, pseudo_inverse=rinv)
 
 
-def _pair_pseudo_inverse(r: np.ndarray) -> np.ndarray:
+def _pair_pseudo_inverse(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pseudoinverses of a (..., 2, 2) stack of Hermitian PSD matrices, written out.
 
     Each R is first divided by its trace t, so the rank test and the
@@ -111,7 +120,7 @@ def _pair_pseudo_inverse(r: np.ndarray) -> np.ndarray:
     rank iff det(Rn) > rcond * lmax(Rn)^2, the ``pinv`` rule
     lmin > rcond * lmax; then R^+ = adj(Rn) / (det(Rn) t). Otherwise R is
     taken as rank one, R^+ = Rn / t = R / t^2, and an all-zero R gives zeros.
-    The result is exactly Hermitian.
+    Returns the stack of R^+, exactly Hermitian, and the full-rank mask.
     """
     t = r[..., 0, 0].real + r[..., 1, 1].real
     t = np.where(t > 0.0, t, 1.0)  # an all-zero R stays zero under any t
@@ -128,7 +137,7 @@ def _pair_pseudo_inverse(r: np.ndarray) -> np.ndarray:
     out[..., 1, 1] = np.where(full, p, s) * coef
     out[..., 0, 1] = np.where(full, -q, q) * coef
     out[..., 1, 0] = out[..., 0, 1].conj()
-    return out
+    return out, full
 
 
 def capon_steering(theta) -> np.ndarray:
@@ -163,6 +172,37 @@ def _trace(m: np.ndarray) -> np.ndarray:
     return np.trace(m, axis1=-2, axis2=-1).real
 
 
+def _quadratic_form(cov: SpatialCovariance, a: np.ndarray) -> np.ndarray:
+    """Real a^H R^+ a for every matrix of the stack and every column of ``a``.
+
+    Two-row steering takes the written-out form |a0|^2 m00 + |a1|^2 m11 +
+    2 Re(conj(a0) a1 m01), other sizes an einsum. Along the null direction
+    of a rank-one R that sum cancels only to about eps of its terms, so the
+    rank-deficient matrices take |a^H u|^2 instead, u = c / sqrt(c_i) for
+    the column c of R^+ with the larger diagonal entry c_i (R^+ = u u^H),
+    which cancels to about eps^2.
+    """
+    rinv = cov.pseudo_inverse
+    if a.shape[0] != 2:
+        return np.real(np.einsum("ct,...cd,dt->...t", a.conj(), rinv, a))
+    norm2 = (a.conj() * a).real
+    cross = 2.0 * a[0].conj() * a[1]
+    quad = rinv[..., 0, 0, None].real * norm2[0]
+    quad += rinv[..., 1, 1, None].real * norm2[1]
+    quad += rinv[..., 0, 1, None].real * cross.real
+    quad -= rinv[..., 0, 1, None].imag * cross.imag
+    if cov.rank_deficient is not None:
+        low = cov.rank_deficient
+        m = rinv[low]
+        d = m[:, (0, 1), (0, 1)].real
+        c = np.where((d[:, 0] >= d[:, 1])[:, None], m[:, :, 0], m[:, :, 1])
+        ci = d.max(axis=-1)
+        u = c / np.sqrt(np.where(ci > 0.0, ci, 1.0))[:, None]  # an all-zero R^+ keeps u = 0
+        z = (u.conj()[:, :, None] * a).sum(axis=1)
+        quad[low] = z.real * z.real + z.imag * z.imag
+    return quad
+
+
 def capon_spectrum(cov: SpatialCovariance, steering: np.ndarray) -> tuple[np.ndarray, int]:
     """Adaptive power spectrum 1 / (a^H R^+ a) over the steering columns.
 
@@ -171,46 +211,31 @@ def capon_spectrum(cov: SpatialCovariance, steering: np.ndarray) -> tuple[np.nda
     a cell is singular when (a^H R^+ a) tr(R) <= QUADFORM_FLOOR, a test that
     does not change when R is scaled. A clamped cell takes the finite
     maximum of its row; rows with no invertible direction at all come back
-    as zeros. Two-row steering evaluates the quadratic form written out,
-    |a0|^2 m00 + |a1|^2 m11 + 2 Re(conj(a0) a1 m01), other sizes an einsum.
+    as zeros. The quadratic form is ``_quadratic_form``'s.
     """
     a = np.asarray(steering)
-    rinv = cov.pseudo_inverse
-    if a.shape[0] != rinv.shape[-1]:
+    if a.shape[0] != cov.pseudo_inverse.shape[-1]:
         raise ValueError("steering dimension does not match covariance")
-    if a.shape[0] == 2:
-        norm2 = (a.conj() * a).real
-        cross = 2.0 * a[0].conj() * a[1]
-        quad = rinv[..., 0, 0, None].real * norm2[0]
-        quad += rinv[..., 1, 1, None].real * norm2[1]
-        quad += rinv[..., 0, 1, None].real * cross.real
-        quad -= rinv[..., 0, 1, None].imag * cross.imag
-    else:
-        quad = np.real(np.einsum("ct,...cd,dt->...t", a.conj(), rinv, a))
+    quad = _quadratic_form(cov, a)
     singular = quad * _trace(cov.matrix)[..., None] <= QUADFORM_FLOOR
-    n_singular = np.count_nonzero(singular)
-    if n_singular == 0:
-        return 1.0 / quad, 0
-    spectrum = np.zeros(quad.shape)
-    np.divide(1.0, quad, out=spectrum, where=~singular)
-    # finite cells are > 0 and singular ones still 0, so this is each row's
-    # finite maximum, or 0 for a row with no finite cell
-    row_max = spectrum.max(axis=-1, keepdims=True)
-    spectrum = np.where(singular, row_max, spectrum)
-    return spectrum, n_singular
+    spectrum = 1.0 / np.where(singular, np.inf, quad)
+    # finite cells are > 0 and singular ones 0, so this is each row's finite
+    # maximum, or 0 for a row with no finite cell
+    np.copyto(spectrum, spectrum.max(axis=-1, keepdims=True), where=singular)
+    return spectrum, int(np.count_nonzero(singular))
 
 
 def mvdr_weight(cov: SpatialCovariance, steering: np.ndarray) -> np.ndarray:
     """Closed-form minimum-variance weight R^+ a / (a^H R^+ a).
 
-    Raises where ``capon_spectrum`` would clamp: (a^H R^+ a) tr(R) <= QUADFORM_FLOOR.
+    Raises where ``capon_spectrum`` would clamp: (a^H R^+ a) tr(R) <= QUADFORM_FLOOR,
+    with the same quadratic form.
     """
     a = np.asarray(steering)
-    num = cov.pseudo_inverse @ a
-    denom = np.real(a.conj() @ num)
+    denom = _quadratic_form(cov, a[:, None])[..., 0]
     if denom * _trace(cov.matrix) <= QUADFORM_FLOOR:
         raise ValueError("steering direction lies in the covariance null space")
-    return num / denom
+    return cov.pseudo_inverse @ a / denom
 
 
 def capon_range_azimuth(rd: np.ndarray, grid: SteeringGrid, doppler_window: np.ndarray,

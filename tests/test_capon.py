@@ -292,6 +292,32 @@ def test_rank_deficient_direction_clamped_to_row_max():
     assert spec[-1] == pytest.approx(finite.max())
 
 
+def test_rank_one_null_direction_clamps_at_any_angle_and_scale():
+    # a rank-one R from snapshots along a(theta1) is singular along theta2 with
+    # sin(theta2) = sin(theta1) +- 1; off boresight/endfire the written-out
+    # quadratic form (and pinv's einsum) cancels there only to about 1e-16 of
+    # tr(R)^-1, above QUADFORM_FLOOR, and the cell spiked to about 1e16 times its
+    # row; the rank-one form |a^H u|^2 cancels to about eps^2 and clamps
+    rng = np.random.default_rng(21)
+    sines = [(-0.3, 0.7), (0.3, -0.7), (0.1, -0.9)]
+    sines += [(s, s + 1.0 if s < 0 else s - 1.0) for s in rng.uniform(-1.0, 1.0, 200)]
+    for s1, s2 in sines:
+        a = capon_steering(np.arcsin(np.array([s1, s2, 0.2, -0.6])))
+        n_snap = int(rng.integers(1, 9))
+        amps = rng.standard_normal(n_snap) + 1j * rng.standard_normal(n_snap)
+        x = 10.0 ** rng.uniform(-100.0, 100.0) * a[:, :1] * amps
+        cov = spatial_covariance(x)
+        assert cov.rank_deficient
+        spec, clamped = capon_spectrum(cov, a)
+        assert clamped == 1
+        assert spec[1] == np.delete(spec, 1).max()
+        with pytest.raises(ValueError):
+            mvdr_weight(cov, a[:, 1])
+        want = pinv_spectrum(x, a[:, [0, 2, 3]])[0]
+        kappa = 1.0 / PINV_RCOND
+        assert np.all(np.abs(spec[[0, 2, 3]] - want) <= CELL_TOL * kappa * EPS * want)
+
+
 def per_bin_map(rd, grid, window, channels):
     """The map built one range bin at a time, as the spatial stage did before stacking."""
     a = capon_steering(grid.azimuth_angles)
