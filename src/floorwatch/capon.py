@@ -23,7 +23,8 @@ exception: along the null direction of a rank-one R the quadratic form is
 taken from one column of R^+ and reliably clamps, where ``pinv`` and the
 einsum leave a rounding residue of about eps that may or may not pass the
 floor, so ``pinv``'s map spikes to about 1e16 times its row or clamps by
-chance.
+chance. The n-channel path takes the same column form for a rank-one R;
+the null directions of an R of rank two or more still take the einsum.
 """
 
 from __future__ import annotations
@@ -78,9 +79,9 @@ class SpatialCovariance:
     Both arrays are (..., channel, channel); leading axes index a stack of
     matrices. Not checked: ``spatial_covariance`` makes both exactly
     Hermitian, and R = X X^H / N_D of finite snapshots is PSD up to round-off.
-    ``rank_deficient`` (shape ...) marks, for two channels, the matrices of
-    rank one or zero, whose R^+ = R / tr(R)^2 is of rank one too; None (other
-    channel counts) takes every R^+ as it comes.
+    ``rank_deficient`` (shape ...) marks the matrices of rank one or zero
+    under ``pinv``'s rank rule, whose R^+ is of rank one or zero too (for two
+    channels, R^+ = R / tr(R)^2); None takes every R^+ as it comes.
     """
 
     matrix: np.ndarray
@@ -96,7 +97,8 @@ def spatial_covariance(snapshots: np.ndarray) -> SpatialCovariance:
     call each. Eigenvalues below 1e-12 of the largest (per matrix) are
     treated as zero; no diagonal loading is applied. Two channels take the
     closed form of ``_pair_pseudo_inverse``; other channel counts take one
-    batched ``np.linalg.pinv``.
+    batched ``np.linalg.pinv``, and their rank test counts the eigenvalues
+    above that cut.
     """
     x = np.asarray(snapshots, dtype=np.complex128)
     if x.ndim < 2 or x.shape[-1] < 1:
@@ -108,7 +110,9 @@ def spatial_covariance(snapshots: np.ndarray) -> SpatialCovariance:
         rinv, full = _pair_pseudo_inverse(r)
         return SpatialCovariance(matrix=r, pseudo_inverse=rinv, rank_deficient=~full)
     rinv = _hermitian_part(np.linalg.pinv(r, rcond=PINV_RCOND, hermitian=True))
-    return SpatialCovariance(matrix=r, pseudo_inverse=rinv)
+    lam = np.abs(np.linalg.eigvalsh(r))  # pinv's singular values of a Hermitian R
+    rank = np.count_nonzero(lam > PINV_RCOND * lam.max(axis=-1, keepdims=True), axis=-1)
+    return SpatialCovariance(matrix=r, pseudo_inverse=rinv, rank_deficient=rank <= 1)
 
 
 def _pair_pseudo_inverse(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -177,27 +181,31 @@ def _quadratic_form(cov: SpatialCovariance, a: np.ndarray) -> np.ndarray:
 
     Two-row steering takes the written-out form |a0|^2 m00 + |a1|^2 m11 +
     2 Re(conj(a0) a1 m01), other sizes an einsum. Along the null direction
-    of a rank-one R that sum cancels only to about eps of its terms, so the
+    of a rank-one R either cancels only to about eps of its terms, so the
     rank-deficient matrices take |a^H u|^2 instead, u = c / sqrt(c_i) for
-    the column c of R^+ with the larger diagonal entry c_i (R^+ = u u^H),
-    which cancels to about eps^2.
+    the column c of R^+ with the largest diagonal entry c_i (the first
+    among equals; R^+ = u u^H), which cancels to about eps^2. The null
+    directions of an R of rank two or more take the sum as it comes.
     """
     rinv = cov.pseudo_inverse
     if a.shape[0] != 2:
-        return np.real(np.einsum("ct,...cd,dt->...t", a.conj(), rinv, a))
-    norm2 = (a.conj() * a).real
-    cross = 2.0 * a[0].conj() * a[1]
-    quad = rinv[..., 0, 0, None].real * norm2[0]
-    quad += rinv[..., 1, 1, None].real * norm2[1]
-    quad += rinv[..., 0, 1, None].real * cross.real
-    quad -= rinv[..., 0, 1, None].imag * cross.imag
+        quad = np.real(np.einsum("ct,...cd,dt->...t", a.conj(), rinv, a))
+    else:
+        norm2 = (a.conj() * a).real
+        cross = 2.0 * a[0].conj() * a[1]
+        quad = rinv[..., 0, 0, None].real * norm2[0]
+        quad += rinv[..., 1, 1, None].real * norm2[1]
+        quad += rinv[..., 0, 1, None].real * cross.real
+        quad -= rinv[..., 0, 1, None].imag * cross.imag
     if cov.rank_deficient is not None:
         low = cov.rank_deficient
         m = rinv[low]
-        d = m[:, (0, 1), (0, 1)].real
-        c = np.where((d[:, 0] >= d[:, 1])[:, None], m[:, :, 0], m[:, :, 1])
-        ci = d.max(axis=-1)
-        u = c / np.sqrt(np.where(ci > 0.0, ci, 1.0))[:, None]  # an all-zero R^+ keeps u = 0
+        diag = np.arange(m.shape[-1])
+        d = m[:, diag, diag].real
+        col = d.argmax(axis=-1)
+        c = np.take_along_axis(m, col[:, None, None], axis=-1)[..., 0]
+        ci = np.take_along_axis(d, col[:, None], axis=-1)
+        u = c / np.sqrt(np.where(ci > 0.0, ci, 1.0))  # an all-zero R^+ keeps u = 0
         z = (u.conj()[:, :, None] * a).sum(axis=1)
         quad[low] = z.real * z.real + z.imag * z.imag
     return quad

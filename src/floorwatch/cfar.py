@@ -11,7 +11,10 @@ Detection requires strictly exceeding the threshold.
 A ``DetectionSet`` holds its detections as parallel arrays (range bin,
 azimuth bin, power, threshold), in raster order from thresholding. Suppression
 keeps the strongest cell of each 8-connected group and, among equal powers,
-the earliest in the set; the kept cells come out in label order.
+the earliest in the set; the kept cells come out in label order. It takes
+each group's maximum and then the earliest cell equal to it with two
+unbuffered ufunc reductions (``np.maximum.at``, ``np.minimum.at``), so no
+sort of the exceedances is needed.
 """
 
 from __future__ import annotations
@@ -174,13 +177,24 @@ _EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
 
 
 def suppress(dets: DetectionSet) -> DetectionSet:
-    """Keep the strongest cell of each 8-connected group, the earliest among equals."""
+    """Keep the strongest cell of each 8-connected group, the earliest among equals.
+
+    ``ndimage.label`` numbers the groups 1..n in raster order of their first
+    cell. Each group's maximum power is reduced into an (n + 1) array, and
+    the earliest set index among the cells equal to it into another; entry g
+    of the second is group g's kept cell, so the kept cells come out in
+    label order.
+    """
     if len(dets) == 0:
         return dets
-    labels, _ = ndimage.label(dets.mask(), structure=_EIGHT_CONNECTED)
+    labels, n = ndimage.label(dets.mask(), structure=_EIGHT_CONNECTED)
     group = labels[dets.range_bins, dets.azimuth_bins]
-    order = np.lexsort((-dets.power, group))  # stable: ties keep the set's order
-    keep = order[np.r_[True, np.diff(group[order]) != 0]]
+    gmax = np.full(n + 1, -np.inf)
+    np.maximum.at(gmax, group, dets.power)
+    idx = np.flatnonzero(dets.power == gmax[group])
+    first = np.full(n + 1, len(dets))
+    np.minimum.at(first, group[idx], idx)
+    keep = first[1:]  # label 0 is the background, which holds no detection
     return DetectionSet(dets.range_bins[keep], dets.azimuth_bins[keep], dets.power[keep],
                         dets.threshold[keep], map_shape=dets.map_shape)
 

@@ -12,7 +12,8 @@ Sweeping the detector sensitivity k reuses the per-frame power and
 training-mean maps, since the threshold is k times a k-independent mean: a
 recording's maps are cached as one tall map, each frame followed by an
 all-zero separator row, and each k makes one threshold-and-suppress pass
-over it.
+over it. Caching reads the maps alone and makes no detections; only the
+stream (``process_recording``) makes them at the manifest k.
 """
 
 from __future__ import annotations
@@ -68,6 +69,19 @@ class FrameOutput:
 def process_recording(rec: Recording, manifest: RunManifest):
     """An iterator of one FrameOutput per frame, stepping the clutter filter in order.
 
+    Each frame's detections are ``detections_from_maps`` of its maps at the
+    manifest k. The call raises as ``_recording_maps`` does, before any frame
+    is processed.
+    """
+    k = manifest.k
+    return (FrameOutput(frame_index=i, power=power, threshold_base=base, evaluable=evaluable,
+                        detections=detections_from_maps(power, base, evaluable, k))
+            for i, power, base, evaluable in _recording_maps(rec, manifest))
+
+
+def _recording_maps(rec: Recording, manifest: RunManifest):
+    """An iterator of (frame index, power, training mean, evaluable) per frame; no detections.
+
     The call raises before any frame is processed if the zero-Doppler window
     does not fit the recording's Doppler bins, or if a Capon manifest meets a
     geometry ``capon.check_pair_geometry`` refuses; DBF takes any layout.
@@ -75,10 +89,10 @@ def process_recording(rec: Recording, manifest: RunManifest):
     if manifest.method == "capon":
         capon_mod.check_pair_geometry(rec.geometry)
     window = zero_doppler_window(rec.config.chirps_per_frame, manifest.doppler_half_width)
-    return _frame_outputs(rec, manifest, window)
+    return _frame_maps(rec, manifest, window)
 
 
-def _frame_outputs(rec: Recording, manifest: RunManifest, window: np.ndarray):
+def _frame_maps(rec: Recording, manifest: RunManifest, window: np.ndarray):
     cfg = rec.config
     geom = rec.geometry
     weights = dbf_mod.dbf_weights(manifest.grid, geom) if manifest.method == "dbf" else None
@@ -96,11 +110,8 @@ def _frame_outputs(rec: Recording, manifest: RunManifest, window: np.ndarray):
             ra = dbf_mod.dbf_range_azimuth(spectrum)
         else:
             ra = capon_mod.capon_range_azimuth(filtered, manifest.grid, bins, geom.azimuth_pair)
-        power = ra.power
-        base, evaluable = cfar_mod.training_stats(power, manifest.cfar)
-        dets = detections_from_maps(power, base, evaluable, manifest.k)
-        yield FrameOutput(frame_index=i, power=power, threshold_base=base,
-                          evaluable=evaluable, detections=dets)
+        base, evaluable = cfar_mod.training_stats(ra.power, manifest.cfar)
+        yield i, ra.power, base, evaluable
 
 
 def detections_from_maps(power: np.ndarray, base: np.ndarray, evaluable: np.ndarray,
@@ -142,10 +153,12 @@ class CachedTrial:
 
 
 def cache_recording(rec: Recording, manifest: RunManifest, candidate_boxes=None) -> CachedTrial:
-    """Process a recording once and keep its maps and ``scoring_boxes``."""
+    """Process a recording once and keep its maps and ``scoring_boxes``; no detections are made.
+
+    Raises as ``_recording_maps`` does.
+    """
     boxes = scoring_boxes(rec, candidate_boxes)
-    maps = ((out.power, out.threshold_base, out.evaluable)
-            for out in process_recording(rec, manifest))
+    maps = (frame[1:] for frame in _recording_maps(rec, manifest))
     return stack_maps(boxes, build_axes(rec.config, manifest.grid), rec.n_frames, maps)
 
 

@@ -318,6 +318,51 @@ def test_rank_one_null_direction_clamps_at_any_angle_and_scale():
         assert np.all(np.abs(spec[[0, 2, 3]] - want) <= CELL_TOL * kappa * EPS * want)
 
 
+def test_rank_one_null_direction_clamps_on_a_three_element_line():
+    # the n-channel path: one snapshot direction along sin(theta1) on a
+    # half-wavelength 3-element line is orthogonal to sin(theta1) +- 2/3, and
+    # pinv's einsum left a residue of about eps there, so the cell spiked
+    # instead of clamping and mvdr_weight returned a weight; the null
+    # direction's steering is a(theta1) rotated by exp(-+j 2 pi n / 3), so
+    # that its own rounding stays near eps
+    rng = np.random.default_rng(31)
+    n = np.arange(3)[:, None]
+    for s1 in rng.uniform(-1.0, 1.0, 200):
+        sign = -1.0 if s1 > 1 / 3 else 1.0 if s1 < -1 / 3 else rng.choice([-1.0, 1.0])
+        a = np.exp(-1j * np.pi * n * np.array([s1, 0.2, -0.6]))
+        null = a[:, :1] * np.exp(-1j * sign * 2.0 * np.pi / 3.0 * n)
+        a = np.concatenate([a[:, :1], null, a[:, 1:]], axis=1)
+        n_snap = int(rng.integers(1, 9))
+        amps = rng.standard_normal(n_snap) + 1j * rng.standard_normal(n_snap)
+        x = 10.0 ** rng.uniform(-100.0, 100.0) * a[:, :1] * amps
+        cov = spatial_covariance(x)
+        assert cov.rank_deficient
+        spec, clamped = capon_spectrum(cov, a)
+        assert clamped == 1
+        assert spec[1] == np.delete(spec, 1).max()
+        with pytest.raises(ValueError):
+            mvdr_weight(cov, a[:, 1])
+        want = pinv_spectrum(x, a[:, [0, 2, 3]])[0]
+        kappa = 1.0 / PINV_RCOND
+        assert np.all(np.abs(spec[[0, 2, 3]] - want) <= CELL_TOL * kappa * EPS * want)
+
+
+def test_n_channel_rank_deficient_marks_rank_one_and_zero_only():
+    # pinv's rule: rank counts the eigenvalues above PINV_RCOND * lmax; an R
+    # of rank two of three keeps the einsum, null directions included
+    rng = np.random.default_rng(32)
+    x = rng.standard_normal((4, 3, 6)) + 1j * rng.standard_normal((4, 3, 6))
+    x[1] = np.outer(x[1, :, 0], rng.standard_normal(6))   # rank one
+    x[2] = 0.0                                             # rank zero
+    x[3, 2] = x[3, 0] + x[3, 1]                            # rank two
+    cov = spatial_covariance(x)
+    assert cov.rank_deficient.tolist() == [False, True, True, False]
+    full = spatial_covariance(x[[0, 3]])
+    a = np.exp(1j * rng.uniform(-np.pi, np.pi, (3, 5)))
+    want = np.real(np.einsum("ct,...cd,dt->...t", a.conj(), full.pseudo_inverse, a))
+    assert np.array_equal(capon_module._quadratic_form(full, a), want)
+
+
 def per_bin_map(rd, grid, window, channels):
     """The map built one range bin at a time, as the spatial stage did before stacking."""
     a = capon_steering(grid.azimuth_angles)

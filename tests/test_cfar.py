@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from floorwatch.cfar import (CfarConfig, DetectionSet, GroundTruthBox, _ring_geometry, ca_cfar_2d,
-                             cfar_mask, hit_test, map_axes, suppress, training_stats)
+                             cfar_mask, hit_test, map_axes, suppress, threshold, training_stats)
 
 
 def brute_force_mask(power, cfg):
@@ -341,6 +341,18 @@ def dict_loop_suppress(dets):
     return tuple(best[g] for g in sorted(best))
 
 
+def lexsort_suppress(dets):
+    """The rule as a stable sort by (group, -power) keeping each group's first cell."""
+    if len(dets) == 0:
+        return dets
+    labels, _ = ndimage.label(dets.mask(), structure=np.ones((3, 3), dtype=int))
+    group = labels[dets.range_bins, dets.azimuth_bins]
+    order = np.lexsort((-dets.power, group))  # stable: ties keep the set's order
+    keep = order[np.r_[True, np.diff(group[order]) != 0]]
+    return DetectionSet(dets.range_bins[keep], dets.azimuth_bins[keep], dets.power[keep],
+                        dets.threshold[keep], map_shape=dets.map_shape)
+
+
 def scalar_loop_hit(dets, boxes, axes):
     for d in dets.detections:
         r = axes.range_m[d.range_bin]
@@ -379,6 +391,55 @@ def test_suppress_and_hit_test_equal_the_per_detection_loops(case):
     assert kept.detections == dict_loop_suppress(dets)  # cells, powers, thresholds, order
     for ds in (dets, kept):
         assert hit_test(ds, boxes, axes) == scalar_loop_hit(ds, boxes, axes)
+
+
+@st.composite
+def suppression_sets(draw):
+    """Detection sets: tie-heavy or continuous powers, isolated cells, empty sets, tall maps.
+
+    A tall map stacks small frames, each followed by an all-zero, never
+    evaluable separator row, and thresholds them at once as ``flags_at_k`` does.
+    """
+    kind = draw(st.sampled_from(["ties", "continuous", "single_cells", "empty", "tall"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "tall":
+        n_c = draw(st.integers(1, 9))
+        shape = (draw(st.integers(1, 6)), draw(st.integers(1, 8)) + 1, n_c)
+        power = rng.integers(0, 4, shape).astype(float)  # quantised: equal maxima are common
+        base = rng.integers(0, 3, shape) * 0.5
+        evaluable = rng.random(shape) < 0.8
+        power[:, -1], base[:, -1], evaluable[:, -1] = 0.0, 0.0, False
+        k = draw(st.sampled_from([0.5, 1.0, 1.5, 3.0]))
+        return threshold(power.reshape(-1, n_c), base.reshape(-1, n_c),
+                         evaluable.reshape(-1, n_c), k)
+    n_r, n_c = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    if kind == "empty":
+        crossing = np.zeros((n_r, n_c), dtype=bool)
+    elif kind == "single_cells":  # every other row and column: no two cells touch
+        crossing = np.zeros((n_r, n_c), dtype=bool)
+        crossing[::2, ::2] = rng.random(crossing[::2, ::2].shape) < 0.7
+    else:
+        crossing = rng.random((n_r, n_c)) < draw(st.floats(0.1, 1.0))
+    rs, cs = np.nonzero(crossing)
+    if kind == "continuous":
+        power = rng.exponential(1.0, rs.size)
+    else:
+        power = rng.integers(1, 4, rs.size).astype(float)
+    rows = np.column_stack([rs, cs, power, rng.random(rs.size)])
+    if draw(st.booleans()):  # thresholding gives raster order; suppression takes any order
+        rows = rows[rng.permutation(rs.size)]
+    return det_set(rows, shape=(n_r, n_c))
+
+
+@settings(max_examples=400, deadline=None)
+@given(suppression_sets())
+def test_suppress_equals_the_lexsort_rule_and_the_dict_loop(dets):
+    kept = suppress(dets)
+    want = lexsort_suppress(dets)
+    for name in ("range_bins", "azimuth_bins", "power", "threshold"):
+        assert np.array_equal(getattr(kept, name), getattr(want, name))
+    assert kept.map_shape == dets.map_shape
+    assert kept.detections == dict_loop_suppress(dets)
 
 
 def test_box_validation():

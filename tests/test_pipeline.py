@@ -125,6 +125,54 @@ def test_cached_flags_match_direct_scoring():
                 assert np.array_equal(direct.flags, flags_at_k(cached, k))
 
 
+@pytest.mark.parametrize("method", ["dbf", "capon"])
+@pytest.mark.parametrize("edge_policy", EDGE_POLICIES)
+def test_cached_maps_are_the_stream_maps_bit_for_bit(method, edge_policy):
+    rec = occupied_recording(5)
+    manifest = RunManifest(method=method, k=3.0, mti_alpha=0.99, edge_policy=edge_policy)
+    cached = cache_recording(rec, manifest)
+    outs = list(process_recording(rec, manifest))
+    assert cached.powers.shape[0] == len(outs) == rec.n_frames
+    for i, out in enumerate(outs):
+        for stack, frame_map in ((cached.powers, out.power), (cached.bases, out.threshold_base),
+                                 (cached.evaluable, out.evaluable)):
+            assert stack.dtype == frame_map.dtype
+            assert stack[i, :-1].tobytes() == frame_map.tobytes()
+            assert not stack[i, -1].any()  # the separator row
+
+
+def test_caching_makes_no_detections(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cfar, "suppress", lambda *args: calls.append(args))
+    monkeypatch.setattr(cfar, "threshold", lambda *args: calls.append(args))
+    for method in ("dbf", "capon"):
+        cache_recording(occupied_recording(3), RunManifest(method=method, k=3.0, mti_alpha=0.99))
+    assert calls == []
+
+
+def bad_geometry_recording():
+    lam = CFG.wavelength
+    geom = ArrayGeometry(wavelength=lam, element_offsets=((0.0, 0.0), (lam, 0.0), (0.0, lam / 2)),
+                         azimuth_pair=(0, 1))
+    return dataclasses.replace(occupied_recording(2), geometry=geom)
+
+
+@pytest.mark.parametrize("rec, manifest, message", [
+    (bad_geometry_recording(), RunManifest(method="capon"), "half a wavelength"),
+    (occupied_recording(2), RunManifest(method="dbf", doppler_half_width=64), "Doppler window"),
+    (occupied_recording(2), RunManifest(method="capon", doppler_half_width=64), "Doppler window"),
+])
+def test_cache_and_stream_refuse_at_the_call_before_any_frame(monkeypatch, rec, manifest,
+                                                              message):
+    frames = []
+    monkeypatch.setattr(pipeline, "process_frame", lambda *args: frames.append(args))
+    with pytest.raises(ValueError, match=message):
+        process_recording(rec, manifest)  # at the call, not at next()
+    with pytest.raises(ValueError, match=message):
+        cache_recording(rec, manifest)
+    assert frames == []
+
+
 def test_flags_at_k_monotone_shrinkage():
     rec = occupied_recording(6)
     manifest = RunManifest(method="dbf", k=2.0, mti_alpha=0.99)
