@@ -150,20 +150,17 @@ def test_caching_makes_no_detections(monkeypatch):
     assert calls == []
 
 
-def bad_geometry_recording():
-    lam = CFG.wavelength
-    geom = ArrayGeometry(wavelength=lam, element_offsets=((0.0, 0.0), (lam, 0.0), (0.0, lam / 2)),
-                         azimuth_pair=(0, 1))
-    return dataclasses.replace(occupied_recording(2), geometry=geom)
-
-
-@pytest.mark.parametrize("rec, manifest, message", [
-    (bad_geometry_recording(), RunManifest(method="capon"), "half a wavelength"),
-    (occupied_recording(2), RunManifest(method="dbf", doppler_half_width=64), "Doppler window"),
-    (occupied_recording(2), RunManifest(method="capon", doppler_half_width=64), "Doppler window"),
+@pytest.mark.parametrize("pair_offset, manifest, message", [
+    (1.0, RunManifest(method="capon"), "half a wavelength"),
+    (0.5, RunManifest(method="dbf", doppler_half_width=64), "Doppler window"),
+    (0.5, RunManifest(method="capon", doppler_half_width=64), "Doppler window"),
 ])
-def test_cache_and_stream_refuse_at_the_call_before_any_frame(monkeypatch, rec, manifest,
+def test_cache_and_stream_refuse_at_the_call_before_any_frame(monkeypatch, pair_offset, manifest,
                                                               message):
+    lam = CFG.wavelength  # the pair's offset receiver sits pair_offset wavelengths along azimuth
+    geom = ArrayGeometry(wavelength=lam, azimuth_pair=(0, 1),
+                         element_offsets=((0.0, 0.0), (pair_offset * lam, 0.0), (0.0, lam / 2)))
+    rec = dataclasses.replace(occupied_recording(2), geometry=geom)
     frames = []
     monkeypatch.setattr(pipeline, "process_frame", lambda *args: frames.append(args))
     with pytest.raises(ValueError, match=message):
