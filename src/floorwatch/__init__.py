@@ -1,6 +1,6 @@
 """Quasi-static floor-occupancy detection from FMCW SIMO radar frames.
 
-Processing chain: fast/slow-time FFTs, exponential clutter subtraction, a
+Processing chain: fast/slow-time DFTs, exponential clutter subtraction, a
 phase-and-sum (DBF) or adaptive minimum-variance (Capon) range-azimuth
 stage, and a 2-D cell-averaging CFAR detector, plus a scene simulator and a
 reliability evaluation harness.

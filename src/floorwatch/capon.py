@@ -18,13 +18,10 @@ clamped to the finite maximum of their range row and counted.
 The closed form keeps ``pinv``'s rank rule and, where ``pinv``'s map is
 finite, gives the same clamps and every cell within 16 kappa eps (relative)
 of it, kappa being lmax / lmin of R capped at 1 / PINV_RCOND; where
-``pinv``'s inverse overflows (R below about 1e-300), so does it. One
-exception: along the null direction of a rank-one R the quadratic form is
-taken from one column of R^+ and reliably clamps, where ``pinv`` and the
-einsum leave a rounding residue of about eps that may or may not pass the
-floor, so ``pinv``'s map spikes to about 1e16 times its row or clamps by
-chance. The n-channel path takes the same column form for a rank-one R;
-the null directions of an R of rank two or more still take the einsum.
+``pinv``'s inverse overflows (R below about 1e-300), so does it. Along the
+null direction of a rank-one R, on any channel count, the quadratic form is
+taken from one column of R^+ and reliably clamps, where ``pinv``'s einsum
+leaves about eps and its map spikes to about 1e16 times its row.
 """
 
 from __future__ import annotations
@@ -36,9 +33,9 @@ import numpy as np
 from .core import ArrayGeometry
 from .dbf import RangeAzimuthMap, SteeringGrid
 
-# a look direction whose (a^H R^+ a) tr(R) is at or below this is treated as
-# lying in the covariance null space
-QUADFORM_FLOOR = 1e-30
+# a look direction whose (a^H R^+ a) tr(R) is at or below ``null_floor(a)`` is treated
+# as lying in the covariance null space
+NULL_ROUNDING = 4.0
 PINV_RCOND = 1e-12
 
 
@@ -172,10 +169,6 @@ def check_pair_geometry(geom: ArrayGeometry) -> None:
                          f"({dx:.6g} m, {dy:.6g} m)")
 
 
-def _trace(m: np.ndarray) -> np.ndarray:
-    return np.trace(m, axis1=-2, axis2=-1).real
-
-
 def _quadratic_form(cov: SpatialCovariance, a: np.ndarray) -> np.ndarray:
     """Real a^H R^+ a for every matrix of the stack and every column of ``a``.
 
@@ -211,13 +204,21 @@ def _quadratic_form(cov: SpatialCovariance, a: np.ndarray) -> np.ndarray:
     return quad
 
 
+def null_floor(a: np.ndarray) -> np.ndarray:
+    """(NULL_ROUNDING n eps)^2 |a|^2 per column of the n-channel steering ``a``: above the
+    up to about 1.2 (n eps)^2 |a|^2 that steering computed from angles leaves along a true
+    null direction, and far below the |a|^2 a full-rank R gives, so it moves no full-rank R."""
+    eps = np.finfo(np.float64).eps
+    return (NULL_ROUNDING * a.shape[0] * eps) ** 2 * (a.real ** 2 + a.imag ** 2).sum(axis=0)
+
+
 def capon_spectrum(cov: SpatialCovariance, steering: np.ndarray) -> tuple[np.ndarray, int]:
     """Adaptive power spectrum 1 / (a^H R^+ a) over the steering columns.
 
     A stack of covariances gives a stack of spectrum rows, one per matrix.
     Returns the spectrum and the total number of clamped (singular) cells:
-    a cell is singular when (a^H R^+ a) tr(R) <= QUADFORM_FLOOR, a test that
-    does not change when R is scaled. A clamped cell takes the finite
+    a cell is singular when (a^H R^+ a) tr(R) <= ``null_floor(a)``, a test
+    that does not change when R is scaled. A clamped cell takes the finite
     maximum of its row; rows with no invertible direction at all come back
     as zeros. The quadratic form is ``_quadratic_form``'s.
     """
@@ -225,7 +226,7 @@ def capon_spectrum(cov: SpatialCovariance, steering: np.ndarray) -> tuple[np.nda
     if a.shape[0] != cov.pseudo_inverse.shape[-1]:
         raise ValueError("steering dimension does not match covariance")
     quad = _quadratic_form(cov, a)
-    singular = quad * _trace(cov.matrix)[..., None] <= QUADFORM_FLOOR
+    singular = quad * np.trace(cov.matrix, axis1=-2, axis2=-1).real[..., None] <= null_floor(a)
     spectrum = 1.0 / np.where(singular, np.inf, quad)
     # finite cells are > 0 and singular ones 0, so this is each row's finite
     # maximum, or 0 for a row with no finite cell
@@ -236,12 +237,12 @@ def capon_spectrum(cov: SpatialCovariance, steering: np.ndarray) -> tuple[np.nda
 def mvdr_weight(cov: SpatialCovariance, steering: np.ndarray) -> np.ndarray:
     """Closed-form minimum-variance weight R^+ a / (a^H R^+ a).
 
-    Raises where ``capon_spectrum`` would clamp: (a^H R^+ a) tr(R) <= QUADFORM_FLOOR,
+    Raises where ``capon_spectrum`` would clamp: (a^H R^+ a) tr(R) <= ``null_floor(a)``,
     with the same quadratic form.
     """
     a = np.asarray(steering)
     denom = _quadratic_form(cov, a[:, None])[..., 0]
-    if denom * _trace(cov.matrix) <= QUADFORM_FLOOR:
+    if denom * np.trace(cov.matrix).real <= null_floor(a):
         raise ValueError("steering direction lies in the covariance null space")
     return cov.pseudo_inverse @ a / denom
 

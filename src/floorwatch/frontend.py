@@ -1,22 +1,20 @@
-"""Fast-time / slow-time FFT frontend: raw frames to per-receiver range-Doppler maps.
+"""Fast-time / slow-time DFT frontend: raw frames to per-receiver range-Doppler maps.
 
-A frame is one (rx, chirp, sample) complex array, and ``process_frame`` is the
-frontend's one FFT function. Both of its stages apply a Hann taper, which
-bounds leakage from strong static clutter (each taper is made once per length,
-as a read-only complex128 array), and use unnormalized forward FFTs;
-thresholds downstream are relative, so only consistency matters. The range
-axis keeps the lower half of the spectrum; the Doppler axis is centered so
-zero velocity sits at bin chirps_per_frame // 2. Complex phase across
-receivers is preserved throughout for the later spatial processing.
+A frame is one (rx, chirp, sample) complex array. ``process_frame`` computes
+the Hann-tapered, unnormalized 2-D DFT of each receiver's frame at the bins
+asked for only, as two complex matrix products and no FFT: the Doppler DFT
+at the requested bins over chirps, then the range DFT at the lower half of
+the range spectrum over samples. Each taper bounds leakage from strong static
+clutter and is folded into its DFT matrix, made once per length and bin set;
+thresholds downstream are relative, so only consistency matters. The Doppler
+axis is centered so zero velocity sits at bin chirps_per_frame // 2, and
+phase across receivers is preserved for the later spatial processing.
 
-The cube ``process_frame`` returns, and the clutter filter, DBF and Capon
-take, is a plain complex128 (rx, range_bin, doppler_bin) array. By default
-it holds every Doppler bin; the pipeline asks for the zero-Doppler window's
-bins only, which are gathered from the unshifted spectrum (no ``fftshift``
-copy), and passes ``frame_buffers`` made once per recording, so both FFTs
-run in place in the same two arrays on every frame. The cube is a fresh
-array either way. Samples are checked where they enter, by ``Recording``;
-the cube is not checked again.
+The cube, a plain complex128 (rx, range_bin, doppler_bin) array, holds every
+Doppler bin by default; the pipeline asks for the zero-Doppler window's only.
+It is within a few eps of the FFTs' (relative to the absolute sum of the
+tapered frame per receiver), not bit for bit. Samples are checked where they
+enter, by ``Recording``; the cube is not checked again.
 """
 
 from __future__ import annotations
@@ -28,44 +26,35 @@ import numpy as np
 from .core import RadarConfig
 
 
-@functools.lru_cache(maxsize=None)
-def _hann(n: int) -> np.ndarray:
-    """Read-only complex128 ``np.hanning(n)``: the product numpy makes with the float
-    taper, without casting the taper on every frame."""
-    w = np.hanning(n).astype(np.complex128)
-    w.flags.writeable = False
-    return w
+@functools.lru_cache(maxsize=64)
+def _tapered_dft(n: int, bins: tuple[int, ...]) -> np.ndarray:
+    """Read-only (len(bins), n) matrix: row i is ``np.hanning(n)[t] * exp(-2j pi bins[i] t / n)``.
+
+    Each phase index bins[i] * t is reduced modulo n in integers, to [-n/2, n/2), before
+    it is scaled by 2 pi / n, so each twiddle is within about 2 eps of its value."""
+    t = np.arange(n)
+    phase = (np.outer(bins, t) + n // 2) % n - n // 2
+    m = np.hanning(n) * np.exp(-2j * np.pi / n * phase)
+    m.flags.writeable = False
+    return m
 
 
-def frame_buffers(cfg: RadarConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The two complex128 arrays ``process_frame`` computes the range and Doppler
-    spectra in. A recording's loop makes one pair for all its frames, so the heap
-    does not trim and fault these temporaries back in on every frame."""
-    return (np.empty(cfg.frame_shape, dtype=np.complex128),
-            np.empty((cfg.num_rx, cfg.chirps_per_frame, cfg.num_range_bins), dtype=np.complex128))
-
-
-def process_frame(frame: np.ndarray, cfg: RadarConfig, window: np.ndarray | None = None,
-                  buffers: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """Hann-windowed range FFT, then Hann-windowed Doppler FFT of the lower range half:
-    the centered Doppler bins ``window`` (default: all) of the frame's
-    (rx, range_bin, doppler_bin) cube, in a fresh array.
-
-    Both FFTs run in ``buffers`` (``frame_buffers(cfg)``; fresh if None). The Doppler
-    spectrum is never shifted: centered bin b is bin (b - n // 2) % n of it.
-    """
+def process_frame(frame: np.ndarray, cfg: RadarConfig,
+                  window: np.ndarray | None = None) -> np.ndarray:
+    """Hann-windowed range DFT of the lower range half and Hann-windowed Doppler DFT:
+    the centered Doppler bins ``window`` (default: all; bin b is DFT bin (b - n // 2) % n)
+    of the frame's (rx, range_bin, doppler_bin) cube, in a fresh array."""
     if frame.shape != cfg.frame_shape:
         raise ValueError(f"frame shape {frame.shape} does not match config {cfg.frame_shape}")
-    spectrum, doppler = (None, None) if buffers is None else buffers
-    # the product widens complex64 samples to complex128 as it goes, with no copy first
-    spectrum = np.multiply(frame, _hann(cfg.samples_per_chirp), out=spectrum)
-    np.fft.fft(spectrum, axis=2, out=spectrum)
     n = cfg.chirps_per_frame
-    doppler = np.multiply(spectrum[:, :, : cfg.num_range_bins], _hann(n)[:, None], out=doppler)
-    np.fft.fft(doppler, axis=1, out=doppler)
     if window is None:
-        window = np.arange(n)  # (arange(n) - n // 2) % n is the fftshift permutation
-    return np.moveaxis(doppler, 1, 2)[:, :, (window - n // 2) % n]
+        window = np.arange(n)
+    doppler = _tapered_dft(n, tuple(((window - n // 2) % n).tolist()))
+    ranges = _tapered_dft(cfg.samples_per_chirp, tuple(range(cfg.num_range_bins)))
+    # (window, chirp) @ (rx, chirp, sample) @ (sample, range); the window's bins are rows of
+    # both products, so a cell's sums do not depend on which other bins are computed (on
+    # BLAS kernels whose rows are independent). The first widens complex64 samples.
+    return ((doppler @ frame) @ ranges.T).transpose(0, 2, 1).copy()
 
 
 def zero_doppler_window(num_doppler_bins: int, half_width: int = 2) -> np.ndarray:

@@ -5,11 +5,11 @@ and the filter output is Y_k = X_k - C_k. With the bundled alpha = 0.01 the
 clutter map tracks the newest frame almost exactly, so Y_k is a scaled
 first difference; alpha near 1 gives the slow-adaptation reading instead.
 State is per recording and must be stepped sequentially. Input and output
-are (rx, range_bin, doppler_bin) cubes, the arrays ``frontend.process_frame``
-returns: every Doppler bin by default, only the zero-Doppler window's bins
-in the pipeline. Each bin is filtered on its own, so the pipeline's filter
-(a state of that many Doppler bins) gets the same values there as a filter
-over the whole cube.
+are (rx, range_bin, doppler_bin) cubes as ``frontend.process_frame`` returns
+them: every Doppler bin by default, and in the pipeline only the
+zero-Doppler window's bins, the only ones it computes there. Each bin is
+filtered on its own, so a filter over those bins gets the values a filter
+over the whole cube would give them.
 """
 
 from __future__ import annotations

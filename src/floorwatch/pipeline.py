@@ -3,10 +3,9 @@
 The clutter state is reset at the start of every recording and stepped
 sequentially; distinct recordings are independent. Only the zero-Doppler
 window's bins are computed by the frontend and clutter filtered, as they are
-the only bins DBF and Capon read. A frame does only per-frame work: the Hann
-tapers, the CFAR ring geometry (per map shape and config) and the Capon pair
-steering (per grid) are made once and reused, and the frontend's two FFT
-buffers are made once per recording, as its clutter state is.
+the only bins DBF and Capon read. A frame does only per-frame work: the
+frontend's DFT matrices, the CFAR ring geometry and the Capon pair steering
+are made once and reused, and the clutter state once per recording.
 
 Sweeping the detector sensitivity k reuses the per-frame power and
 training-mean maps, since the threshold is k times a k-independent mean: a
@@ -27,7 +26,7 @@ from . import cfar as cfar_mod
 from . import dbf as dbf_mod
 from .cfar import DetectionSet, MapAxes
 from .core import RadarConfig, range_resolution
-from .frontend import frame_buffers, process_frame, zero_doppler_window
+from .frontend import process_frame, zero_doppler_window
 from .mti import init_clutter, mti_step
 from .recordings import RunManifest
 from .scoring import TrialRecord
@@ -64,6 +63,7 @@ class FrameOutput:
     threshold_base: np.ndarray  # training-ring mean; threshold = k * base
     evaluable: np.ndarray       # cells the detector may fire on
     detections: DetectionSet    # post-suppression detections at the manifest k
+    clamp_count: int            # Capon cells clamped on singular directions; 0 for DBF
 
 
 def process_recording(rec: Recording, manifest: RunManifest):
@@ -75,12 +75,13 @@ def process_recording(rec: Recording, manifest: RunManifest):
     """
     k = manifest.k
     return (FrameOutput(frame_index=i, power=power, threshold_base=base, evaluable=evaluable,
-                        detections=detections_from_maps(power, base, evaluable, k))
-            for i, power, base, evaluable in _recording_maps(rec, manifest))
+                        detections=detections_from_maps(power, base, evaluable, k),
+                        clamp_count=clamped)
+            for i, power, base, evaluable, clamped in _recording_maps(rec, manifest))
 
 
 def _recording_maps(rec: Recording, manifest: RunManifest):
-    """An iterator of (frame index, power, training mean, evaluable) per frame; no detections.
+    """An iterator of (index, power, training mean, evaluable, clamp count) per frame.
 
     The call raises before any frame is processed if the zero-Doppler window
     does not fit the recording's Doppler bins, or if a Capon manifest meets a
@@ -99,11 +100,10 @@ def _frame_maps(rec: Recording, manifest: RunManifest, window: np.ndarray):
 
     # MTI is per bin, so filtering only the window's bins gives the same values
     state = init_clutter((cfg.num_rx, cfg.num_range_bins, window.size), alpha=manifest.mti_alpha)
-    buffers = frame_buffers(cfg)
     bins = np.arange(window.size)
 
     for i, frame in enumerate(rec.samples):
-        rd = process_frame(frame, cfg, window, buffers)
+        rd = process_frame(frame, cfg, window)
         state, filtered = mti_step(state, rd)
         if manifest.method == "dbf":
             spectrum = dbf_mod.dbf_power(filtered, weights, bins)
@@ -111,7 +111,7 @@ def _frame_maps(rec: Recording, manifest: RunManifest, window: np.ndarray):
         else:
             ra = capon_mod.capon_range_azimuth(filtered, manifest.grid, bins, geom.azimuth_pair)
         base, evaluable = cfar_mod.training_stats(ra.power, manifest.cfar)
-        yield i, ra.power, base, evaluable
+        yield i, ra.power, base, evaluable, ra.clamp_count
 
 
 def detections_from_maps(power: np.ndarray, base: np.ndarray, evaluable: np.ndarray,
@@ -158,7 +158,7 @@ def cache_recording(rec: Recording, manifest: RunManifest, candidate_boxes=None)
     Raises as ``_recording_maps`` does.
     """
     boxes = scoring_boxes(rec, candidate_boxes)
-    maps = (frame[1:] for frame in _recording_maps(rec, manifest))
+    maps = ((power, base, ev) for _, power, base, ev, _ in _recording_maps(rec, manifest))
     return stack_maps(boxes, build_axes(rec.config, manifest.grid), rec.n_frames, maps)
 
 

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 import floorwatch.capon as capon_module
 from floorwatch.bench import bench_manifest, occupied_benchmark_scenes
-from floorwatch.capon import (PINV_RCOND, QUADFORM_FLOOR, SpatialCovariance,
+from floorwatch.capon import (PINV_RCOND, SpatialCovariance,
                               capon_range_azimuth, capon_spectrum, capon_steering,
-                              collect_snapshots, mvdr_weight, spatial_covariance)
+                              collect_snapshots, mvdr_weight, null_floor,
+                              spatial_covariance)
 from floorwatch.core import ArrayGeometry, RadarConfig, default_geometry
 from floorwatch.dbf import SteeringGrid, default_grid, element_phases
 from floorwatch.frontend import process_frame, zero_doppler_window
@@ -296,7 +297,7 @@ def test_rank_one_null_direction_clamps_at_any_angle_and_scale():
     # a rank-one R from snapshots along a(theta1) is singular along theta2 with
     # sin(theta2) = sin(theta1) +- 1; off boresight/endfire the written-out
     # quadratic form (and pinv's einsum) cancels there only to about 1e-16 of
-    # tr(R)^-1, above QUADFORM_FLOOR, and the cell spiked to about 1e16 times its
+    # tr(R)^-1, above the null floor, and the cell spiked to about 1e16 times its
     # row; the rank-one form |a^H u|^2 cancels to about eps^2 and clamps
     rng = np.random.default_rng(21)
     sines = [(-0.3, 0.7), (0.3, -0.7), (0.1, -0.9)]
@@ -345,6 +346,28 @@ def test_rank_one_null_direction_clamps_on_a_three_element_line():
         want = pinv_spectrum(x, a[:, [0, 2, 3]])[0]
         kappa = 1.0 / PINV_RCOND
         assert np.all(np.abs(spec[[0, 2, 3]] - want) <= CELL_TOL * kappa * EPS * want)
+
+
+@pytest.mark.parametrize("n_ch, shift", [(3, 2.0 / 3.0), (4, 0.5)])
+def test_rank_one_null_direction_clamps_with_steering_computed_from_angles(n_ch, shift):
+    # steering exp(-j pi n sin(theta)) computed from each angle carries about n eps of
+    # rounding, so along the null direction sin(theta1) +- shift (a^H R^+ a) tr(R) read
+    # up to about 1.2 (n eps)^2 |a|^2; an absolute floor of 1e-30 sits below that for
+    # 3 and 4 channels, and those cells spiked instead of clamping
+    rng = np.random.default_rng(41)
+    n = np.arange(n_ch)[:, None]
+    for s1 in rng.uniform(-1.0, 1.0, 2000):
+        sign = -1.0 if s1 > 1 - shift else 1.0 if s1 < shift - 1 else rng.choice([-1.0, 1.0])
+        theta = np.arcsin(np.array([s1, s1 + sign * shift, 0.2, -0.6]))
+        a = np.exp(-1j * np.pi * n * np.sin(theta))
+        amps = rng.standard_normal(int(rng.integers(1, 9))) * (1.0 + 0.0j)
+        x = 10.0 ** rng.uniform(-100.0, 100.0) * a[:, :1] * amps
+        cov = spatial_covariance(x)
+        spec, clamped = capon_spectrum(cov, a)
+        assert clamped == 1
+        assert spec[1] == np.delete(spec, 1).max()
+        with pytest.raises(ValueError):
+            mvdr_weight(cov, a[:, 1])
 
 
 def test_n_channel_rank_deficient_marks_rank_one_and_zero_only():
@@ -462,7 +485,7 @@ def pinv_spectrum(x, a):
     """Spectrum and clamp count from pinv and the einsum: the oracle for two channels."""
     r, rinv = pinv_covariance(x)
     quad = np.real(np.einsum("ct,...cd,dt->...t", a.conj(), rinv, a))
-    singular = quad * np.trace(r, axis1=-2, axis2=-1).real[..., None] <= QUADFORM_FLOOR
+    singular = quad * np.trace(r, axis1=-2, axis2=-1).real[..., None] <= null_floor(a)
     spectrum = np.zeros(quad.shape)
     np.divide(1.0, quad, out=spectrum, where=~singular)
     spectrum = np.where(singular, spectrum.max(axis=-1, keepdims=True), spectrum)
@@ -581,7 +604,7 @@ def test_closed_form_map_matches_pinv_on_clutter_filtered_bench_frames():
 
 
 def test_spectrum_floor_does_not_depend_on_scale():
-    # the singular test is (a^H R^+ a) tr(R) <= QUADFORM_FLOOR, so a scaled
+    # the singular test is (a^H R^+ a) tr(R) <= null_floor(a), so a scaled
     # stack gives the scaled spectrum and no clamps; with an absolute floor on
     # a^H R^+ a alone, a stack at 1e100 clamped every cell to a zero row
     rng = np.random.default_rng(15)

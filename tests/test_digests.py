@@ -4,6 +4,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "digests.py"
@@ -75,3 +76,57 @@ def test_compare_is_the_exit_status_of_the_command(digests, tmp_path, monkeypatc
         with pytest.raises(SystemExit) as exit_info:
             digests.main()
         assert exit_info.value.code == status
+
+
+def tree(root, digests_map, files):
+    """A --out tree: digests.json and the study files its keys name."""
+    for rel, content in files.items():
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if isinstance(content, str):
+            path.write_text(content)
+        else:
+            np.save(path, content)
+    return write(root / "digests.json", digests_map)
+
+
+def test_compare_reports_how_far_study_files_moved(digests, tmp_path, capsys):
+    csv_a = "frame,range_bin,power,threshold,label\n0,3,2.0,4.0,a\n1,5,-8.0,1.0,b\n"
+    csv_b = "frame,range_bin,power,threshold,label\n0,3,2.5,4.0,a\n1,5,-8.0,1.000001,c\n"
+    maps = np.array([[1.0, 0.0], [4.0, -2.0]], dtype=np.float32)
+    moved_maps = maps.copy()
+    moved_maps[1, 1] = -1.0
+    files_a = {"out/capon/process/rec0.csv": csv_a, "out/capon/process/rec0.npy": maps,
+               "out/report/report.json": "{}"}
+    files_b = {"out/capon/process/rec0.csv": csv_b, "out/capon/process/rec0.npy": moved_maps,
+               "out/report/report.json": "{ }"}
+    keys = {f"study/{rel}": "x" for rel in files_a}
+    a = tree(tmp_path / "a", keys, files_a)
+    b = tree(tmp_path / "b", {key: "y" for key in keys}, files_b)
+    assert digests.compare(a, b) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == [
+        "study: 3 differ",
+        "  study/out/capon/process/rec0.csv",
+        "    power: max relative difference 0.2",
+        "    threshold: max relative difference 1e-06",
+        "    label: differs, not numeric",
+        "  study/out/capon/process/rec0.npy",
+        "    max relative difference 0.5",
+        "  study/out/report/report.json",
+    ]
+
+
+def test_compare_without_the_trees_lists_keys_only(digests, tmp_path, capsys):
+    a = write(tmp_path / "a.json", BASE)
+    b = write(tmp_path / "b.json", {**BASE, "study/out/capon/process/rec0.csv": "zz"})
+    assert digests.compare(a, b) == 1
+    assert capsys.readouterr().out.splitlines() == ["study: 1 differ",
+                                                    "  study/out/capon/process/rec0.csv"]
+
+
+def test_relative_difference(digests):
+    assert digests.relative_difference([0.0, 1.0, -3.0], [0.0, 1.0, -3.0]) == 0.0
+    assert digests.relative_difference([0.0, 2.0], [1e-300, 1.0]) == 1.0
+    assert digests.relative_difference([], []) == 0.0
+    assert digests.relative_difference([float("inf")], [float("inf")]) == 0.0

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from floorwatch.core import RadarConfig
-from floorwatch.frontend import _hann, frame_buffers, process_frame, zero_doppler_window
+from floorwatch.frontend import _tapered_dft, process_frame, zero_doppler_window
 
 
 def small_cfg():
@@ -61,10 +61,9 @@ def test_doppler_fft_static_input_centered():
 
 
 def test_range_fft_zero_frame():
-    # a zero frame gives the exact zero cube, also when computed in buffers holding NaN
+    # a zero frame gives the exact zero cube
     cfg = small_cfg()
-    buffers = tuple(np.full_like(b, np.nan) for b in frame_buffers(cfg))
-    cube = process_frame(np.zeros((2, 16, 32), dtype=complex), cfg, buffers=buffers)
+    cube = process_frame(np.zeros((2, 16, 32), dtype=complex), cfg)
     assert cube.shape == (2, 16, 16)
     assert np.all(cube == 0)
 
@@ -121,22 +120,36 @@ def test_zero_doppler_window():
 
 @pytest.mark.parametrize("n", [1, 16, 64, 128])
 def test_cached_taper_gives_the_float_taper_product_and_is_read_only(n):
-    # one complex128 taper per length replaces the float64 taper numpy cast on every frame
-    w = _hann(n)
-    assert w is _hann(n)
-    assert w.dtype == np.complex128 and np.array_equal(w.real, np.hanning(n)) and not w.imag.any()
-    rng = np.random.default_rng(n)
-    x = rng.standard_normal((3, 5, n)) + 1j * rng.standard_normal((3, 5, n))
-    x[0, 0] = complex(-0.0, 0.0)
-    x[0, 1] = complex(0.0, -0.0)
-    x[0, 2] = complex(-0.0, -0.0)
-    assert np.array_equal((x * w).view(np.uint64), (x * np.hanning(n)).view(np.uint64))
+    # the taper is folded into each DFT matrix, made once per length and bin set: the
+    # zero-frequency row is the float taper itself, and row b its product with the twiddles
+    bins = (0, n // 2, n - 1)
+    m = _tapered_dft(n, bins)
+    assert m is _tapered_dft(n, bins)
+    assert m.shape == (3, n) and m.dtype == np.complex128
+    assert np.array_equal(m[0].real, np.hanning(n)) and not m[0].imag.any()
+    # the FFT's rows, within the rounding of its twiddles and of the matrix's
+    assert np.allclose(m, np.fft.fft(np.diag(np.hanning(n)), axis=0)[list(bins)],
+                       rtol=0, atol=8 * EPS)
     with pytest.raises(ValueError):
-        w[0] = 1.0
+        m[0, 0] = 1.0
 
 
-def bits(a):
-    return np.ascontiguousarray(a).view(np.uint64)
+EPS = np.finfo(np.float64).eps
+# a cube cell is within FRONTEND_TOL * eps * sum|w x| of the FFTs', per receiver, where
+# w x is the receiver's tapered frame. An impulse spends the most of it: each of the two
+# twiddles is within about 2 eps, each taper and sample product adds about 1, and the FFT
+# composition's own error reaches about 4; the worst seen over 6,000 drawn frames was 5.7.
+# Unreduced phase indices, a dropped taper or a window one bin off each fail it.
+FRONTEND_TOL = 12.0
+
+
+def fft_composition(frame, cfg):
+    """The full centered cube by the FFTs the frontend used to compute, as the oracle."""
+    profiles = np.fft.fft(frame.astype(np.complex128) * np.hanning(cfg.samples_per_chirp), axis=2)
+    shifted = np.fft.fftshift(np.fft.fft(profiles[:, :, : cfg.num_range_bins]
+                                         * np.hanning(cfg.chirps_per_frame)[:, None], axis=1),
+                              axes=1)
+    return np.moveaxis(shifted, 1, 2)
 
 
 def unaligned_complex64(x):
@@ -148,50 +161,52 @@ def unaligned_complex64(x):
     return frame
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_windowed_frontend_equals_the_full_cube_bit_for_bit(data):
-    # the window's bins come from the unshifted spectrum, computed in reused buffers
+def test_frontend_matches_the_fft_composition_within_its_bound(data):
     n = 2 * data.draw(st.integers(1, 64), label="chirps_per_frame / 2")
     cfg = RadarConfig(chirps_per_frame=n,
                       samples_per_chirp=2 * data.draw(st.integers(1, 32), label="samples / 2"),
                       num_rx=data.draw(st.integers(2, 4), label="num_rx"))
-    window = zero_doppler_window(n, data.draw(st.integers(0, n // 2 - 1), label="half_width"))
+    half_width = data.draw(st.none() | st.integers(0, n // 2 - 1), label="half_width")
+    window = None if half_width is None else zero_doppler_window(n, half_width)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     x = rng.standard_normal(cfg.frame_shape) + 1j * rng.standard_normal(cfg.frame_shape)
-    # a receiver of signed zeros gives signed zeros in its spectra
-    zero = data.draw(st.sampled_from([None, complex(-0.0, -0.0), complex(-0.0, 0.0),
-                                      complex(0.0, -0.0)]), label="rx 0 zeros")
-    if zero is not None:
-        x[0] = zero
-    frame = unaligned_complex64(x) if data.draw(st.booleans(), label="complex64") else x
-    full = process_frame(frame, cfg)
-    # the fftshift composition the frontend used to compute
-    profiles = np.fft.fft(frame.astype(np.complex128) * np.hanning(cfg.samples_per_chirp), axis=2)
-    shifted = np.fft.fftshift(np.fft.fft(profiles[:, :, : cfg.num_range_bins]
-                                         * np.hanning(n)[:, None], axis=1), axes=1)
-    assert np.array_equal(bits(full), bits(np.moveaxis(shifted, 1, 2)))
-    # stale buffer contents must not reach the result
-    buffers = tuple(np.full_like(b, np.nan) for b in frame_buffers(cfg))
-    for _ in range(2):
-        got = process_frame(frame, cfg, window, buffers)
-        assert got.shape == (cfg.num_rx, cfg.num_range_bins, window.size)
-        assert got.dtype == np.complex128
-        assert np.array_equal(bits(got), bits(full[:, :, window]))
+    # a few impulses leave no sum to average the twiddles' rounding away
+    impulses = data.draw(st.sampled_from([None, 1, 3]), label="impulses")
+    if impulses is not None:
+        keep = np.zeros(x.size, dtype=bool)
+        keep[rng.choice(x.size, size=min(impulses, x.size), replace=False)] = True
+        x = np.where(keep.reshape(x.shape), x, 0.0)
+    single = data.draw(st.booleans(), label="complex64")
+    # float32 holds about 1e-38 to 3e38
+    x = x * 10.0 ** data.draw(st.floats(-30, 30) if single else st.floats(-100, 100),
+                              label="log10 scale")
+    frame = unaligned_complex64(x) if single else x
+    got = process_frame(frame, cfg, window)
+    want = fft_composition(frame, cfg)
+    if window is not None:
+        want = want[:, :, window]
+    assert got.shape == want.shape and got.dtype == np.complex128
+    taper = np.outer(np.hanning(n), np.hanning(cfg.samples_per_chirp))
+    bound = FRONTEND_TOL * EPS * (np.abs(frame.astype(np.complex128)) * taper).sum(axis=(1, 2))
+    assert np.all(np.abs(got - want) <= bound[:, None, None])
 
 
-def test_frames_computed_in_shared_buffers_are_their_own_arrays():
+def test_frames_are_their_own_arrays():
+    # every cube is a fresh array: no view of another frame's cube or of the cached matrices
     cfg = small_cfg()
     window = zero_doppler_window(cfg.chirps_per_frame, 3)
     rng = np.random.default_rng(7)
     f0, f1 = (rng.standard_normal(cfg.frame_shape) + 1j * rng.standard_normal(cfg.frame_shape)
               for _ in range(2))
-    want0, want1 = process_frame(f0, cfg, window), process_frame(f1, cfg, window)
-    buffers = frame_buffers(cfg)
-    cube0 = process_frame(f0, cfg, window, buffers)
-    cube1 = process_frame(f1, cfg, window, buffers)
-    for a, b in [(cube0, cube1), *((c, buf) for c in (cube0, cube1) for buf in buffers)]:
+    cube0, cube1 = process_frame(f0, cfg, window), process_frame(f1, cfg, window)
+    want1 = cube1.copy()
+    matrices = (_tapered_dft(cfg.chirps_per_frame, tuple(((window - 8) % 16).tolist())),
+                _tapered_dft(cfg.samples_per_chirp, tuple(range(cfg.num_range_bins))))
+    for a, b in [(cube0, cube1), *((c, m) for c in (cube0, cube1) for m in matrices)]:
         assert not np.shares_memory(a, b)
-    assert np.array_equal(cube0, want0)
+    assert cube0.flags.writeable and cube0.flags.c_contiguous
     cube0[...] = np.nan
     assert np.array_equal(cube1, want1)
+    assert np.array_equal(process_frame(f1, cfg, window), want1)

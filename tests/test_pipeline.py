@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import floorwatch
-from floorwatch import capon, cfar, dbf, pipeline
+from floorwatch import capon, cfar, dbf, frontend, pipeline
 from floorwatch.bench import bench_manifest, occupied_benchmark_scenes
 from floorwatch.capon import check_pair_geometry
 from floorwatch.cfar import EDGE_POLICIES, CfarConfig, GroundTruthBox
@@ -148,6 +148,44 @@ def test_caching_makes_no_detections(monkeypatch):
     for method in ("dbf", "capon"):
         cache_recording(occupied_recording(3), RunManifest(method=method, k=3.0, mti_alpha=0.99))
     assert calls == []
+
+
+@pytest.mark.parametrize("method", ["dbf", "capon"])
+def test_stream_frames_after_the_first_make_no_fft_and_no_dft_matrix(monkeypatch, method):
+    # the frontend is two products with DFT matrices made once per length and bin set
+    rec = occupied_recording(4)
+
+    def no_fft(*args, **kwargs):
+        raise AssertionError("the frontend called an FFT")
+
+    for name in ("fft", "ifft", "fft2", "fftn", "rfft", "fftshift"):
+        monkeypatch.setattr(np.fft, name, no_fft)
+    frontend._tapered_dft.cache_clear()
+    built = [frontend._tapered_dft.cache_info().misses
+             for _ in process_recording(rec, RunManifest(method=method, k=3.0, mti_alpha=0.99))]
+    assert built == [2] * rec.n_frames  # the Doppler and the range matrix, at the first frame
+
+
+def test_frame_outputs_carry_the_capon_clamp_count():
+    # identical samples on the azimuth pair make R rank one in every range bin, along
+    # [1, 1]; its null direction [1, -1] is the steering at +-90 degrees, so those cells clamp
+    rec = occupied_recording(4)
+    i, j = rec.geometry.azimuth_pair
+    samples = rec.samples.copy()
+    samples[:, j] = samples[:, i]
+    rec = dataclasses.replace(rec, samples=samples)
+    manifest = RunManifest(method="capon", k=3.0, mti_alpha=0.99, theta_max_deg=90.0)
+    window = zero_doppler_window(CFG.chirps_per_frame, manifest.doppler_half_width)
+    state = init_clutter((CFG.num_rx, CFG.num_range_bins, window.size), manifest.mti_alpha)
+    outs = list(process_recording(rec, manifest))
+    assert len(outs) == rec.n_frames
+    for frame, out in zip(rec.samples, outs):
+        state, filtered = mti_step(state, process_frame(frame, CFG, window))
+        ra = capon.capon_range_azimuth(filtered, manifest.grid, np.arange(window.size), (i, j))
+        assert out.clamp_count == ra.clamp_count == 2 * CFG.num_range_bins
+        assert np.array_equal(out.power, ra.power)
+    dbf_outs = process_recording(rec, dataclasses.replace(manifest, method="dbf"))
+    assert [out.clamp_count for out in dbf_outs] == [0] * rec.n_frames
 
 
 @pytest.mark.parametrize("pair_offset, manifest, message", [

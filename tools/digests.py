@@ -31,19 +31,27 @@ bit-identical frames and byte-identical files.
 digests.json files, grouped by kind: ``power``, ``threshold_base``,
 ``evaluable``, ``detections`` and ``cells`` for stream frames, ``study``
 for study files, and ``only in A`` / ``only in B`` for keys one file lacks.
-It exits 0 when nothing differs and 1 otherwise.
+When each digests.json sits in its ``--out`` tree, it also says how far each
+differing study file moved: for a ``.csv``, the columns whose values differ
+and the largest relative difference |a - b| / max(|a|, |b|) of each (or
+that a column is not numeric, or that the row counts differ); for a
+``.npy``, the largest relative difference of its elements. It exits 0 when
+nothing differs and 1 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 METHODS = ("dbf", "capon")
 STREAM_FRAMES = 40
@@ -155,13 +163,62 @@ def differing_keys(a: dict, b: dict) -> dict:
     return groups
 
 
+def relative_difference(a, b) -> float:
+    """Largest |a - b| / max(|a|, |b|) over two equally shaped arrays; equal cells count 0."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.size == 0:
+        return 0.0
+    with np.errstate(all="ignore"):
+        rel = np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))
+    return float(np.where(a == b, 0.0, rel).max())
+
+
+def _read_csv(path: Path) -> tuple[list, list]:
+    with path.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    return (rows[0], rows[1:]) if rows else ([], [])
+
+
+def moved(path_a: Path, path_b: Path) -> list[str]:
+    """How far one study file moved between two trees, as lines to print."""
+    if path_a.suffix == ".npy":
+        a, b = np.load(path_a), np.load(path_b)
+        if a.shape != b.shape:
+            return [f"shape {a.shape} vs {b.shape}"]
+        return [f"max relative difference {relative_difference(a, b):.3g}"]
+    if path_a.suffix != ".csv":
+        return []
+    (head_a, rows_a), (head_b, rows_b) = _read_csv(path_a), _read_csv(path_b)
+    if head_a != head_b or len(rows_a) != len(rows_b):
+        return [f"columns or row counts differ ({len(head_a)} x {len(rows_a)} vs "
+                f"{len(head_b)} x {len(rows_b)})"]
+    lines = []
+    for i, name in enumerate(head_a):
+        col_a, col_b = [r[i] for r in rows_a], [r[i] for r in rows_b]
+        if col_a == col_b:
+            continue
+        try:
+            rel = relative_difference(np.array(col_a, dtype=float), np.array(col_b, dtype=float))
+        except ValueError:
+            lines.append(f"{name}: differs, not numeric")
+        else:
+            lines.append(f"{name}: max relative difference {rel:.3g}")
+    return lines
+
+
 def compare(path_a: Path, path_b: Path) -> int:
-    groups = differing_keys(json.loads(Path(path_a).read_text()),
-                            json.loads(Path(path_b).read_text()))
+    path_a, path_b = Path(path_a), Path(path_b)
+    groups = differing_keys(json.loads(path_a.read_text()), json.loads(path_b.read_text()))
     for kind, keys in groups.items():
         print(f"{kind}: {len(keys)} differ")
         for key in keys:
             print(f"  {key}")
+            if kind != "study":
+                continue
+            files = [p.parent / key.removeprefix("study/") for p in (path_a, path_b)]
+            if all(f.is_file() for f in files):
+                for line in moved(*files):
+                    print(f"    {line}")
     if not groups:
         print("no digest differs")
     return 1 if groups else 0
