@@ -166,11 +166,9 @@ def differing_keys(a: dict, b: dict) -> dict:
 def relative_difference(a, b) -> float:
     """Largest |a - b| / max(|a|, |b|) over two equally shaped arrays; equal cells count 0."""
     a, b = np.asarray(a), np.asarray(b)
-    if a.size == 0:
-        return 0.0
     with np.errstate(all="ignore"):
         rel = np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))
-    return float(np.where(a == b, 0.0, rel).max())
+    return float(np.where(a == b, 0.0, rel).max(initial=0.0))
 
 
 def _read_csv(path: Path) -> tuple[list, list]:
