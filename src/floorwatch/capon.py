@@ -78,12 +78,12 @@ class SpatialCovariance:
     Hermitian, and R = X X^H / N_D of finite snapshots is PSD up to round-off.
     ``rank_deficient`` (shape ...) marks the matrices of rank one or zero
     under ``pinv``'s rank rule, whose R^+ is of rank one or zero too (for two
-    channels, R^+ = R / tr(R)^2); None takes every R^+ as it comes.
+    channels, R^+ = R / tr(R)^2).
     """
 
     matrix: np.ndarray
     pseudo_inverse: np.ndarray
-    rank_deficient: np.ndarray | None = None
+    rank_deficient: np.ndarray
 
 
 def spatial_covariance(snapshots: np.ndarray) -> SpatialCovariance:
@@ -190,17 +190,16 @@ def _quadratic_form(cov: SpatialCovariance, a: np.ndarray) -> np.ndarray:
         quad += rinv[..., 1, 1, None].real * norm2[1]
         quad += rinv[..., 0, 1, None].real * cross.real
         quad -= rinv[..., 0, 1, None].imag * cross.imag
-    if cov.rank_deficient is not None:
-        low = cov.rank_deficient
-        m = rinv[low]
-        diag = np.arange(m.shape[-1])
-        d = m[:, diag, diag].real
-        col = d.argmax(axis=-1)
-        c = np.take_along_axis(m, col[:, None, None], axis=-1)[..., 0]
-        ci = np.take_along_axis(d, col[:, None], axis=-1)
-        u = c / np.sqrt(np.where(ci > 0.0, ci, 1.0))  # an all-zero R^+ keeps u = 0
-        z = (u.conj()[:, :, None] * a).sum(axis=1)
-        quad[low] = z.real * z.real + z.imag * z.imag
+    low = cov.rank_deficient
+    m = rinv[low]
+    diag = np.arange(m.shape[-1])
+    d = m[:, diag, diag].real
+    col = d.argmax(axis=-1)
+    c = np.take_along_axis(m, col[:, None, None], axis=-1)[..., 0]
+    ci = np.take_along_axis(d, col[:, None], axis=-1)
+    u = c / np.sqrt(np.where(ci > 0.0, ci, 1.0))  # an all-zero R^+ keeps u = 0
+    z = (u.conj()[:, :, None] * a).sum(axis=1)
+    quad[low] = z.real * z.real + z.imag * z.imag
     return quad
 
 

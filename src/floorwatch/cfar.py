@@ -14,7 +14,9 @@ keeps the strongest cell of each 8-connected group and, among equal powers,
 the earliest in the set; the kept cells come out in label order. It takes
 each group's maximum and then the earliest cell equal to it with two
 unbuffered ufunc reductions (``np.maximum.at``, ``np.minimum.at``), so no
-sort of the exceedances is needed.
+sort of the exceedances is needed. ``in_boxes`` is the one box rule: a cell scores
+when its bin centre lies in a ``GroundTruthBox``, bounds included; ``hit_test`` is
+its ``.any()`` over a set.
 """
 
 from __future__ import annotations
@@ -212,11 +214,6 @@ class GroundTruthBox:
         if self.half_extents[0] <= 0 or self.half_extents[1] <= 0:
             raise ValueError("half_extents must be positive")
 
-    def contains(self, range_m, azimuth_rad):
-        """Elementwise: whether each (range, azimuth) point lies inside the box."""
-        return ((abs(range_m - self.center[0]) <= self.half_extents[0])
-                & (abs(azimuth_rad - self.center[1]) <= self.half_extents[1]))
-
 
 @dataclass(frozen=True)
 class MapAxes:
@@ -226,14 +223,16 @@ class MapAxes:
     azimuth_rad: np.ndarray
 
 
-def map_axes(range_resolution_m: float, azimuth_angles: np.ndarray,
-             num_range_bins: int) -> MapAxes:
-    return MapAxes(range_m=np.arange(num_range_bins) * range_resolution_m,
-                   azimuth_rad=np.asarray(azimuth_angles, dtype=float))
+def in_boxes(range_bins: np.ndarray, azimuth_bins: np.ndarray, boxes, axes: MapAxes):
+    """Per cell: whether its bin centre lies inside any box of the tuple, bounds included."""
+    r, th = axes.range_m[range_bins], axes.azimuth_rad[azimuth_bins]
+    inside = np.zeros(r.shape, dtype=bool)
+    for box in boxes:
+        inside |= ((abs(r - box.center[0]) <= box.half_extents[0])
+                   & (abs(th - box.center[1]) <= box.half_extents[1]))
+    return inside
 
 
 def hit_test(dets: DetectionSet, boxes, axes: MapAxes) -> bool:
-    """True when any detection's cell center lies inside any box of the tuple."""
-    r = axes.range_m[dets.range_bins]
-    th = axes.azimuth_rad[dets.azimuth_bins]
-    return any(box.contains(r, th).any() for box in boxes)
+    """True when any detection's cell centre lies inside any box of the tuple."""
+    return bool(in_boxes(dets.range_bins, dets.azimuth_bins, boxes, axes).any())

@@ -20,8 +20,9 @@ import numpy as np
 
 from . import scoring
 from .core import RadarConfig, config_from_dict, default_geometry
-from .pipeline import (build_axes, cache_recording, flags_at_k, process_recording,
-                       score_recording, scoring_boxes)
+from .pipeline import (build_axes, cache_recording, candidate_boxes_by_view, flags_at_k,
+                       frame_flags, process_recording, score_recording, scoring_boxes,
+                       trial_record)
 from .recordings import (RunManifest, dump_json, load_json, manifest_from_dict,
                          read_recording, write_recording)
 from .sim import scene_from_dict, synthesize_recording
@@ -100,15 +101,6 @@ def cmd_process(args) -> int:
     return 0
 
 
-def _candidate_boxes(recordings):
-    """Truth boxes by view: where the empty recordings of each view are scored."""
-    by_view: dict[str, list] = {}
-    for rec in recordings:
-        for box in rec.truth:
-            by_view.setdefault(rec.view_tag, []).append(box)
-    return by_view
-
-
 def cmd_tune(args) -> int:
     if not 0.0 <= args.fpr_cap <= 1.0:
         raise CliError(f"--fpr-cap must be in [0, 1], got {args.fpr_cap}")
@@ -119,7 +111,7 @@ def cmd_tune(args) -> int:
     empty = [r for r in recs if r.label == "empty"]
     if not occupied or not empty:
         raise CliError("tuning needs at least one occupied and one empty recording")
-    by_view = _candidate_boxes(occupied)
+    by_view = candidate_boxes_by_view(occupied)
     occ_cached = [cache_recording(r, manifest) for r in occupied]
     emp_cached = [cache_recording(r, manifest, by_view.get(r.view_tag)) for r in empty]
     result = scoring.tune_k(occ_cached, emp_cached, k_grid, args.fpr_cap, flags_at_k)
@@ -203,13 +195,15 @@ def cmd_evaluate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     recordings = [(path, det, read_recording(path)) for path, det in pairs]
-    by_view = _candidate_boxes(rec for _, _, rec in recordings)
+    by_view = candidate_boxes_by_view(rec for _, _, rec in recordings)
     rows = []
     metrics = []
     for rec_path, det_path, rec in recordings:
         if det_path:
-            trial = _trial_from_detections(rec, det_path, manifest,
-                                           scoring_boxes(rec, by_view.get(rec.view_tag)))
+            axes = build_axes(rec.config, manifest.grid)
+            flags = frame_flags(rec.n_frames, *_read_detections(det_path, rec.n_frames, axes),
+                                scoring_boxes(rec, by_view.get(rec.view_tag)), axes)
+            trial = trial_record(rec, manifest.method, flags)
         else:
             trial = score_recording(rec, manifest, by_view.get(rec.view_tag))
         rate = scoring.frame_positive_rate(trial)
@@ -229,23 +223,20 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _trial_from_detections(rec, det_path, manifest, boxes):
-    """Re-score recorded detections against ``boxes``, the recording's ``scoring_boxes``.
-
-    Each row is scored at its bins' centres on the manifest's map axes, the
-    numbers ``hit_test`` uses; a row whose bins or coordinates do not belong
-    to that map (a CSV made on another grid) is refused.
-    """
-    axes = build_axes(rec.config, manifest.grid)
-    hits = np.zeros(rec.n_frames, dtype=bool)
+def _read_detections(det_path, n_frames, axes):
+    """The (frame, range bin, azimuth bin) arrays of a ``process`` CSV made on ``axes``."""
+    cells = []
     with open(det_path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, restval="")
+        if tuple(reader.fieldnames or ()) != DETECTION_COLUMNS:
+            raise CliError(f"{det_path}: not a process CSV: its header is not "
+                           f"{','.join(DETECTION_COLUMNS)}")
         for row in reader:
             where = f"{det_path} line {reader.line_num}"
             idx = int(row["frame_index"])
-            if not 0 <= idx < rec.n_frames:
+            if not 0 <= idx < n_frames:
                 raise CliError(f"{where}: frame_index {idx} is "
-                               f"outside the recording's {rec.n_frames} frames")
+                               f"outside the recording's {n_frames} frames")
             rb, ab = int(row["range_bin"]), int(row["azimuth_bin"])
             if not (0 <= rb < axes.range_m.size and 0 <= ab < axes.azimuth_rad.size):
                 raise CliError(f"{where}: bin ({rb}, {ab}) is outside the manifest's "
@@ -254,18 +245,20 @@ def _trial_from_detections(rec, det_path, manifest, boxes):
             if (row["range_m"], row["azimuth_deg"]) != (_fmt(r), _fmt(math.degrees(th))):
                 raise CliError(f"{where}: range_m/azimuth_deg are not bin ({rb}, {ab}) of "
                                "the manifest's map; was the CSV made on another grid?")
-            if any(b.contains(r, th) for b in boxes):
-                hits[idx] = True
-    return scoring.TrialRecord(subject_id=rec.subject_tag, view_tag=rec.view_tag,
-                               location_tag=rec.location_tag, method_tag=manifest.method,
-                               flags=hits, label=rec.label)
+            cells.append((idx, rb, ab))
+    return tuple(np.array(cells, dtype=np.intp).reshape(-1, 3).T)
 
 
 def cmd_report(args) -> int:
     rows = []
     with open(args.table, newline="", encoding="utf-8") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append(rec)
+        reader = csv.DictReader(fh, restval="")
+        for row in reader:
+            rate = float(row["rate"])
+            if not 0.0 <= rate <= 1.0:
+                raise CliError(f"{args.table} line {reader.line_num}: rate {row['rate']!r} "
+                               "is not a number in [0, 1]")
+            rows.append({**row, "rate": rate})
     if not rows:
         raise CliError("metrics table is empty")
     out_dir = Path(args.out)
@@ -274,12 +267,12 @@ def cmd_report(args) -> int:
     rates = {}
     for r in rows:
         key = (r["view"], r["location"], r["subject"])
-        rates.setdefault(key, {})[r["method"]] = float(r["rate"])
+        rates.setdefault(key, {})[r["method"]] = r["rate"]
 
     taus = [round(0.05 * i, 2) for i in range(21)]
     by_method: dict[str, list] = {}
     for r in rows:
-        by_method.setdefault(r["method"], []).append(float(r["rate"]))
+        by_method.setdefault(r["method"], []).append(r["rate"])
     _write_table(out_dir / "coverage.csv", ["method", "tau", "coverage"],
                  [[method, _fmt(pt.tau), _fmt(pt.coverage)] for method in sorted(by_method)
                   for pt in scoring.coverage_curve(by_method[method], taus)])
@@ -291,7 +284,7 @@ def cmd_report(args) -> int:
                  [[*key, _fmt(a), _fmt(b), _fmt(b - a)]
                   for key, a, b in sorted(paired, key=lambda t: t[2] - t[1])])
 
-    triples = [(r["view"], r["method"], float(r["rate"])) for r in rows]
+    triples = [(r["view"], r["method"], r["rate"]) for r in rows]
     stats = scoring.viewpoint_stats(triples)
     _write_table(out_dir / "view_quartiles.csv",
                  ["view", "method", "min", "q1", "median", "q3", "max"],

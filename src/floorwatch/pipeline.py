@@ -38,7 +38,16 @@ def build_grid(manifest: RunManifest) -> dbf_mod.SteeringGrid:
 
 
 def build_axes(cfg: RadarConfig, grid: dbf_mod.SteeringGrid) -> MapAxes:
-    return cfar_mod.map_axes(range_resolution(cfg), grid.azimuth_angles, cfg.num_range_bins)
+    return MapAxes(range_m=np.arange(cfg.num_range_bins) * range_resolution(cfg),
+                   azimuth_rad=np.asarray(grid.azimuth_angles, dtype=float))
+
+
+def candidate_boxes_by_view(recordings) -> dict:
+    """Truth boxes by view: where the empty recordings of each view are scored."""
+    by_view: dict[str, list] = {}
+    for rec in recordings:
+        by_view.setdefault(rec.view_tag, []).extend(rec.truth)
+    return by_view
 
 
 def scoring_boxes(rec: Recording, candidate_boxes=None) -> tuple:
@@ -122,17 +131,24 @@ def detections_from_maps(power: np.ndarray, base: np.ndarray, evaluable: np.ndar
 
 def score_recording(rec: Recording, manifest: RunManifest,
                     candidate_boxes=None) -> TrialRecord:
-    """Per-frame hit/false-positive flags for one recording, frame by frame.
-
-    Frames score against ``scoring_boxes(rec, candidate_boxes)``.
-    """
+    """A recording's flags against its ``scoring_boxes``, one ``hit_test`` per frame."""
     boxes = scoring_boxes(rec, candidate_boxes)
     axes = build_axes(rec.config, manifest.grid)
     flags = [cfar_mod.hit_test(out.detections, boxes, axes)
              for out in process_recording(rec, manifest)]
-    return TrialRecord(subject_id=rec.subject_tag, view_tag=rec.view_tag,
-                       location_tag=rec.location_tag, method_tag=manifest.method,
-                       flags=np.asarray(flags, dtype=bool), label=rec.label)
+    return trial_record(rec, manifest.method, flags)
+
+
+def trial_record(rec: Recording, method: str, flags) -> TrialRecord:
+    """The TrialRecord of ``rec``'s per-frame flags under ``method``."""
+    return TrialRecord(subject_id=rec.subject_tag, view_tag=rec.view_tag, label=rec.label,
+                       location_tag=rec.location_tag, method_tag=method, flags=flags)
+
+
+def frame_flags(n_frames: int, frames, range_bins, azimuth_bins, boxes, axes) -> np.ndarray:
+    """Per-frame flags of cells given by frame and bins: a cell in a box flags its frame."""
+    inside = cfar_mod.in_boxes(range_bins, azimuth_bins, boxes, axes)
+    return np.bincount(frames[inside], minlength=n_frames) > 0
 
 
 @dataclass(frozen=True)
@@ -185,11 +201,4 @@ def flags_at_k(cached: CachedTrial, k: float) -> np.ndarray:
     dets = detections_from_maps(cached.powers.reshape(-1, cols), cached.bases.reshape(-1, cols),
                                 cached.evaluable.reshape(-1, cols), k)
     frame, range_bin = np.divmod(dets.range_bins, rows)
-    r = cached.axes.range_m[range_bin]
-    th = cached.axes.azimuth_rad[dets.azimuth_bins]
-    inside = np.zeros(frame.size, dtype=bool)
-    for box in cached.boxes:
-        inside |= box.contains(r, th)
-    flags = np.zeros(n_frames, dtype=bool)
-    flags[frame[inside]] = True
-    return flags
+    return frame_flags(n_frames, frame, range_bin, dets.azimuth_bins, cached.boxes, cached.axes)

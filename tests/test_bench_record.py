@@ -95,6 +95,22 @@ def test_append_keeps_working_with_out_inside_the_checkout(bench_record, checkou
     assert len(json.loads(out.read_text())["runs"]) == 2
 
 
+def test_each_checkout_records_its_source_line_total(bench_record, checkout, monkeypatch):
+    package = checkout / "src" / "floorwatch"
+    (package / "mod.py").write_text("a = 1\nb = 2\n")
+    (package / "tail.py").write_text("c = 3")  # wc -l counts newlines: no last one, 0 lines
+    (package / "data").mkdir()
+    (package / "data" / "nested.py").write_text("not counted\n")
+    (package / "notes.txt").write_text("not counted\n")
+    monkeypatch.setattr(bench_record, "bench_run", _stub_run)
+    out = checkout / "BENCH_1.json"
+    monkeypatch.setattr(sys, "argv", ["bench_record.py", "--repo", f"change={checkout}",
+                                      "--workloads", "stream", "--seeds", "1", "--out", str(out)])
+    assert bench_record.main() == 0
+    repo = json.loads(out.read_text())["repos"]["change"]
+    assert repo == {"revision": bench_record.revision(checkout), "src_lines": 2}
+
+
 def test_a_run_whose_last_line_is_not_json_is_recorded_as_failed(bench_record, tmp_path,
                                                                  monkeypatch):
     # at the parent json.loads raised and stopped the whole recording

@@ -149,7 +149,8 @@ def test_grid_pair_steering_is_made_once_and_read_only():
 
 def test_spectrum_identity_covariance_is_flat():
     cov = SpatialCovariance(matrix=np.eye(2, dtype=complex),
-                            pseudo_inverse=np.eye(2, dtype=complex))
+                            pseudo_inverse=np.eye(2, dtype=complex),
+                            rank_deficient=np.array(False))  # as spatial_covariance marks it
     grid = grid_deg()
     a = capon_steering(grid.azimuth_angles)
     spec, clamped = capon_spectrum(cov, a)

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from floorwatch.cfar import (CfarConfig, DetectionSet, GroundTruthBox, _ring_geometry, ca_cfar_2d,
-                             cfar_mask, hit_test, map_axes, suppress, threshold, training_stats)
+from floorwatch.cfar import (CfarConfig, DetectionSet, GroundTruthBox, MapAxes, _ring_geometry,
+                             ca_cfar_2d, cfar_mask, hit_test, in_boxes, suppress, threshold,
+                             training_stats)
 
 
 def brute_force_mask(power, cfg):
@@ -239,7 +240,7 @@ def test_suppress_empty_set_unchanged():
 
 def axes_32x121():
     az = np.deg2rad(np.arange(-60.0, 61.0))
-    return map_axes(0.3, az, 32)
+    return MapAxes(range_m=np.arange(32) * 0.3, azimuth_rad=az)
 
 
 def test_hit_at_center():
@@ -353,15 +354,15 @@ def lexsort_suppress(dets):
                         dets.threshold[keep], map_shape=dets.map_shape)
 
 
-def scalar_loop_hit(dets, boxes, axes):
+def scalar_in_boxes(dets, boxes, axes):
+    """The box rule cell by cell and box by box, on Python scalars."""
+    out = []
     for d in dets.detections:
-        r = axes.range_m[d.range_bin]
-        th = axes.azimuth_rad[d.azimuth_bin]
-        for box in boxes:
-            if (abs(r - box.center[0]) <= box.half_extents[0]
-                    and abs(th - box.center[1]) <= box.half_extents[1]):
-                return True
-    return False
+        r = float(axes.range_m[d.range_bin])
+        th = float(axes.azimuth_rad[d.azimuth_bin])
+        out.append(any(abs(r - box.center[0]) <= box.half_extents[0]
+                       and abs(th - box.center[1]) <= box.half_extents[1] for box in boxes))
+    return out
 
 
 @st.composite
@@ -373,7 +374,8 @@ def detections_and_boxes(draw):
     values = st.sampled_from([0.5, 1.0, 2.0])  # few values, so groups hold ties
     rows = [(*cells[i], draw(values), draw(values)) for i in order]
     # azimuths on the bench grid's 3-degree multiples, -12 deg among them
-    axes = map_axes(0.3, np.deg2rad(np.arange(n_c) * 3.0 - 12.0), n_r)
+    axes = MapAxes(range_m=np.arange(n_r) * 0.3,
+                   azimuth_rad=np.deg2rad(np.arange(n_c) * 3.0 - 12.0))
     boxes = []
     for _ in range(draw(st.integers(1, 3))):  # edges fall on cell centres
         r, c = draw(st.integers(0, n_r - 1)), draw(st.integers(0, n_c - 1))
@@ -390,7 +392,9 @@ def test_suppress_and_hit_test_equal_the_per_detection_loops(case):
     kept = suppress(dets)
     assert kept.detections == dict_loop_suppress(dets)  # cells, powers, thresholds, order
     for ds in (dets, kept):
-        assert hit_test(ds, boxes, axes) == scalar_loop_hit(ds, boxes, axes)
+        want = scalar_in_boxes(ds, boxes, axes)
+        assert in_boxes(ds.range_bins, ds.azimuth_bins, boxes, axes).tolist() == want
+        assert hit_test(ds, boxes, axes) is any(want)
 
 
 @st.composite

@@ -660,3 +660,46 @@ def test_replay_refuses_rows_from_another_grid(tmp_path, capsys, bins, step_deg,
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "CliError" and f"line 2: {message}" in err["message"]
     assert not (tmp_path / "eval" / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("content", ["", "x,y\n1,2\n", "frame_index,range_bin\n0,10\n",
+                                     ",".join(DETECTION_COLUMNS[::-1]) + "\n"],
+                         ids=["zero-bytes", "x-y", "two-columns", "reordered"])
+def test_replay_refuses_a_file_not_headed_as_process_writes(tmp_path, capsys, content):
+    # at the parent each scored as rate 0.0 with exit 0
+    replay_case(tmp_path)
+    det = tmp_path / "d.csv"
+    det.write_text(content)
+    capsys.readouterr()
+    assert main(["evaluate", "--recording", str(tmp_path / "a.rec"), "--detections", str(det),
+                 "--out", str(tmp_path / "eval")]) == 1
+    err = json_error(capsys)
+    assert err["error"] == "CliError"
+    header = ",".join(DETECTION_COLUMNS)
+    assert err["message"] == f"{det}: not a process CSV: its header is not {header}"
+    assert not (tmp_path / "eval" / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("rate, line", [("nan", 3), ("2.5", 3), ("-1", 3), ("inf", 3),
+                                        ("-0.0001", 2)])
+def test_report_refuses_a_rate_outside_the_unit_interval(tmp_path, capsys, rate, line):
+    # at the parent nan, 2.5 and -1 exited 0 with nan quartiles and a nan delta
+    rows = [["tv", "P1", "S1", "dbf", "0.5"], ["tv", "P1", "S1", "capon", "0.75"]]
+    rows[line - 2][4] = rate
+    table = tmp_path / "table.csv"
+    with table.open("w", newline="") as fh:
+        csv.writer(fh).writerows([["view", "location", "subject", "method", "rate"], *rows])
+    capsys.readouterr()
+    assert main(["report", "--table", str(table), "--out", str(tmp_path / "report")]) == 1
+    err = json_error(capsys)
+    assert err == {"error": "CliError", "message": f"{table} line {line}: rate {rate!r} "
+                                                   "is not a number in [0, 1]"}
+    assert not (tmp_path / "report").exists()
+
+
+def test_report_takes_rates_at_the_unit_interval_bounds_and_repeated_keys(tmp_path):
+    # several empty recordings of one view share (view, "", "", method)
+    table = tmp_path / "table.csv"
+    table.write_text("view,location,subject,method,rate\ntv,,,dbf,0.0\ntv,,,dbf,1.0\n"
+                     "tv,,,capon,0\ntv,,,capon,1\n")
+    assert main(["report", "--table", str(table), "--out", str(tmp_path / "report")]) == 0

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import floorwatch
-from floorwatch import capon, cfar, dbf, frontend, pipeline
+from floorwatch import capon, cfar, cli, dbf, frontend, pipeline
 from floorwatch.bench import bench_manifest, occupied_benchmark_scenes
 from floorwatch.capon import check_pair_geometry
 from floorwatch.cfar import EDGE_POLICIES, CfarConfig, GroundTruthBox
@@ -20,7 +20,8 @@ from floorwatch.frontend import process_frame, zero_doppler_window
 from floorwatch.mti import init_clutter, mti_step
 from floorwatch.pipeline import (cache_recording, detections_from_maps, flags_at_k,
                                  process_recording, score_recording, stack_maps)
-from floorwatch.recordings import RunManifest, read_recording, write_recording
+from floorwatch.recordings import (RunManifest, dump_json, manifest_to_dict, read_recording,
+                                   write_recording)
 from floorwatch.sim import ClutterSpec, SceneSpec, TargetSpec, synthesize_recording
 
 CFG = RadarConfig()
@@ -111,18 +112,45 @@ def test_score_recording_flags_each_frame_before_the_next(monkeypatch):
     assert calls == ["process_frame", "hit_test"] * 3
 
 
-def test_cached_flags_match_direct_scoring():
+def replayed_flags(tmp_path, rec_path, manifest, monkeypatch):
+    """Per-frame flags of ``evaluate --detections`` replaying the CSV ``process`` writes."""
+    manifest_path = tmp_path / "manifest.json"
+    dump_json(manifest_to_dict(manifest), manifest_path)
+    csv_path = tmp_path / "detections.csv"
+    common = ["--recording", str(rec_path), "--manifest", str(manifest_path)]
+    assert cli.main(["process", *common, "--out", str(csv_path)]) == 0
+    trials = []
+
+    def kept(rec, method, flags):
+        trials.append(flags)
+        return pipeline.trial_record(rec, method, flags)
+
+    argv = ["evaluate", *common, "--detections", str(csv_path), "--out", str(tmp_path / "ev")]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "trial_record", kept)
+        assert cli.main(argv) == 0
+    (flags,) = trials
+    return flags
+
+
+def test_cached_flags_match_direct_scoring(tmp_path, monkeypatch):
     rec = occupied_recording(6)
     # a tight box around the target: Capon's kept cell falls outside it on some frames
     tight = GroundTruthBox(center=(4.5, np.deg2rad(10.0)), half_extents=(0.3, np.deg2rad(3.0)))
     for r in (rec, dataclasses.replace(rec, truth=(tight,))):
+        rec_path = tmp_path / "rec.rec"
+        write_recording(rec_path, r)
+        from_file = read_recording(rec_path)  # process and evaluate see its complex64 samples
         for method in ("dbf", "capon"):
             manifest = RunManifest(method=method, k=3.0, mti_alpha=0.99)
             cached = cache_recording(r, manifest)
             assert cached.powers.dtype == cached.bases.dtype == np.float64
             for k in (2.0, 3.0, 5.0):
-                direct = score_recording(r, dataclasses.replace(manifest, k=k))
+                at_k = dataclasses.replace(manifest, k=k)
+                direct = score_recording(r, at_k)
                 assert np.array_equal(direct.flags, flags_at_k(cached, k))
+                replayed = replayed_flags(tmp_path, rec_path, at_k, monkeypatch)
+                assert np.array_equal(replayed, score_recording(from_file, at_k).flags)
 
 
 @pytest.mark.parametrize("method", ["dbf", "capon"])
@@ -240,7 +268,7 @@ def sweep_cases(draw):
             power[0, draw(st.integers(0, cols - 1))] = 9.0
             power[-1, draw(st.integers(0, cols - 1))] = 9.0
         maps.append((power, *cfar.training_stats(power, cfg)))
-    axes = cfar.map_axes(1.0, np.arange(cols, dtype=float), rows)
+    axes = cfar.MapAxes(range_m=np.arange(rows) * 1.0, azimuth_rad=np.arange(cols, dtype=float))
     boxes = tuple(GroundTruthBox(center=(draw(st.integers(0, rows - 1)),
                                          draw(st.integers(0, cols - 1))),
                                  half_extents=(draw(st.sampled_from((0.5, 1.5, 9.0))),

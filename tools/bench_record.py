@@ -14,7 +14,9 @@ checkout. Each run executes in its own checkout, with that checkout's
 plus ``-dirty-`` and a digest of ``git diff HEAD`` and of every untracked,
 non-ignored file (name and bytes) when the checkout differs from it in
 ``BENCHMARK.json``, ``perfbench/`` or ``src/``, the files a run reads (so a
-BENCH file written into the checkout leaves its revision as it was).
+BENCH file written into the checkout leaves its revision as it was). Next
+to each revision it records ``src_lines``, the line total of the checkout's
+``src/floorwatch/*.py``: the size the code is judged by.
 
 A run that exits nonzero, prints nothing, or whose last printed line is not
 a JSON object is recorded as not ``correct``, with the reason in ``error``.
@@ -81,6 +83,11 @@ def revision(repo: Path) -> str:
             data = (repo / os.fsdecode(name)).read_bytes()
             dirty += b"\0untracked\0" + name + b"\0" + hashlib.sha256(data).digest()
     return f"{commit}-dirty-{hashlib.sha256(dirty).hexdigest()[:12]}" if dirty else commit
+
+
+def src_lines(repo: Path) -> int:
+    """Line total of the checkout's ``src/floorwatch/*.py``, as ``cat ... | wc -l`` counts it."""
+    return sum(p.read_bytes().count(b"\n") for p in (repo / "src" / "floorwatch").glob("*.py"))
 
 
 def failed_run(error: str) -> dict:
@@ -233,7 +240,7 @@ def main() -> int:
                 parser.error(f"{args.out} has {label!r} at revision {known}, "
                              f"its checkout is now at {rev}")
     for label, rev in revisions.items():
-        record["repos"][label] = {"revision": rev}
+        record["repos"][label] = {"revision": rev, "src_lines": src_lines(repos[label])}
     labels = list(record["repos"])
 
     def round_order(workload, trace):
