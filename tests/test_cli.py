@@ -703,3 +703,16 @@ def test_report_takes_rates_at_the_unit_interval_bounds_and_repeated_keys(tmp_pa
     table.write_text("view,location,subject,method,rate\ntv,,,dbf,0.0\ntv,,,dbf,1.0\n"
                      "tv,,,capon,0\ntv,,,capon,1\n")
     assert main(["report", "--table", str(table), "--out", str(tmp_path / "report")]) == 0
+
+
+def test_rows_cut_short_are_json_errors(tmp_path, capsys):
+    # at the parent a row cut short raised a TypeError traceback in both commands
+    replay_case(tmp_path)
+    det = write_rows(tmp_path / "d.csv", [[0, 10]])
+    assert main(["evaluate", "--recording", str(tmp_path / "a.rec"), "--detections", det,
+                 "--out", str(tmp_path / "eval")]) == 1
+    assert json_error(capsys)["error"] == "ValueError"
+    table = tmp_path / "table.csv"
+    table.write_text("view,location,subject,method,rate\ntv,P1,S1,dbf\n")
+    assert main(["report", "--table", str(table), "--out", str(tmp_path / "report")]) == 1
+    assert json_error(capsys)["error"] == "ValueError"
