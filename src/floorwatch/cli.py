@@ -13,13 +13,13 @@ import csv
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import scoring
-from .core import RadarConfig, config_from_dict, default_geometry
+from .core import RadarConfig, default_geometry, from_json
 from .pipeline import (build_axes, cache_recording, candidate_boxes_by_view, flags_at_k,
                        frame_flags, process_recording, score_recording, scoring_boxes,
                        trial_record)
@@ -36,10 +36,18 @@ class CliError(Exception):
     pass
 
 
+@dataclass(frozen=True)
+class _Trial:
+    """One entry of an ``evaluate --trials`` listing."""
+
+    recording: str
+    detections: str | None = None
+
+
 def _load_config(path: str | None) -> RadarConfig:
     if path is None:
         return RadarConfig()
-    return config_from_dict(load_json(path))
+    return from_json(RadarConfig, load_json(path), name="config")
 
 
 def _load_manifest(args) -> RunManifest:
@@ -169,28 +177,14 @@ def cmd_evaluate(args) -> int:
     if args.trials is None and args.recording is None:
         raise CliError("evaluate needs --recording or --trials")
     manifest = _load_manifest(args)
-    pairs = []
     if args.trials is not None:
         listing = load_json(args.trials)
         if not isinstance(listing, list) or not listing:
             raise CliError("trials listing must be a non-empty JSON array")
-        for i, entry in enumerate(listing):
-            if not isinstance(entry, dict):
-                raise CliError(f"trials[{i}]: expected a JSON object, got {entry!r}")
-            for key in entry:
-                if key not in ("recording", "detections"):
-                    raise CliError(f"trials[{i}]: unknown key {key!r}")
-            if "recording" not in entry:
-                raise CliError(f"trials[{i}].recording missing")
-            rec_path, det_path = entry["recording"], entry.get("detections")
-            if not isinstance(rec_path, str):
-                raise CliError(f"trials[{i}].recording: expected a string, got {rec_path!r}")
-            if not isinstance(det_path, (str, type(None))):
-                raise CliError(f"trials[{i}].detections: expected a string or null, "
-                               f"got {det_path!r}")
-            pairs.append((rec_path, det_path))
+        trials = [from_json(_Trial, entry, f"trials[{i}]") for i, entry in enumerate(listing)]
+        pairs = [(t.recording, t.detections) for t in trials]
     else:
-        pairs.append((args.recording, args.detections))
+        pairs = [(args.recording, args.detections)]
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -264,10 +258,10 @@ def cmd_report(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    rates = {}
+    rates = {}  # (view, location, subject) -> method -> rates in table order
     for r in rows:
         key = (r["view"], r["location"], r["subject"])
-        rates.setdefault(key, {})[r["method"]] = r["rate"]
+        rates.setdefault(key, {}).setdefault(r["method"], []).append(r["rate"])
 
     taus = [round(0.05 * i, 2) for i in range(21)]
     by_method: dict[str, list] = {}
@@ -277,8 +271,9 @@ def cmd_report(args) -> int:
                  [[method, _fmt(pt.tau), _fmt(pt.coverage)] for method in sorted(by_method)
                   for pt in scoring.coverage_curve(by_method[method], taus)])
 
-    paired = [(key, v["dbf"], v["capon"]) for key, v in sorted(rates.items())
-              if "dbf" in v and "capon" in v]
+    # the i-th dbf row of a key pairs with its i-th capon row; a row left over is unpaired
+    paired = [(key, a, b) for key, v in sorted(rates.items())
+              for a, b in zip(v.get("dbf", ()), v.get("capon", ()))]
     _write_table(out_dir / "paired_deltas.csv",
                  ["view", "location", "subject", "dbf", "capon", "delta"],
                  [[*key, _fmt(a), _fmt(b), _fmt(b - a)]

@@ -1,15 +1,22 @@
-"""Radar configuration, receive-array geometry, and closed-form FMCW quantities.
+"""Radar configuration, receive-array geometry, closed-form FMCW quantities, and
+the JSON record schema.
 
 Everything downstream (FFT frontend, beamformers, simulator) consumes the
 types defined here; a frame of samples is a plain complex array of shape
 ``RadarConfig.frame_shape``. All values are SI: Hz, seconds, meters, radians.
+``from_json`` and ``to_json`` read and write every JSON record a file holds
+(scenes, radar configs, recording headers and truth boxes, ``--trials``
+entries) from the fields of its dataclass.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import numbers
 import sys
-from dataclasses import asdict, dataclass, fields
+import typing
+from dataclasses import MISSING, astuple, dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -102,8 +109,8 @@ class ArrayGeometry:
     """
 
     wavelength: float
-    element_offsets: tuple = ()
-    azimuth_pair: tuple = (0, 1)
+    element_offsets: tuple[tuple[float, float], ...] = ()
+    azimuth_pair: tuple[int, int] = (0, 1)
 
     def __post_init__(self):
         if self.wavelength <= 0:
@@ -145,28 +152,18 @@ def default_geometry(cfg: RadarConfig) -> ArrayGeometry:
     return ArrayGeometry(wavelength=lam, element_offsets=offsets, azimuth_pair=(0, 1))
 
 
-def config_to_dict(cfg: RadarConfig) -> dict:
-    return asdict(cfg)
+# --- The JSON record schema, derived from the dataclass fields ---
+# A field's JSON kind comes from its annotation: an int a JSON integer, a float
+# a finite JSON number, a str a string, "str | None" a string or null, a
+# dataclass its JSON object, and tuple[X, ...] or tuple[X, Y] an array of those.
+# A field whose metadata names a "record" holds that record's values as a
+# plain tuple and is stored as its object. A "*_rad" field is stored in degrees
+# under the "*_deg" key. A float field must be at least the "minimum" in its
+# metadata, 0 by default; an int field and numbers in arrays have no bound
+# unless one is given. A field with a default may be left out, and a key that
+# no field maps to is an error, at every level.
 
-
-def config_from_dict(d: dict) -> RadarConfig:
-    if not isinstance(d, dict):
-        raise ValueError("config: expected a JSON object")
-    extra = set(d) - {f.name for f in fields(RadarConfig)}
-    if extra:
-        raise ValueError(f"unknown config fields: {sorted(extra)}")
-    return RadarConfig(**d)
-
-
-def geometry_to_dict(geom: ArrayGeometry) -> dict:
-    return asdict(geom)
-
-
-def json_int(name: str, value) -> int:
-    """A JSON integer field; a bool, float or string is refused, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name}: expected an integer, got {value!r}")
-    return value
+SIGNED = {"minimum": None}  # field metadata: a float field that may be negative
 
 
 def json_number(name: str, value) -> float:
@@ -177,17 +174,80 @@ def json_number(name: str, value) -> float:
     return float(value)
 
 
-def json_str(name: str, value) -> str:
-    """A JSON string field; null, a number or a bool is refused, not turned into text."""
-    if not isinstance(value, str):
-        raise ValueError(f"{name}: expected a string, got {value!r}")
+def _json_key(name: str) -> str:
+    return name[:-len("_rad")] + "_deg" if name.endswith("_rad") else name
+
+
+def _json_value(value):
+    if is_dataclass(value):
+        return to_json(value)
+    return [_json_value(v) for v in value] if isinstance(value, tuple) else value
+
+
+def to_json(record) -> dict:
+    """The JSON object of a record; ``from_json`` reads it back."""
+    out = {}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if "record" in f.metadata:
+            value = f.metadata["record"](*value)
+        out[_json_key(f.name)] = (math.degrees(value) if f.name.endswith("_rad")
+                                  else _json_value(value))
+    return out
+
+
+@functools.cache
+def _kinds(spec) -> dict:
+    return typing.get_type_hints(spec)
+
+
+def _read(kind, value, where: str, minimum):
+    """One JSON value of ``kind``; an error names ``where`` it is."""
+    if is_dataclass(kind):
+        return from_json(kind, value, where)
+    if typing.get_origin(kind) is tuple:
+        kinds = typing.get_args(kind)
+        size = "" if kinds[-1] is ... else f" of {len(kinds)} items"
+        if kinds[-1] is ... and isinstance(value, list):
+            kinds = kinds[:1] * len(value)
+        if not isinstance(value, list) or len(value) != len(kinds):
+            raise ValueError(f"{where}: expected a JSON array{size}, got {value!r}")
+        return tuple(_read(k, v, f"{where}[{i}]", minimum)
+                     for i, (k, v) in enumerate(zip(kinds, value)))
+    if kind in (str, str | None):
+        if not (isinstance(value, str) or (value is None and kind is not str)):
+            nullable = "" if kind is str else " or null"
+            raise ValueError(f"{where}: expected a string{nullable}, got {value!r}")
+        return value
+    if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
+        raise ValueError(f"{where}: expected an integer, got {value!r}")
+    value = value if kind is int else json_number(where, value)
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{where}: must be >= {minimum}")
     return value
 
 
-def geometry_from_dict(d: dict) -> ArrayGeometry:
-    return ArrayGeometry(
-        wavelength=json_number("wavelength", d["wavelength"]),
-        element_offsets=tuple(tuple(json_number("element_offsets", x) for x in o)
-                              for o in d["element_offsets"]),
-        azimuth_pair=tuple(json_int("azimuth_pair", i) for i in d["azimuth_pair"]),
-    )
+def from_json(spec, d, path: str = "", name: str = ""):
+    """Build the record ``spec`` from its JSON object.
+
+    An error names the path of the bad key or value: ``path`` is this
+    object's own (fields of a top-level object have bare keys), and ``name``
+    labels a top-level object in errors about the object itself.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"{path or name}: expected a JSON object, got {d!r}")
+    by_key = {_json_key(f.name): f for f in fields(spec)}
+    for key in d:
+        if key not in by_key:
+            raise ValueError(f"{path or name}: unknown key {key!r}")
+    values = {}
+    for key, f in by_key.items():
+        if key not in d and f.default is not MISSING:
+            continue
+        kind = f.metadata.get("record", _kinds(spec)[f.name])
+        value = _read(kind, d.get(key), f"{path}.{key}" if path else key,
+                      f.metadata.get("minimum", 0.0 if kind is float else None))
+        if "record" in f.metadata:
+            value = astuple(value)
+        values[f.name] = math.radians(value) if f.name.endswith("_rad") else value
+    return spec(**values)

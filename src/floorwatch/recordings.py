@@ -5,29 +5,28 @@ UTF-8 JSON header (config, geometry, label, truth boxes, tags, seed, frame
 count, format version), and a little-endian complex64 payload laid out
 [frame][rx][chirp][sample] row-major, which the reader keeps as one
 read-only array over the file's bytes. Angles are degrees in all external
-files and radians in memory. The reader raises ``ValueError`` for a bad
-magic, an unknown format version, a malformed header, a payload whose
-length disagrees with the header, a non-finite sample, an ``n_frames``,
-``seed`` or ``azimuth_pair`` entry that is not a JSON integer (3.7 and "3"
-are refused, not truncated), a geometry or box number that is not a finite
-JSON number, and a geometry whose receiver count differs from the config's
-or whose wavelength is more than 1e-9 (relative) away from c / center_frequency:
-Capon steering assumes a half-wavelength pair. A run manifest refuses a bad
-field when it is made, by ``manifest_from_dict``, ``RunManifest`` or ``replace``.
-"""
+files and radians in memory. The header is the ``_Header`` record of the
+JSON record schema (``core.from_json``), so a key that no field maps to, or
+a value of the wrong JSON kind, is refused with its path. The reader raises
+``ValueError`` for that, a bad magic, an unknown format version, a payload
+whose length disagrees with the header, a non-finite sample, and a geometry
+whose receiver count differs from the config's or whose wavelength is more
+than 1e-9 (relative) away from c / center_frequency: Capon steering assumes
+a half-wavelength pair. A run manifest has its own reader, whose integer
+fields take integral floats; it refuses a bad field when it is made, by
+``manifest_from_dict``, ``RunManifest`` or ``replace``."""
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .cfar import CfarConfig, GroundTruthBox
-from .core import (RadarConfig, config_from_dict, config_to_dict, geometry_from_dict,
-                   geometry_to_dict, json_int, json_number, json_str)
+from .core import SIGNED, ArrayGeometry, RadarConfig, from_json, json_number, to_json
 from .dbf import default_grid
 from .sim import Recording
 
@@ -36,26 +35,32 @@ FORMAT_VERSION = 1
 BYTES_PER_SAMPLE = 8  # float32 real + float32 imag
 
 
-def _box_to_dict(box: GroundTruthBox) -> dict:
-    return {
-        "center_range_m": box.center[0],
-        "center_azimuth_deg": math.degrees(box.center[1]),
-        "half_extent_range_m": box.half_extents[0],
-        "half_extent_azimuth_deg": math.degrees(box.half_extents[1]),
-        "view_tag": box.view_tag,
-        "location_tag": box.location_tag,
-    }
+@dataclass(frozen=True)
+class _TruthBox:
+    """A ``GroundTruthBox`` as the header stores it: flat keys, azimuths in degrees."""
+
+    center_range_m: float
+    center_azimuth_rad: float = field(metadata=SIGNED)
+    half_extent_range_m: float
+    half_extent_azimuth_rad: float
+    view_tag: str = ""
+    location_tag: str = ""
 
 
-def _box_from_dict(d: dict) -> GroundTruthBox:
-    r, az, dr, daz = (json_number(key, d[key]) for key in (
-        "center_range_m", "center_azimuth_deg", "half_extent_range_m", "half_extent_azimuth_deg"))
-    return GroundTruthBox(
-        center=(r, math.radians(az)),
-        half_extents=(dr, math.radians(daz)),
-        view_tag=json_str("view_tag", d.get("view_tag", "")),
-        location_tag=json_str("location_tag", d.get("location_tag", "")),
-    )
+@dataclass(frozen=True)
+class _Header:
+    """The JSON header of a recording file."""
+
+    format_version: int
+    config: RadarConfig
+    geometry: ArrayGeometry
+    label: str
+    n_frames: int
+    seed: int = 0
+    view_tag: str = ""
+    location_tag: str = ""
+    subject_tag: str = ""
+    truth: tuple[_TruthBox, ...] = ()
 
 
 def payload_nbytes(cfg: RadarConfig, n_frames: int) -> int:
@@ -69,20 +74,13 @@ def write_recording(path, rec: Recording) -> None:
         if not (np.abs(frame.real) <= limit).all() or not (np.abs(frame.imag) <= limit).all():
             raise ValueError(f"frame {i}: a sample component exceeds the float32 range "
                              "of the recording format")
-    cfg = rec.config
-    header = {
-        "format_version": FORMAT_VERSION,
-        "config": config_to_dict(cfg),
-        "geometry": geometry_to_dict(rec.geometry),
-        "label": rec.label,
-        "seed": rec.seed,
-        "n_frames": rec.n_frames,
-        "view_tag": rec.view_tag,
-        "location_tag": rec.location_tag,
-        "subject_tag": rec.subject_tag,
-        "truth": [_box_to_dict(b) for b in rec.truth],
-    }
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    header = _Header(
+        format_version=FORMAT_VERSION, config=rec.config, geometry=rec.geometry,
+        label=rec.label, n_frames=rec.n_frames, seed=rec.seed, view_tag=rec.view_tag,
+        location_tag=rec.location_tag, subject_tag=rec.subject_tag,
+        truth=tuple(_TruthBox(*b.center, *b.half_extents, b.view_tag, b.location_tag)
+                    for b in rec.truth))
+    header_bytes = json.dumps(to_json(header), sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(np.uint32(len(header_bytes)).tobytes())
@@ -101,30 +99,26 @@ def read_recording(path) -> Recording:
         raise ValueError("recording header: expected a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported format_version {header.get('format_version')}")
-    try:  # a field of the wrong type or shape surfaces as one of the caught errors
-        cfg = config_from_dict(header["config"])
-        geom = geometry_from_dict(header["geometry"])
-        if geom.num_rx != cfg.num_rx:
-            raise ValueError(f"geometry has {geom.num_rx} receivers, config {cfg.num_rx}")
-        if abs(geom.wavelength - cfg.wavelength) > 1e-9 * cfg.wavelength:
-            raise ValueError(f"geometry wavelength {geom.wavelength} m differs from the "
-                             f"config's c / center_frequency = {cfg.wavelength} m")
-        n_frames = json_int("n_frames", header["n_frames"])
-        payload = max(0, len(raw) - 8 - header_len)
-        expected = payload_nbytes(cfg, n_frames)
-        if payload != expected:
-            raise ValueError(f"payload length mismatch: expected {expected} bytes, got {payload}")
-        samples = np.frombuffer(raw, "<c8", offset=8 + header_len)
-        return Recording(
-            config=cfg, geometry=geom, samples=samples.reshape((n_frames,) + cfg.frame_shape),
-            truth=tuple(_box_from_dict(b) for b in header.get("truth", [])),
-            label=header["label"], seed=json_int("seed", header.get("seed", 0)),
-            view_tag=json_str("view_tag", header.get("view_tag", "")),
-            location_tag=json_str("location_tag", header.get("location_tag", "")),
-            subject_tag=json_str("subject_tag", header.get("subject_tag", "")),
-        )
-    except (KeyError, TypeError, OverflowError) as exc:
-        raise ValueError(f"recording header: {exc!r}") from exc
+    h = from_json(_Header, header, name="recording header")
+    cfg, geom = h.config, h.geometry
+    if geom.num_rx != cfg.num_rx:
+        raise ValueError(f"geometry has {geom.num_rx} receivers, config {cfg.num_rx}")
+    if abs(geom.wavelength - cfg.wavelength) > 1e-9 * cfg.wavelength:
+        raise ValueError(f"geometry wavelength {geom.wavelength} m differs from the "
+                         f"config's c / center_frequency = {cfg.wavelength} m")
+    payload = max(0, len(raw) - 8 - header_len)
+    expected = payload_nbytes(cfg, h.n_frames)
+    if payload != expected:
+        raise ValueError(f"payload length mismatch: expected {expected} bytes, got {payload}")
+    samples = np.frombuffer(raw, "<c8", offset=8 + header_len)
+    truth = tuple(GroundTruthBox(center=(b.center_range_m, b.center_azimuth_rad),
+                                 half_extents=(b.half_extent_range_m, b.half_extent_azimuth_rad),
+                                 view_tag=b.view_tag, location_tag=b.location_tag)
+                  for b in h.truth)
+    return Recording(config=cfg, geometry=geom,
+                     samples=samples.reshape((h.n_frames,) + cfg.frame_shape), truth=truth,
+                     label=h.label, seed=h.seed, view_tag=h.view_tag,
+                     location_tag=h.location_tag, subject_tag=h.subject_tag)
 
 
 @dataclass(frozen=True)

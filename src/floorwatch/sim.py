@@ -15,17 +15,18 @@ recording fills its frames into one preallocated (frame, rx, chirp, sample) arra
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, astuple, dataclass, field, fields, make_dataclass
+from dataclasses import dataclass, field, make_dataclass
 
 import numpy as np
 
 from .cfar import GroundTruthBox
-from .core import (SPEED_OF_LIGHT, ArrayGeometry, RadarConfig, chirp_slope, json_int,
-                   json_number, json_str, max_range)
+from .core import (SIGNED, SPEED_OF_LIGHT, ArrayGeometry, RadarConfig, chirp_slope, from_json,
+                   max_range, to_json)
 from .dbf import element_phases
 
 DEFAULT_BOX_HALF_EXTENTS = (0.45, math.radians(10.0))
-_SIGNED = {"minimum": None}  # field metadata read by the JSON scene schema
+# the JSON object of SceneSpec.box_half_extents, which holds its values as a tuple
+_BoxHalfExtents = make_dataclass("_BoxHalfExtents", [("range_m", float), ("azimuth_rad", float)])
 
 
 @dataclass(frozen=True)
@@ -33,8 +34,8 @@ class TargetSpec:
     """Quasi-static subject: a reflector with millimetric sinusoidal range jitter."""
 
     range_m: float
-    azimuth_rad: float = field(default=0.0, metadata=_SIGNED)
-    elevation_rad: float = field(default=0.0, metadata=_SIGNED)
+    azimuth_rad: float = field(default=0.0, metadata=SIGNED)
+    elevation_rad: float = field(default=0.0, metadata=SIGNED)
     amplitude: float = 1.0
     micro_motion_amplitude_m: float = 1e-3
     micro_motion_rate_hz: float = 0.25
@@ -45,22 +46,23 @@ class ClutterSpec:
     """Static reflector (furniture, walls, multipath stand-in)."""
 
     range_m: float
-    azimuth_rad: float = field(default=0.0, metadata=_SIGNED)
-    elevation_rad: float = field(default=0.0, metadata=_SIGNED)
+    azimuth_rad: float = field(default=0.0, metadata=SIGNED)
+    elevation_rad: float = field(default=0.0, metadata=SIGNED)
     amplitude: float = 1.0
 
 
 @dataclass(frozen=True)
 class SceneSpec:
-    targets: tuple = ()
-    clutter: tuple = ()
+    targets: tuple[TargetSpec, ...] = ()
+    clutter: tuple[ClutterSpec, ...] = ()
     noise_std: float = 0.0
     seed: int = 0
     n_frames: int = field(default=1, metadata={"minimum": 1})
     view_tag: str = ""
     location_tag: str = ""
     subject_tag: str = ""
-    box_half_extents: tuple = DEFAULT_BOX_HALF_EXTENTS
+    box_half_extents: tuple = field(default=DEFAULT_BOX_HALF_EXTENTS,
+                                    metadata={"record": _BoxHalfExtents})
 
     def __post_init__(self):
         if self.noise_std < 0:
@@ -197,71 +199,9 @@ def synthesize_recording(scene: SceneSpec, cfg: RadarConfig, geom: ArrayGeometry
                      location_tag=scene.location_tag, subject_tag=scene.subject_tag)
 
 
-# --- JSON scene schema, derived from the spec fields ---
-# A "*_rad" field is stored in degrees under the "*_deg" key, and a field with
-# a default may be left out. A number must be a finite JSON number (an integer
-# field takes an integer) and at least the "minimum" in its field's metadata,
-# which defaults to 0 for floats and to none for integers.
-# A key that no field maps to is an error, at every level.
-
-_BoxHalfExtents = make_dataclass("_BoxHalfExtents", [("range_m", float), ("azimuth_rad", float)])
-_LISTS = {"targets": TargetSpec, "clutter": ClutterSpec}
-
-
-def _json_key(name: str) -> str:
-    return name[:-len("_rad")] + "_deg" if name.endswith("_rad") else name
-
-
-def _to_json(record) -> dict:
-    out = {}
-    for f in fields(record):
-        value = getattr(record, f.name)
-        if f.name in _LISTS:
-            value = [_to_json(item) for item in value]
-        elif f.name == "box_half_extents":
-            value = _to_json(_BoxHalfExtents(*value))
-        out[_json_key(f.name)] = math.degrees(value) if f.name.endswith("_rad") else value
-    return out
-
-
-def _from_json(spec, d, path: str):
-    """Build ``spec`` from its JSON object; errors name the path of the bad field or key."""
-    if not isinstance(d, dict):
-        raise ValueError(f"{path or 'scene'}: expected a JSON object")
-    known = {_json_key(f.name) for f in fields(spec)}
-    for key in d:
-        if key not in known:
-            raise ValueError(f"{path or 'scene'}: unknown key {key!r}")
-    values = {}
-    for f in fields(spec):
-        key = _json_key(f.name)
-        if key not in d and f.default is not MISSING:
-            continue
-        where, value = f"{path}.{key}" if path else key, d.get(key)
-        if f.name in _LISTS:
-            if not isinstance(value, list):
-                raise ValueError(f"{where}: expected a JSON array")
-            value = tuple(_from_json(_LISTS[f.name], item, f"{where}[{i}]")
-                          for i, item in enumerate(value))
-        elif f.name == "box_half_extents":
-            value = astuple(_from_json(_BoxHalfExtents, value, where))
-        elif isinstance(f.default, str):
-            value = json_str(where, value)
-        else:
-            integer = isinstance(f.default, int)
-            value = json_int(where, value) if integer else json_number(where, value)
-            minimum = f.metadata.get("minimum", None if integer else 0.0)
-            if minimum is not None and value < minimum:
-                raise ValueError(f"{where}: must be >= {minimum}")
-            if f.name.endswith("_rad"):
-                value = math.radians(value)
-        values[f.name] = value
-    return spec(**values)
-
-
 def scene_from_dict(d: dict) -> SceneSpec:
-    return _from_json(SceneSpec, d, "")
+    return from_json(SceneSpec, d, name="scene")
 
 
 def scene_to_dict(scene: SceneSpec) -> dict:
-    return _to_json(scene)
+    return to_json(scene)

@@ -217,17 +217,20 @@ def test_replaying_an_empty_recording_without_its_view_is_a_json_error(workspace
                  id="detections_true"),
     pytest.param({"recording": "s0.rec", "detection": "d.csv"},
                  "trials[1]: unknown key 'detection'", id="misspelled_key"),
+    pytest.param({"detections": "d.csv"}, "trials[1].recording: expected a string, got None",
+                 id="no_recording"),
 ])
 def test_evaluate_trials_entry_of_the_wrong_type_is_a_json_error(workspace, capsys, entry,
                                                                   message):
     # at the parent the first three were TypeError tracebacks, a number for
     # "detections" was opened as a file descriptor, and a misspelled key was
-    # ignored, so the recording was processed instead of its detections replayed
+    # ignored, so the recording was processed instead of its detections replayed;
+    # entries are read by the JSON record schema, whose errors are ValueErrors
     tmp, _, _, _, manifest = workspace
     trials = write_json(tmp / "trials.json", [{"recording": str(tmp / "s0.rec")}, entry])
     rc = main(["evaluate", "--trials", trials, "--manifest", manifest,
                "--out", str(tmp / "eval")])
-    assert rc == 1 and json_error(capsys) == {"error": "CliError", "message": message}
+    assert rc == 1 and json_error(capsys) == {"error": "ValueError", "message": message}
     assert not (tmp / "eval").exists()
 
 
@@ -703,6 +706,21 @@ def test_report_takes_rates_at_the_unit_interval_bounds_and_repeated_keys(tmp_pa
     table.write_text("view,location,subject,method,rate\ntv,,,dbf,0.0\ntv,,,dbf,1.0\n"
                      "tv,,,capon,0\ntv,,,capon,1\n")
     assert main(["report", "--table", str(table), "--out", str(tmp_path / "report")]) == 0
+
+
+def test_report_pairs_repeated_keys_row_by_row_in_table_order(tmp_path):
+    # at the parent the last dbf and the last capon rate of a key made its only
+    # pair, so this table gave the one delta 0.2 - 0.3
+    rows = "view,location,subject,method,rate\ntv,,,dbf,0.1\ntv,,,dbf,0.3\ntv,,,capon,0.4\n" \
+           "tv,,,capon,0.2\n"
+    for extra in ("", "tv,,,dbf,0.9\n"):  # a third dbf row has no capon row to pair with
+        table = tmp_path / "table.csv"
+        table.write_text(rows + extra)
+        out = tmp_path / f"report{len(extra)}"
+        assert main(["report", "--table", str(table), "--out", str(out)]) == 0
+        deltas = list(csv.DictReader((out / "paired_deltas.csv").open()))
+        assert [(r["dbf"], r["capon"]) for r in deltas] == [("0.3", "0.2"), ("0.1", "0.4")]
+        assert [float(r["delta"]) for r in deltas] == pytest.approx([-0.1, 0.3])
 
 
 def test_rows_cut_short_are_json_errors(tmp_path, capsys):

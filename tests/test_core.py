@@ -3,8 +3,7 @@ import pytest
 
 from floorwatch.capon import check_pair_geometry
 from floorwatch.core import (SPEED_OF_LIGHT, ArrayGeometry, RadarConfig, chirp_slope,
-                             config_from_dict, config_to_dict, default_geometry,
-                             geometry_from_dict, geometry_to_dict, max_range, range_resolution)
+                             default_geometry, from_json, max_range, range_resolution, to_json)
 
 
 def test_chirp_slope_identity():
@@ -95,13 +94,16 @@ def test_geometry_validation():
 
 def test_config_json_round_trip():
     cfg = RadarConfig(bandwidth=750e6, chirps_per_frame=64)
-    assert config_from_dict(config_to_dict(cfg)) == cfg
-    with pytest.raises(ValueError):
-        config_from_dict({"bandwidth": 1e9, "bogus_field": 1})
+    assert from_json(RadarConfig, to_json(cfg)) == cfg
+    with pytest.raises(ValueError, match="config: unknown key 'bogus_field'"):
+        from_json(RadarConfig, {"bandwidth": 1e9, "bogus_field": 1}, name="config")
 
 
 def test_geometry_json_round_trip():
     geom = default_geometry(RadarConfig())
-    back = geometry_from_dict(geometry_to_dict(geom))
+    back = from_json(ArrayGeometry, to_json(geom))
     assert back.azimuth_pair == geom.azimuth_pair
     assert np.allclose(back.offsets_array(), geom.offsets_array())
+    assert back == geom
+    with pytest.raises(ValueError, match="geometry: unknown key 'azimuth_pairs'"):
+        from_json(ArrayGeometry, {**to_json(geom), "azimuth_pairs": [[2, 0]]}, name="geometry")

@@ -27,6 +27,8 @@ BASE = {
     "stream/scene0/capon/file/frame000": frame(),
     "stream/scene0/capon/file/frame001": frame(),
     "stream/scene0/dbf/memory/frame000": frame(),
+    "stream/scene0/recording": "r0",
+    "stream/scene1/recording": "r1",
     "study/out/capon/process/rec0.csv": "aa",
     "study/out/report/report.json": "bb",
 }
@@ -49,6 +51,7 @@ def test_differing_keys_are_grouped_by_kind(digests, tmp_path, capsys):
                                                          detections="d1")
     changed["stream/scene0/capon/file/frame000"] = frame(power="p2")
     changed["study/out/capon/process/rec0.csv"] = "cc"
+    changed["stream/scene1/recording"] = "r2"
     del changed["study/out/report/report.json"]
     changed["study/out/report/extra.txt"] = "dd"
     a, b = write(tmp_path / "a.json", BASE), write(tmp_path / "b.json", changed)
@@ -56,6 +59,7 @@ def test_differing_keys_are_grouped_by_kind(digests, tmp_path, capsys):
         "power": ["stream/scene0/capon/file/frame000", "stream/scene0/capon/file/frame001"],
         "threshold_base": ["stream/scene0/capon/file/frame001"],
         "detections": ["stream/scene0/capon/file/frame001"],
+        "recording": ["stream/scene1/recording"],
         "study": ["study/out/capon/process/rec0.csv"],
         "only in B": ["study/out/report/extra.txt"],
         "only in A": ["study/out/report/report.json"],
@@ -65,6 +69,7 @@ def test_differing_keys_are_grouped_by_kind(digests, tmp_path, capsys):
     assert out[:3] == ["power: 2 differ", "  stream/scene0/capon/file/frame000",
                        "  stream/scene0/capon/file/frame001"]
     assert "study: 1 differ" in out and "  study/out/capon/process/rec0.csv" in out
+    assert out[out.index("recording: 1 differ") + 1] == "  stream/scene1/recording"
     assert not any("evaluable" in line or "cells" in line for line in out)
 
 

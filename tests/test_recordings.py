@@ -290,6 +290,11 @@ def replaced(keys, value):
     return edit
 
 
+def json_path(keys):
+    """The path the JSON record schema gives a header value, e.g. truth[0].view_tag."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys).lstrip(".")
+
+
 def process_exit_and_error(path, out_csv, method="capon"):
     """Run ``process`` on a recording; the exit code and the parsed JSON error, if any."""
     err = io.StringIO()
@@ -324,6 +329,11 @@ def process_exit_and_error(path, out_csv, method="capon"):
     (("truth", 0, "half_extent_range_m"), float("nan")),  # a box that contains nothing
     (("truth", 0, "center_range_m"), "2.5"),
     (("truth", 0, "center_azimuth_deg"), float("-inf")),
+    # a key that no field maps to; the first three were ignored at the parent
+    (("subject",), "S4"),
+    (("truth", 0, "view_tags"), "tv"),
+    (("geometry", "azimuth_pairs"), [[2, 0]]),
+    (("config", "sample_rate"), 2e6),
 ])
 def test_malformed_header_is_a_value_error_and_a_json_error(tmp_path, keys, value):
     good = tmp_path / "good.rec"
@@ -335,6 +345,20 @@ def test_malformed_header_is_a_value_error_and_a_json_error(tmp_path, keys, valu
     assert rc == 1 and error["error"] == "ValueError"
 
 
+@pytest.mark.parametrize("keys, message", [
+    (("subject",), "recording header: unknown key 'subject'"),
+    (("truth", 0, "view_tags"), "truth[0]: unknown key 'view_tags'"),
+    (("geometry", "azimuth_pairs"), "geometry: unknown key 'azimuth_pairs'"),
+    (("config", "sample_rate"), "config: unknown key 'sample_rate'"),
+])
+def test_unknown_header_key_is_refused_with_its_path(tmp_path, keys, message):
+    good = tmp_path / "good.rec"
+    write_recording(good, make_recording())
+    bad = with_header(good, tmp_path / "bad.rec", replaced(keys, "x"))
+    rc, error = process_exit_and_error(bad, tmp_path / "d.csv")
+    assert rc == 1 and error == {"error": "ValueError", "message": message}
+
+
 @pytest.mark.parametrize("keys, value, message", [
     (("view_tag",), None, "view_tag: expected a string, got None"),  # read as "None"
     (("location_tag",), 3, "location_tag: expected a string, got 3"),
@@ -343,7 +367,9 @@ def test_malformed_header_is_a_value_error_and_a_json_error(tmp_path, keys, valu
     (("truth", 0, "location_tag"), ["P1"], "location_tag: expected a string, got ['P1']"),
 ])
 def test_header_tags_must_be_json_strings(tmp_path, keys, value, message):
-    # at the parent any JSON value was turned into a tag with str()
+    # at the parent any JSON value was turned into a tag with str(); the error
+    # names the tag by its path in the header, e.g. truth[0].view_tag
+    message = json_path(keys) + message[len(keys[-1]):]
     good = tmp_path / "good.rec"
     write_recording(good, make_recording())
     bad = with_header(good, tmp_path / "bad.rec", replaced(keys, value))
@@ -351,6 +377,37 @@ def test_header_tags_must_be_json_strings(tmp_path, keys, value, message):
         read_recording(bad)
     rc, error = process_exit_and_error(bad, tmp_path / "d.csv")
     assert rc == 1 and error == {"error": "ValueError", "message": message}
+
+
+def test_header_holds_the_documented_keys_and_values(tmp_path):
+    # the key list of README "Recording file format", its values built here
+    targets = (TargetSpec(range_m=2.5, azimuth_rad=0.3), TargetSpec(range_m=4.0, azimuth_rad=-0.2))
+    scene = SceneSpec(targets=targets, noise_std=0.05, seed=23, n_frames=2, view_tag="window",
+                      location_tag="P2", subject_tag="S7", box_half_extents=(0.5, 0.14))
+    path = tmp_path / "a.rec"
+    write_recording(path, synthesize_recording(scene, CFG, default_geometry(CFG)))
+    lam = CFG.wavelength
+
+    def box(range_m, azimuth_rad):
+        return {"center_range_m": range_m, "center_azimuth_deg": math.degrees(azimuth_rad),
+                "half_extent_range_m": 0.5, "half_extent_azimuth_deg": math.degrees(0.14),
+                "view_tag": "window", "location_tag": "P2"}
+
+    expected = {
+        "format_version": 1,
+        "config": {"center_frequency": CFG.center_frequency, "bandwidth": CFG.bandwidth,
+                   "chirp_duration": CFG.chirp_duration, "frame_rate": CFG.frame_rate,
+                   "chirps_per_frame": 16, "samples_per_chirp": 32, "num_rx": 3,
+                   "chirp_repetition_interval": CFG.chirp_repetition_interval},
+        "geometry": {"wavelength": lam, "azimuth_pair": [2, 0],
+                     "element_offsets": [[lam / 2, 0.0], [0.0, lam / 2], [0.0, 0.0]]},
+        "label": "occupied", "seed": 23, "n_frames": 2,
+        "view_tag": "window", "location_tag": "P2", "subject_tag": "S7",
+        "truth": [box(2.5, 0.3), box(4.0, -0.2)],
+    }
+    raw = path.read_bytes()
+    assert raw[8:8 + int.from_bytes(raw[4:8], "little")] == json.dumps(
+        expected, sort_keys=True).encode()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -396,11 +453,22 @@ def _subtree_keys(node, keys=()):
             yield from _subtree_keys(value, keys + (i,))
 
 
+def _at(node, keys):
+    for key in keys:
+        node = node[key]
+    return node
+
+
 @st.composite
 def _damage(draw, header):
-    kind = draw(st.sampled_from(["header", "payload", "sample"]))
+    kind = draw(st.sampled_from(["header", "key", "payload", "sample"]))
     if kind == "header":
         return kind, draw(st.sampled_from(list(_subtree_keys(header)))), draw(_JSON)
+    if kind == "key":  # a key that no field maps to, in one of the header's objects
+        where = draw(st.sampled_from([keys for keys in _subtree_keys(header)
+                                      if isinstance(_at(header, keys), dict)]))
+        key = draw(st.text(max_size=4).filter(lambda k: k not in _at(header, where)))
+        return kind, where + (key,), draw(_JSON)
     if kind == "payload":
         return kind, draw(st.integers(-64, 64).filter(bool)), None
     return kind, draw(st.integers(0, 2 * 2 * math.prod(CFG.frame_shape) - 1)), \
@@ -419,7 +487,7 @@ def test_damaged_recording_gives_exit_0_or_the_json_error(tmp_path_factory):
     def check(damage, method):
         kind, where, value = damage
         bad = directory / "bad.rec"
-        if kind == "header":
+        if kind in ("header", "key"):
             with_header(valid, bad, replaced(where, value))
         elif kind == "payload":
             bad.write_bytes(raw[:where] if where < 0 else raw + b"\x01" * where)
@@ -429,6 +497,9 @@ def test_damaged_recording_gives_exit_0_or_the_json_error(tmp_path_factory):
             np.frombuffer(damaged, "<f4", offset=offset)[where] = value
             bad.write_bytes(bytes(damaged))
         rc, error = process_exit_and_error(bad, directory / "d.csv", method)
+        if kind == "key":
+            assert rc == 1 and error["error"] == "ValueError"
+            assert "unknown key" in error["message"]
         assert rc in (0, 1)
         if rc == 1:
             assert set(error) == {"error", "message"}

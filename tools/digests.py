@@ -14,6 +14,8 @@ complex64 samples). One SHA-256 per frame each of ``power``, ``threshold_base``,
 ``evaluable`` and the detections, covering dtype and shape as well as bytes;
 ``cells`` digests the detections' (range bin, azimuth bin) cells alone, so a
 change whose maps move in the last bits can show that no detection moved.
+``stream/scene<i>/recording`` is the SHA-256 of the recording file itself, so
+a change to the header format shows too.
 
 ``study/<path>``: the study inputs of ``gen.make_study`` go through ``cli.main``:
 ``simulate`` every scene; per method, ``tune`` over the bench k grid and over
@@ -29,8 +31,9 @@ bit-identical frames and byte-identical files.
 
 ``--compare A B`` prints the keys whose digests differ between two
 digests.json files, grouped by kind: ``power``, ``threshold_base``,
-``evaluable``, ``detections`` and ``cells`` for stream frames, ``study``
-for study files, and ``only in A`` / ``only in B`` for keys one file lacks.
+``evaluable``, ``detections`` and ``cells`` for stream frames, ``recording``
+for stream recording files, ``study`` for study files, and ``only in A`` /
+``only in B`` for keys one file lacks.
 When each digests.json sits in its ``--out`` tree, it also says how far each
 differing study file moved: for a ``.csv``, the columns whose values differ
 and the largest relative difference |a - b| / max(|a|, |b|) of each (or
@@ -83,6 +86,7 @@ def stream_digests(seed: int, root: Path) -> dict:
                                    default_geometry(cfg))
         path = root / "recordings" / f"scene{i}.rec"
         write_recording(path, rec)
+        result[f"stream/scene{i}/recording"] = hashlib.sha256(path.read_bytes()).hexdigest()
         for method, k in sorted(STREAM_K.items()):
             for source, r in (("memory", rec), ("file", read_recording(path))):
                 for out in process_recording(r, bench_manifest(method, k)):
@@ -153,8 +157,9 @@ def differing_keys(a: dict, b: dict) -> dict:
     for key in sorted(a.keys() | b.keys()):
         if key not in b or key not in a:
             kinds = ["only in A" if key in a else "only in B"]
-        elif key.startswith("study/"):
-            kinds = ["study"] if a[key] != b[key] else []
+        elif isinstance(a[key], str):  # the digest of one file
+            kind = "study" if key.startswith("study/") else "recording"
+            kinds = [kind] if a[key] != b[key] else []
         else:
             kinds = [k for k in sorted(a[key].keys() | b[key].keys())
                      if a[key].get(k) != b[key].get(k)]
