@@ -10,12 +10,16 @@ z_m * w_m without conjugation; the simulator generates arrivals as the
 elementwise conjugate of these weights so the beam peak lands on the true
 direction.
 
-The beam is one matrix product, which BLAS runs per azimuth on the calling
-thread, laid out in memory (azimuth, elevation, doppler, range) as the 4-D
-``einsum("mrd,tpm->rtpd")`` lays it out; ``dbf_range_azimuth`` sums |P| in
-memory order, so this layout still fixes the rounding of every map. Each
-element is within ``(n_rx + 2) * eps * sum_m |z_m|`` of the einsum's, zero
-range bins stay zero, and as with the FFT the last bits depend on the build.
+The beam is a batch of small matrix products, one per (elevation, Doppler
+bin) and block of at most ``AZIMUTH_CHUNK`` azimuths, each (azimuth, rx) by
+(rx, range), so BLAS runs every one on the calling thread. They write the
+spectrum straight into (elevation, doppler, azimuth, range) memory.
+``dbf_range_azimuth`` sums |P| over the two leading memory axes,
+elevation-major, the order in which it summed the earlier (azimuth,
+elevation, doppler, range) layout, so every map keeps its bits. Each element
+is within ``(n_rx + 2) * eps * sum_m |z_m|`` of ``einsum("mrd,tpm->rtpd")``,
+zero range bins stay zero, and as with the FFT the last bits depend on the
+build.
 """
 
 from __future__ import annotations
@@ -26,6 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ArrayGeometry
+
+# Azimuths per beam product. A product of 64 azimuths by 3 receivers by 32
+# range bins is 6,144 multiply-adds, far under OpenBLAS's 2^16 threading cut,
+# so the products stay on the calling thread; an 802-azimuth grid in one
+# product crossed the cut and woke a second thread that bought no speed.
+AZIMUTH_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -99,7 +109,9 @@ def dbf_power(rd: np.ndarray, weights: np.ndarray, doppler_window: np.ndarray) -
     """Complex beam spectrum over (range, azimuth, elevation, doppler-in-window).
 
     P[r, t, p, d] = sum_m z_m[r, d] * w_m[t, p] on the selected Doppler bins,
-    as one matrix product whose (t, p, d, r) result is returned as a view.
+    from products batched over (elevation, Doppler bin) and at most
+    ``AZIMUTH_CHUNK`` azimuths each, written into (p, d, t, r) memory that is
+    returned as a view.
     """
     dw = np.asarray(doppler_window, dtype=int)
     if dw.size == 0:
@@ -111,10 +123,14 @@ def dbf_power(rd: np.ndarray, weights: np.ndarray, doppler_window: np.ndarray) -
     n_t, n_p, n_rx = weights.shape
     if n_rx != rd.shape[0]:
         raise ValueError("weight receiver count does not match cube")
-    z = rd[:, :, dw]  # (rx, range, d)
-    n_r, n_d = z.shape[1:]
-    s = weights @ z.transpose(0, 2, 1).reshape(n_rx, -1)  # (t, p, d*r)
-    return s.reshape(n_t, n_p, n_d, n_r).transpose(3, 0, 1, 2)
+    z = rd[:, :, dw].transpose(2, 0, 1)  # (d, rx, range)
+    n_d, _, n_r = z.shape
+    w = weights.transpose(1, 0, 2)[:, None]  # (p, 1, t, rx)
+    s = np.empty((n_p, n_d, n_t, n_r), dtype=np.result_type(weights, z))
+    for t in range(0, n_t, AZIMUTH_CHUNK):
+        chunk = slice(t, t + AZIMUTH_CHUNK)
+        np.matmul(w[:, :, chunk], z[None], out=s[:, :, chunk])
+    return s.transpose(3, 2, 0, 1)
 
 
 def dbf_range_azimuth(spectrum: np.ndarray) -> "RangeAzimuthMap":

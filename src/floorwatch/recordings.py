@@ -8,13 +8,15 @@ read-only array over the file's bytes. Angles are degrees in all external
 files and radians in memory. The header is the ``_Header`` record of the
 JSON record schema (``core.from_json``), so a key that no field maps to, or
 a value of the wrong JSON kind, is refused with its path. The reader raises
-``ValueError`` for that, a bad magic, an unknown format version, a payload
-whose length disagrees with the header, a non-finite sample, and a geometry
-whose receiver count differs from the config's or whose wavelength is more
-than 1e-9 (relative) away from c / center_frequency: Capon steering assumes
-a half-wavelength pair. A run manifest has its own reader, whose integer
-fields take integral floats; it refuses a bad field when it is made, by
-``manifest_from_dict``, ``RunManifest`` or ``replace``."""
+``ValueError`` for that, a bad magic, a file cut short before the end of its
+header, a header nested too deeply to parse, an unknown format version, a
+negative frame count, a payload whose length disagrees with the header, a
+non-finite sample, and a geometry whose receiver count differs from the
+config's or whose wavelength is more than 1e-9 (relative) away from
+c / center_frequency: Capon steering assumes a half-wavelength pair. A run
+manifest has its own reader, whose integer fields take integral floats; it
+refuses a bad field when it is made, by ``manifest_from_dict``,
+``RunManifest`` or ``replace``."""
 
 from __future__ import annotations
 
@@ -55,7 +57,7 @@ class _Header:
     config: RadarConfig
     geometry: ArrayGeometry
     label: str
-    n_frames: int
+    n_frames: int = field(metadata={"minimum": 0})
     seed: int = 0
     view_tag: str = ""
     location_tag: str = ""
@@ -91,10 +93,16 @@ def write_recording(path, rec: Recording) -> None:
 def read_recording(path) -> Recording:
     """Read a recording file; any malformed part of it raises ``ValueError``."""
     raw = Path(path).read_bytes()
-    if raw[:4] != MAGIC:
+    if raw[:4] != MAGIC[:len(raw)]:  # a file shorter than the magic is checked as far as it goes
         raise ValueError(f"not a recording file (bad magic {raw[:4]!r})")
-    header_len = int(np.frombuffer(raw[4:8], dtype="<u4")[0])
-    header = json.loads(raw[8:8 + header_len].decode("utf-8"))
+    if len(raw) < 8:
+        raise ValueError(f"recording file cut short: {len(raw)} bytes, under the 8 of its "
+                         "magic and header length")
+    header_len = int.from_bytes(raw[4:8], "little")
+    if 8 + header_len > len(raw):
+        raise ValueError(f"recording file cut short: its {header_len}-byte header runs past "
+                         f"the end of the file at byte {len(raw)}")
+    header = _parse_json(raw[8:8 + header_len].decode("utf-8"), f"recording {path}")
     if not isinstance(header, dict):
         raise ValueError("recording header: expected a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
@@ -106,7 +114,7 @@ def read_recording(path) -> Recording:
     if abs(geom.wavelength - cfg.wavelength) > 1e-9 * cfg.wavelength:
         raise ValueError(f"geometry wavelength {geom.wavelength} m differs from the "
                          f"config's c / center_frequency = {cfg.wavelength} m")
-    payload = max(0, len(raw) - 8 - header_len)
+    payload = len(raw) - 8 - header_len
     expected = payload_nbytes(cfg, h.n_frames)
     if payload != expected:
         raise ValueError(f"payload length mismatch: expected {expected} bytes, got {payload}")
@@ -215,9 +223,17 @@ def manifest_from_dict(d: dict) -> RunManifest:
         raise ValueError(f"manifest: {exc}") from exc
 
 
+def _parse_json(text: str, source: str):
+    """``json.loads(text)``; a document nested too deep to parse raises ``ValueError``."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{source}: JSON nested too deeply to read") from None
+
+
 def load_json(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return _parse_json(fh.read(), str(path))
 
 
 def dump_json(obj, path) -> None:

@@ -140,3 +140,19 @@ def test_per_layer_metrics_get_a_median_over_the_traced_seeds(bench_record):
     assert change["layer_medians"] == pytest.approx({"dbf.beam_ms": 0.5, "mti.step_ms": 0.15})
     assert change["medians"] == {"frames_per_s": 10.0}
     assert summary["stream"]["parent"]["layer_medians"] == {"dbf.beam_ms": 2.0}
+
+
+def test_each_run_records_the_cpu_seconds_of_its_process_tree(bench_record, tmp_path):
+    # a child that spins 0.3 CPU-seconds on one core, then prints a result
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json, time\n"
+        "t = time.process_time()\n"
+        "while time.process_time() - t < 0.3:\n"
+        "    pass\n"
+        "print(json.dumps({'correct': True, 'attempted': 1, 'failed': 0, 'metrics': {}}))\n")
+    for _ in range(2):  # the second run counts its own CPU time, not the total so far
+        result = bench_record.bench_run(tmp_path, "stream", 1, 1.0, 0)
+        assert result["correct"] is True
+        assert 0.3 <= result["cpu_s"] < 0.6
+        assert result["cpu_s"] <= result["wall_s"] + 0.1

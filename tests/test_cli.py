@@ -377,6 +377,38 @@ def test_error_json_on_stderr(workspace, capsys):
     assert "targets[0].range_m" in err["message"]
 
 
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("role", ["manifest", "scene", "config", "trials", "recording"])
+def test_json_nested_too_deeply_is_a_json_error_naming_the_file(workspace, capsys, role):
+    # at the parent json raised RecursionError, a traceback out of main
+    tmp, cfg, scene, _, manifest = workspace
+    rec = tmp / "a.rec"
+    main(["simulate", "--scene", scene, "--config", cfg, "--out", str(rec)])
+    deep = tmp / "deep.json"
+    deep.write_text(DEEP)
+    message = f"{deep}: JSON nested too deeply to read"
+    if role == "recording":  # the header of a recording file
+        raw = rec.read_bytes()
+        body = DEEP.encode()
+        rec.write_bytes(raw[:4] + len(body).to_bytes(4, "little") + body
+                        + raw[8 + int.from_bytes(raw[4:8], "little"):])
+        message = f"recording {rec}: JSON nested too deeply to read"
+    files = {"manifest": manifest, "scene": scene, "config": cfg,
+             "trials": write_json(tmp / "trials.json", [{"recording": str(rec)}]),
+             role: str(deep)}
+    if role in ("scene", "config"):
+        argv = ["simulate", "--scene", files["scene"], "--config", files["config"],
+                "--out", str(tmp / "x.rec")]
+    else:
+        argv = ["evaluate", "--trials", files["trials"], "--manifest", files["manifest"],
+                "--out", str(tmp / "eval")]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert json_error(capsys) == {"error": "ValueError", "message": message}
+
+
 def test_corrupt_recording_error(workspace, capsys):
     tmp, cfg, scene, _, manifest = workspace
     rec = tmp / "a.rec"

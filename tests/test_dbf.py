@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from floorwatch.bench import bench_manifest, occupied_benchmark_scenes
 from floorwatch.core import ArrayGeometry, RadarConfig, default_geometry
-from floorwatch.dbf import (RangeAzimuthMap, SteeringGrid, dbf_power,
+from floorwatch.dbf import (AZIMUTH_CHUNK, RangeAzimuthMap, SteeringGrid, dbf_power,
                             dbf_range_azimuth, dbf_weights, default_grid,
                             element_phases)
 from floorwatch.frontend import process_frame, zero_doppler_window
@@ -159,10 +159,11 @@ def test_dbf_power_checks_weight_shape_and_receiver_count():
 # --- the 4-D einsum the beam stage replaced, as the oracle at the stated tolerance ---
 
 def assert_beam_is_the_4d_einsum(cube, w, window):
-    """Spectrum within (n_rx + 2) * eps * sum_m |z_m| of einsum("mrd,tpm->rtpd"), same layout.
+    """Spectrum within (n_rx + 2) * eps * sum_m |z_m| of einsum("mrd,tpm->rtpd").
 
-    The matrix product may round otherwise than the einsum, but all-zero range
-    bins stay exactly zero, and the map is the sum of |P| in memory order.
+    The matrix products may round otherwise than the einsum, but all-zero range
+    bins stay exactly zero, the spectrum sits in (elevation, Doppler, azimuth,
+    range) memory, and the map is the sum of |P| in memory order.
     """
     z = cube[:, :, window]
     want = np.einsum("mrd,tpm->rtpd", z, w)
@@ -172,8 +173,7 @@ def assert_beam_is_the_4d_einsum(cube, w, window):
     assert np.all(np.abs(got - want) <= bound)
     zero_bins = ~np.any(z, axis=(0, 2))
     assert np.all(got[zero_bins] == 0)
-    if min(got.shape) > 1:  # the layout of a tensor with a length-1 axis is numpy's choice
-        assert got.strides == want.strides
+    assert got.transpose(2, 3, 1, 0).flags.c_contiguous  # (p, d, t, r) memory
     # the map reduces in memory order, so the layout fixes its rounding
     assert np.array_equal(dbf_range_azimuth(got).power, np.abs(got).sum(axis=(2, 3)))
 
@@ -199,20 +199,55 @@ def test_beam_equals_the_4d_einsum_on_drawn_shapes(case):
     assert_beam_is_the_4d_einsum(*case)
 
 
-def test_beam_equals_the_4d_einsum_on_clutter_filtered_bench_frames():
+def bench_frames(n_frames=6):
+    """Clutter-filtered frames of one occupied `bench` scene, with their Doppler window."""
     cfg = RadarConfig()
     geom = default_geometry(cfg)
     manifest = bench_manifest("dbf")
-    scene = dataclasses.replace(occupied_benchmark_scenes(1, seed=5)[0], n_frames=6)
-    w = dbf_weights(default_grid(manifest.theta_max_deg, manifest.theta_step_deg,
-                                 manifest.elevations_deg), geom)
+    scene = dataclasses.replace(occupied_benchmark_scenes(1, seed=5)[0], n_frames=n_frames)
     state = init_clutter((cfg.num_rx, cfg.num_range_bins, cfg.chirps_per_frame),
                          alpha=manifest.mti_alpha)
     for i in range(scene.n_frames):
         state, filtered = mti_step(state, process_frame(synthesize_frame(scene, cfg, geom, i),
                                                         cfg))
-        window = zero_doppler_window(filtered.shape[2], manifest.doppler_half_width)
+        yield filtered, zero_doppler_window(filtered.shape[2], manifest.doppler_half_width)
+
+
+def bench_weights(n_azimuths=None):
+    """`bench` DBF weights, on the manifest's grid or on n azimuths over +/-60 degrees."""
+    manifest = bench_manifest("dbf")
+    grid = default_grid(manifest.theta_max_deg, manifest.theta_step_deg,
+                        manifest.elevations_deg)
+    if n_azimuths is not None:
+        az = np.deg2rad(np.linspace(-60, 60, n_azimuths))
+        grid = SteeringGrid(azimuth_angles=az - az[np.argmin(np.abs(az))],  # an exact zero
+                            elevation_angles=grid.elevation_angles)
+    return dbf_weights(grid, default_geometry(RadarConfig()))
+
+
+def test_beam_equals_the_4d_einsum_on_clutter_filtered_bench_frames():
+    w = bench_weights()
+    for filtered, window in bench_frames():
         assert_beam_is_the_4d_einsum(filtered, w, window)
+
+
+def per_azimuth_map(cube, w, window):
+    """The map as the one-product beam made it: BLAS per azimuth, (t, p, d, r) memory."""
+    z = cube[:, :, window]
+    n_rx, n_r, n_d = z.shape
+    n_t, n_p, _ = w.shape
+    s = w @ z.transpose(0, 2, 1).reshape(n_rx, -1)  # (t, p, d*r)
+    spectrum = s.reshape(n_t, n_p, n_d, n_r).transpose(3, 0, 1, 2)
+    return np.abs(spectrum).sum(axis=(2, 3))
+
+
+@pytest.mark.parametrize("n_azimuths", [None, 130, 401])  # the bench grid, then chunk edges
+def test_map_is_the_per_azimuth_products_map_bit_for_bit(n_azimuths):
+    w = bench_weights(n_azimuths)
+    assert w.shape[0] > AZIMUTH_CHUNK and w.shape[0] % AZIMUTH_CHUNK  # the last block is short
+    for filtered, window in bench_frames():
+        got = dbf_range_azimuth(dbf_power(filtered, w, window)).power
+        assert np.array_equal(got, per_azimuth_map(filtered, w, window))
 
 
 def test_range_azimuth_single_column():

@@ -379,6 +379,45 @@ def test_header_tags_must_be_json_strings(tmp_path, keys, value, message):
     assert rc == 1 and error == {"error": "ValueError", "message": message}
 
 
+def test_negative_frame_count_is_named_as_one(tmp_path):
+    # at the parent it read "payload length mismatch: expected -... bytes"
+    good = tmp_path / "good.rec"
+    write_recording(good, make_recording())
+    bad = with_header(good, tmp_path / "bad.rec", replaced(("n_frames",), -1))
+    rc, error = process_exit_and_error(bad, tmp_path / "d.csv")
+    assert rc == 1 and error == {"error": "ValueError", "message": "n_frames: must be >= 0"}
+
+
+@pytest.mark.parametrize("cut, message", [
+    (0, "recording file cut short: 0 bytes, under the 8 of its magic and header length"),
+    (2, "recording file cut short: 2 bytes, under the 8 of its magic and header length"),
+    # "buffer size must be a multiple of element size" at the parent
+    (6, "recording file cut short: 6 bytes, under the 8 of its magic and header length"),
+    # a JSONDecodeError about the header's text at the parent
+    (40, "recording file cut short: its {n}-byte header runs past the end of the file "
+         "at byte 40"),
+])
+def test_file_cut_short_in_its_header_is_named_as_one(tmp_path, cut, message):
+    good = tmp_path / "good.rec"
+    write_recording(good, make_recording())
+    raw = good.read_bytes()
+    bad = tmp_path / "bad.rec"
+    bad.write_bytes(raw[:cut])
+    message = message.format(n=int.from_bytes(raw[4:8], "little"))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_recording(bad)
+    rc, error = process_exit_and_error(bad, tmp_path / "d.csv")
+    assert rc == 1 and error == {"error": "ValueError", "message": message}
+
+
+@pytest.mark.parametrize("raw", [b"N", b"NOPE", b"NOPE\x00\x00"])
+def test_short_file_with_another_magic_is_not_a_recording(tmp_path, raw):
+    path = tmp_path / "x.rec"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match="not a recording file"):
+        read_recording(path)
+
+
 def test_header_holds_the_documented_keys_and_values(tmp_path):
     # the key list of README "Recording file format", its values built here
     targets = (TargetSpec(range_m=2.5, azimuth_rad=0.3), TargetSpec(range_m=4.0, azimuth_rad=-0.2))

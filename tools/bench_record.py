@@ -18,8 +18,12 @@ BENCH file written into the checkout leaves its revision as it was). Next
 to each revision it records ``src_lines``, the line total of the checkout's
 ``src/floorwatch/*.py``: the size the code is judged by.
 
-A run that exits nonzero, prints nothing, or whose last printed line is not
-a JSON object is recorded as not ``correct``, with the reason in ``error``.
+Each run records its ``wall_s`` and its ``cpu_s``: the user and system CPU
+seconds of the run's process tree (``getrusage(RUSAGE_CHILDREN)`` before
+and after it), so a run that keeps a second core busy shows a ``cpu_s``
+above its ``wall_s``. A run that exits nonzero, prints nothing, or whose
+last printed line is not a JSON object is recorded as not ``correct``, with
+the reason in ``error``.
 Writes ``--out`` after every run: the host (nproc, CPU, Python, numpy and
 scipy), every run's printed result, and a summary per workload and
 checkout: the median and quartiles of each end-to-end metric, the per-layer
@@ -43,6 +47,7 @@ import hashlib
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -94,11 +99,18 @@ def failed_run(error: str) -> dict:
     return {"correct": False, "attempted": 0, "failed": 0, "metrics": {}, "error": error}
 
 
+def children_cpu_s() -> float:
+    """User plus system CPU seconds of every child process waited for so far."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def bench_run(repo: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
-    started = time.time()
+    started, cpu_before = time.time(), children_cpu_s()
     proc = subprocess.run(argv, cwd=repo, capture_output=True, text=True)
+    cpu_s = children_cpu_s() - cpu_before
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         result = failed_run(f"exit {proc.returncode}: {proc.stderr[-2000:]}")
@@ -112,7 +124,7 @@ def bench_run(repo: Path, workload: str, seed: int, seconds: float, trace: int) 
         if proc.stderr.strip():
             result["stderr"] = proc.stderr[-2000:]
     return {"workload": workload, "seed": seed, "trace": trace,
-            "wall_s": round(time.time() - started, 1), **result}
+            "wall_s": round(time.time() - started, 1), "cpu_s": round(cpu_s, 2), **result}
 
 
 def quartiles(values: list) -> list:
