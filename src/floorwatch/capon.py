@@ -191,6 +191,8 @@ def _quadratic_form(cov: SpatialCovariance, a: np.ndarray) -> np.ndarray:
         quad += rinv[..., 0, 1, None].real * cross.real
         quad -= rinv[..., 0, 1, None].imag * cross.imag
     low = cov.rank_deficient
+    if not low.any():
+        return quad
     m = rinv[low]
     diag = np.arange(m.shape[-1])
     d = m[:, diag, diag].real

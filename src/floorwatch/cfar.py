@@ -88,27 +88,33 @@ class DetectionSet:
 
 
 def _window_bounds(n_r: int, n_c: int, half_r: int, half_c: int):
-    """Clipped window bounds (r0, r1, c0, c1) and in-map cell count around every cell."""
+    """Window corners and in-map cell count around every cell.
+
+    The corners are flat indices into the (n_r + 1, n_c + 1) integral image,
+    (r1, c1), (r0, c1), (r1, c0) and (r0, c0) of the window clipped to rows
+    [r0, r1) and columns [c0, c1), so each corner is one gather."""
     rows, cols = np.arange(n_r), np.arange(n_c)
     # clipped to the map; each bound can leave it on one side only
     r0 = np.maximum(rows - half_r, 0)
     r1 = np.minimum(rows + half_r, n_r - 1) + 1
     c0 = np.maximum(cols - half_c, 0)
     c1 = np.minimum(cols + half_c, n_c - 1) + 1
-    return (r0, r1, c0, c1), (r1 - r0)[:, None] * (c1 - c0)[None, :]
+    corners = tuple(r[:, None] * (n_c + 1) + c[None, :]
+                    for r, c in ((r1, c1), (r0, c1), (r1, c0), (r0, c0)))
+    return corners, (r1 - r0)[:, None] * (c1 - c0)[None, :]
 
 
-def _window_sums(cum: np.ndarray, bounds) -> np.ndarray:
+def _window_sums(cum: np.ndarray, corners) -> np.ndarray:
     """Window sums from ``cum``, the map's cumulative sum over rows, then columns,
     with a leading row and column of zeros."""
-    r0, r1, c0, c1 = bounds
-    top, bot = cum[r1], cum[r0]
-    return top[:, c1] - bot[:, c1] - top[:, c0] + bot[:, c0]
+    flat = cum.ravel()
+    a, b, c, d = corners
+    return flat[a] - flat[b] - flat[c] + flat[d]
 
 
 @functools.lru_cache(maxsize=32)
 def _ring_geometry(shape: tuple, guard: tuple, training: tuple, edge_policy: str):
-    """Full and guard window bounds, ring counts, ``ring_cnt > 0`` and the evaluable mask.
+    """Full and guard window corners, ring counts, ``ring_cnt > 0`` and the evaluable mask.
 
     They depend only on the map shape and the ring, so each is made once and
     shared: every array is read-only.
@@ -143,7 +149,8 @@ def training_stats(power: np.ndarray, cfg: CfarConfig):
     full, inner, ring_cnt, has_ring, evaluable = _ring_geometry(
         power.shape, tuple(cfg.guard_cells), tuple(cfg.training_cells), cfg.edge_policy)
     cum = np.zeros((power.shape[0] + 1, power.shape[1] + 1))
-    cum[1:, 1:] = power.cumsum(axis=0).cumsum(axis=1)
+    np.cumsum(power, axis=0, out=cum[1:, 1:])
+    np.cumsum(cum[1:, 1:], axis=1, out=cum[1:, 1:])
     if not np.isfinite(cum[-1, -1]):
         raise ValueError("map total exceeds the float64 range")
     mean = np.zeros_like(power)

@@ -25,7 +25,7 @@ from .pipeline import (build_axes, cache_recording, candidate_boxes_by_view, fla
                        trial_record)
 from .recordings import (RunManifest, dump_json, load_json, manifest_from_dict,
                          read_recording, write_recording)
-from .sim import scene_from_dict, synthesize_recording
+from .sim import scene_from_dict, scene_recording
 
 MAX_K_POINTS = 10_000
 DETECTION_COLUMNS = ("frame_index", "range_bin", "azimuth_bin", "range_m",
@@ -76,7 +76,7 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         scene = replace(scene, seed=args.seed)
     cfg = _load_config(args.config)
-    rec = synthesize_recording(scene, cfg, default_geometry(cfg))
+    rec = scene_recording(scene, cfg, default_geometry(cfg))
     write_recording(args.out, rec)
     print(f"wrote {args.out}: {rec.n_frames} frames, label={rec.label}")
     return 0

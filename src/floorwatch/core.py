@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import reprlib
 import sys
 import typing
 from dataclasses import MISSING, astuple, dataclass, fields, is_dataclass
@@ -170,7 +171,7 @@ def json_number(name: str, value) -> float:
     """A JSON number field as a float; a bool, a string, NaN and +/-inf are refused."""
     if isinstance(value, bool) or not (isinstance(value, (int, float))
                                        and abs(value) <= sys.float_info.max):  # False for NaN
-        raise ValueError(f"{name}: expected a number, got {value!r}")
+        raise ValueError(f"{name}: expected a number, got {reprlib.repr(value)}")
     return float(value)
 
 
@@ -211,16 +212,16 @@ def _read(kind, value, where: str, minimum):
         if kinds[-1] is ... and isinstance(value, list):
             kinds = kinds[:1] * len(value)
         if not isinstance(value, list) or len(value) != len(kinds):
-            raise ValueError(f"{where}: expected a JSON array{size}, got {value!r}")
+            raise ValueError(f"{where}: expected a JSON array{size}, got {reprlib.repr(value)}")
         return tuple(_read(k, v, f"{where}[{i}]", minimum)
                      for i, (k, v) in enumerate(zip(kinds, value)))
     if kind in (str, str | None):
         if not (isinstance(value, str) or (value is None and kind is not str)):
             nullable = "" if kind is str else " or null"
-            raise ValueError(f"{where}: expected a string{nullable}, got {value!r}")
+            raise ValueError(f"{where}: expected a string{nullable}, got {reprlib.repr(value)}")
         return value
     if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
-        raise ValueError(f"{where}: expected an integer, got {value!r}")
+        raise ValueError(f"{where}: expected an integer, got {reprlib.repr(value)}")
     value = value if kind is int else json_number(where, value)
     if minimum is not None and value < minimum:
         raise ValueError(f"{where}: must be >= {minimum}")
@@ -235,11 +236,11 @@ def from_json(spec, d, path: str = "", name: str = ""):
     labels a top-level object in errors about the object itself.
     """
     if not isinstance(d, dict):
-        raise ValueError(f"{path or name}: expected a JSON object, got {d!r}")
+        raise ValueError(f"{path or name}: expected a JSON object, got {reprlib.repr(d)}")
     by_key = {_json_key(f.name): f for f in fields(spec)}
     for key in d:
         if key not in by_key:
-            raise ValueError(f"{path or name}: unknown key {key!r}")
+            raise ValueError(f"{path or name}: unknown key {reprlib.repr(key)}")
     values = {}
     for key, f in by_key.items():
         if key not in d and f.default is not MISSING:

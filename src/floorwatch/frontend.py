@@ -14,7 +14,8 @@ The cube, a plain complex128 (rx, range_bin, doppler_bin) array, holds every
 Doppler bin by default; the pipeline asks for the zero-Doppler window's only.
 It is within a few eps of the FFTs' (relative to the absolute sum of the
 tapered frame per receiver), not bit for bit. Samples are checked where they
-enter, by ``Recording``; the cube is not checked again.
+enter: a recording's array by ``Recording``, a file's payload by
+``read_recording``; the cube is not checked again.
 """
 
 from __future__ import annotations

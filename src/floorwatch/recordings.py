@@ -3,25 +3,28 @@
 A recording file is a 4-byte magic, a little-endian uint32 header length, a
 UTF-8 JSON header (config, geometry, label, truth boxes, tags, seed, frame
 count, format version), and a little-endian complex64 payload laid out
-[frame][rx][chirp][sample] row-major, which the reader keeps as one
-read-only array over the file's bytes. Angles are degrees in all external
-files and radians in memory. The header is the ``_Header`` record of the
-JSON record schema (``core.from_json``), so a key that no field maps to, or
-a value of the wrong JSON kind, is refused with its path. The reader raises
-``ValueError`` for that, a bad magic, a file cut short before the end of its
-header, a header nested too deeply to parse, an unknown format version, a
-negative frame count, a payload whose length disagrees with the header, a
-non-finite sample, and a geometry whose receiver count differs from the
-config's or whose wavelength is more than 1e-9 (relative) away from
-c / center_frequency: Capon steering assumes a half-wavelength pair. A run
-manifest has its own reader, whose integer fields take integral floats; it
-refuses a bad field when it is made, by ``manifest_from_dict``,
-``RunManifest`` or ``replace``."""
+[frame][rx][chirp][sample] row-major. Both ends stream frames, so memory does
+not grow with the frame count: the writer checks and writes one frame at a
+time, and the reader checks the header and scans the payload in fixed blocks,
+then hands the frames out one at a time on each pass (``FileFrames``). Angles
+are degrees in all external files and radians in memory. The header is the
+``_Header`` record of the JSON record schema (``core.from_json``), so a key
+that no field maps to, or a value of the wrong JSON kind, is refused with its
+path. The reader raises ``ValueError`` for that, a bad magic, a file cut short
+before the end of its header, a header that is no JSON or is nested too
+deeply to parse, an unknown format version, a negative frame count, a payload
+whose length disagrees with the header, a non-finite sample, and a geometry
+whose receiver count differs from the config's or whose wavelength is more
+than 1e-9 (relative) away from c / center_frequency: Capon steering assumes a
+half-wavelength pair. A run manifest has its own reader, whose integer fields
+take integral floats; it refuses a bad field when it is made, by
+``manifest_from_dict``, ``RunManifest`` or ``replace``."""
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -35,6 +38,7 @@ from .sim import Recording
 MAGIC = b"FWR1"
 FORMAT_VERSION = 1
 BYTES_PER_SAMPLE = 8  # float32 real + float32 imag
+SCAN_BYTES = 1 << 22  # the block the payload's finiteness scan reads at a time
 
 
 @dataclass(frozen=True)
@@ -70,12 +74,13 @@ def payload_nbytes(cfg: RadarConfig, n_frames: int) -> int:
 
 
 def write_recording(path, rec: Recording) -> None:
-    """Write ``rec``; a real or imaginary part beyond float32's range, or NaN, raises first."""
+    """Write ``rec`` frame by frame, as its frames are made.
+
+    Each frame is checked before it is written: a real or imaginary part
+    beyond float32's range, or NaN, raises. The file is written under a
+    temporary name in the same directory and renamed to ``path`` once whole,
+    so a recording that raises leaves no file."""
     limit = np.finfo(np.float32).max
-    for i, frame in enumerate(rec.samples):  # frame by frame: no whole-array temporary
-        if not (np.abs(frame.real) <= limit).all() or not (np.abs(frame.imag) <= limit).all():
-            raise ValueError(f"frame {i}: a sample component exceeds the float32 range "
-                             "of the recording format")
     header = _Header(
         format_version=FORMAT_VERSION, config=rec.config, geometry=rec.geometry,
         label=rec.label, n_frames=rec.n_frames, seed=rec.seed, view_tag=rec.view_tag,
@@ -83,50 +88,113 @@ def write_recording(path, rec: Recording) -> None:
         truth=tuple(_TruthBox(*b.center, *b.half_extents, b.view_tag, b.location_tag)
                     for b in rec.truth))
     header_bytes = json.dumps(to_json(header), sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(np.uint32(len(header_bytes)).tobytes())
-        fh.write(header_bytes)
-        fh.write(rec.samples.astype("<c8").tobytes())
+    path = Path(path)
+    part = path.with_name(path.name + ".part")
+    try:
+        with open(part, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(np.uint32(len(header_bytes)).tobytes())
+            fh.write(header_bytes)
+            for i, frame in enumerate(rec.samples):
+                if not ((np.abs(frame.real) <= limit).all()
+                        and (np.abs(frame.imag) <= limit).all()):
+                    raise ValueError(f"frame {i}: a sample component exceeds the float32 "
+                                     "range of the recording format")
+                fh.write(frame.astype("<c8"))
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
 
 
 def read_recording(path) -> Recording:
-    """Read a recording file; any malformed part of it raises ``ValueError``."""
-    raw = Path(path).read_bytes()
-    if raw[:4] != MAGIC[:len(raw)]:  # a file shorter than the magic is checked as far as it goes
-        raise ValueError(f"not a recording file (bad magic {raw[:4]!r})")
-    if len(raw) < 8:
-        raise ValueError(f"recording file cut short: {len(raw)} bytes, under the 8 of its "
-                         "magic and header length")
-    header_len = int.from_bytes(raw[4:8], "little")
-    if 8 + header_len > len(raw):
-        raise ValueError(f"recording file cut short: its {header_len}-byte header runs past "
-                         f"the end of the file at byte {len(raw)}")
-    header = _parse_json(raw[8:8 + header_len].decode("utf-8"), f"recording {path}")
-    if not isinstance(header, dict):
-        raise ValueError("recording header: expected a JSON object")
-    if header.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported format_version {header.get('format_version')}")
-    h = from_json(_Header, header, name="recording header")
-    cfg, geom = h.config, h.geometry
-    if geom.num_rx != cfg.num_rx:
-        raise ValueError(f"geometry has {geom.num_rx} receivers, config {cfg.num_rx}")
-    if abs(geom.wavelength - cfg.wavelength) > 1e-9 * cfg.wavelength:
-        raise ValueError(f"geometry wavelength {geom.wavelength} m differs from the "
-                         f"config's c / center_frequency = {cfg.wavelength} m")
-    payload = len(raw) - 8 - header_len
-    expected = payload_nbytes(cfg, h.n_frames)
-    if payload != expected:
-        raise ValueError(f"payload length mismatch: expected {expected} bytes, got {payload}")
-    samples = np.frombuffer(raw, "<c8", offset=8 + header_len)
+    """Read a recording file's header and check its payload; its frames are read on iteration.
+
+    Any malformed part of the file raises ``ValueError`` here, before a frame
+    is handed out: the payload is scanned for non-finite samples in blocks
+    of ``SCAN_BYTES``, read into one reused buffer."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(8)
+        if head[:4] != MAGIC[:len(head)]:  # a file under 4 bytes is checked as far as it goes
+            raise ValueError(f"not a recording file (bad magic {head[:4]!r})")
+        if size < 8:
+            raise ValueError(f"recording file cut short: {size} bytes, under the 8 of its "
+                             "magic and header length")
+        header_len = int.from_bytes(head[4:8], "little")
+        if 8 + header_len > size:
+            raise ValueError(f"recording file cut short: its {header_len}-byte header runs "
+                             f"past the end of the file at byte {size}")
+        header = _parse_json(fh.read(header_len).decode("utf-8"), f"recording {path}")
+        if not isinstance(header, dict):
+            raise ValueError("recording header: expected a JSON object")
+        if header.get("format_version") != FORMAT_VERSION:
+            raise ValueError(f"unsupported format_version {header.get('format_version')}")
+        h = from_json(_Header, header, name="recording header")
+        cfg, geom = h.config, h.geometry
+        if geom.num_rx != cfg.num_rx:
+            raise ValueError(f"geometry has {geom.num_rx} receivers, config {cfg.num_rx}")
+        if abs(geom.wavelength - cfg.wavelength) > 1e-9 * cfg.wavelength:
+            raise ValueError(f"geometry wavelength {geom.wavelength} m differs from the "
+                             f"config's c / center_frequency = {cfg.wavelength} m")
+        payload = size - 8 - header_len
+        expected = payload_nbytes(cfg, h.n_frames)
+        if payload != expected:
+            raise ValueError(f"payload length mismatch: expected {expected} bytes, got {payload}")
+        _scan_payload(fh, payload, payload_nbytes(cfg, 1))
     truth = tuple(GroundTruthBox(center=(b.center_range_m, b.center_azimuth_rad),
                                  half_extents=(b.half_extent_range_m, b.half_extent_azimuth_rad),
                                  view_tag=b.view_tag, location_tag=b.location_tag)
                   for b in h.truth)
-    return Recording(config=cfg, geometry=geom,
-                     samples=samples.reshape((h.n_frames,) + cfg.frame_shape), truth=truth,
+    frames = FileFrames(os.fspath(path), 8 + header_len, h.n_frames, cfg.frame_shape)
+    return Recording(config=cfg, geometry=geom, samples=frames, truth=truth,
                      label=h.label, seed=h.seed, view_tag=h.view_tag,
                      location_tag=h.location_tag, subject_tag=h.subject_tag)
+
+
+def _scan_payload(fh, nbytes: int, frame_nbytes: int) -> None:
+    """Read the ``nbytes`` of payload that follow in ``fh``; a non-finite float32 raises,
+    naming its frame."""
+    block = np.empty(SCAN_BYTES // 4, "<f4")
+    done = 0
+    while done < nbytes:
+        n = fh.readinto(block[:min(nbytes - done, SCAN_BYTES) // 4])
+        if n == 0:
+            raise ValueError(f"recording file cut short: its payload ends at byte {done}")
+        values = block[:n // 4]
+        if not np.isfinite(values).all():
+            first = done + 4 * int(np.flatnonzero(~np.isfinite(values))[0])
+            raise ValueError(f"frame {first // frame_nbytes}: samples contain non-finite values")
+        done += n
+
+
+@dataclass(frozen=True)
+class FileFrames:
+    """The frames of a recording file, read on each pass over them.
+
+    A pass opens the file once and reads each frame with one ``readinto``
+    into one read-only complex64 buffer of its own, reused for every frame:
+    a frame holds until the pass reads the next. Passes are independent, and
+    a frame the file no longer holds raises ``ValueError`` naming it."""
+
+    path: str
+    offset: int
+    n_frames: int
+    frame_shape: tuple
+
+    def __len__(self) -> int:
+        return self.n_frames
+
+    def __iter__(self):
+        buffer = np.empty(self.frame_shape, "<c8")
+        frame = buffer.view()
+        frame.flags.writeable = False
+        with open(self.path, "rb") as fh:
+            fh.seek(self.offset)
+            for i in range(self.n_frames):
+                if fh.readinto(buffer) != buffer.nbytes:
+                    raise ValueError(f"recording {self.path}: frame {i} is cut short")
+                yield frame
 
 
 @dataclass(frozen=True)
@@ -224,9 +292,12 @@ def manifest_from_dict(d: dict) -> RunManifest:
 
 
 def _parse_json(text: str, source: str):
-    """``json.loads(text)``; a document nested too deep to parse raises ``ValueError``."""
+    """``json.loads(text)``; text that is no JSON, or nested too deep to parse, raises
+    ``ValueError`` naming ``source``."""
     try:
         return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{source}: {exc}") from None
     except RecursionError:
         raise ValueError(f"{source}: JSON nested too deeply to read") from None
 

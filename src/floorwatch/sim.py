@@ -8,14 +8,16 @@ A scatterer without micro-motion has the same tone on every chirp, so its
 tone is computed on one chirp row and broadcast over the chirps; every
 element still adds the same operands in the same order.
 Per-sample complex white noise is drawn from a counter-based stream keyed
-by (seed, frame index), so frames synthesize identically in any order. A
-recording fills its frames into one preallocated (frame, rx, chirp, sample) array.
+by (seed, frame index), so frames synthesize identically in any order and
+one at a time: ``scene_recording`` makes each frame as a pass over it reaches
+it (``simulate`` writes it and drops it), and ``synthesize_recording`` fills
+every frame into one preallocated (frame, rx, chirp, sample) array.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, make_dataclass
+from dataclasses import dataclass, field, make_dataclass, replace
 
 import numpy as np
 
@@ -152,12 +154,15 @@ def synthesize_frame(scene: SceneSpec, cfg: RadarConfig, geom: ArrayGeometry,
 class Recording:
     """An ordered run of frames with its configuration and ground truth.
 
-    ``samples`` is one (frame, rx, chirp, sample) array: complex128 when
-    synthesized, complex64 when read from a file."""
+    ``samples`` holds the (rx, chirp, sample) frames in order: either one
+    (frame, rx, chirp, sample) array, checked finite here, or a sized
+    iterable that makes them on each pass over it: ``SceneFrames``, whose
+    frames ``write_recording`` checks as it writes them, or a recording
+    file's ``recordings.FileFrames``, whose payload ``read_recording`` checked."""
 
     config: RadarConfig
     geometry: ArrayGeometry
-    samples: np.ndarray
+    samples: object
     truth: tuple
     label: str
     seed: int = 0
@@ -170,6 +175,8 @@ class Recording:
             raise ValueError("label must be 'occupied' or 'empty'")
         if (self.label == "empty") != (len(self.truth) == 0):
             raise ValueError("truth boxes must be present exactly for occupied recordings")
+        if not isinstance(self.samples, np.ndarray):
+            return
         if self.samples.ndim != 4 or self.samples.shape[1:] != self.config.frame_shape:
             raise ValueError(f"samples shape {self.samples.shape} is not (frames,) + frame_shape")
         for i, frame in enumerate(self.samples):  # frame by frame: no whole-array temporary
@@ -178,7 +185,23 @@ class Recording:
 
     @property
     def n_frames(self) -> int:
-        return self.samples.shape[0]
+        return len(self.samples)
+
+
+@dataclass(frozen=True)
+class SceneFrames:
+    """A scene's frames, each synthesized by ``synthesize_frame`` as a pass reaches it."""
+
+    scene: SceneSpec
+    config: RadarConfig
+    geometry: ArrayGeometry
+
+    def __len__(self) -> int:
+        return self.scene.n_frames
+
+    def __iter__(self):
+        for i in range(self.scene.n_frames):
+            yield synthesize_frame(self.scene, self.config, self.geometry, i)
 
 
 def truth_boxes(scene: SceneSpec) -> tuple:
@@ -190,13 +213,21 @@ def truth_boxes(scene: SceneSpec) -> tuple:
     )
 
 
+def scene_recording(scene: SceneSpec, cfg: RadarConfig, geom: ArrayGeometry) -> Recording:
+    """The scene's recording, its frames synthesized on each pass (``SceneFrames``)."""
+    return Recording(config=cfg, geometry=geom, samples=SceneFrames(scene, cfg, geom),
+                     truth=truth_boxes(scene), label=scene.label, seed=scene.seed,
+                     view_tag=scene.view_tag, location_tag=scene.location_tag,
+                     subject_tag=scene.subject_tag)
+
+
 def synthesize_recording(scene: SceneSpec, cfg: RadarConfig, geom: ArrayGeometry) -> Recording:
+    """The scene's recording with every frame synthesized into one complex128 array."""
+    rec = scene_recording(scene, cfg, geom)
     samples = np.empty((scene.n_frames,) + cfg.frame_shape, dtype=np.complex128)
-    for i in range(scene.n_frames):
-        samples[i] = synthesize_frame(scene, cfg, geom, i)
-    return Recording(config=cfg, geometry=geom, samples=samples, truth=truth_boxes(scene),
-                     label=scene.label, seed=scene.seed, view_tag=scene.view_tag,
-                     location_tag=scene.location_tag, subject_tag=scene.subject_tag)
+    for i, frame in enumerate(rec.samples):
+        samples[i] = frame
+    return replace(rec, samples=samples)
 
 
 def scene_from_dict(d: dict) -> SceneSpec:

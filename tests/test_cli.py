@@ -280,7 +280,7 @@ def test_simulate_refuses_samples_beyond_the_float32_range(workspace, capsys):
     assert rc == 1 and json_error(capsys) == {
         "error": "ValueError",
         "message": "frame 0: a sample component exceeds the float32 range of the recording format"}
-    assert not (tmp / "a.rec").exists()
+    assert not list(tmp.glob("a.rec*"))  # nor its temporary name
 
 
 def test_evaluate_empty_alone_fails(workspace, capsys):
@@ -407,6 +407,23 @@ def test_json_nested_too_deeply_is_a_json_error_naming_the_file(workspace, capsy
     capsys.readouterr()
     assert main(argv) == 1
     assert json_error(capsys) == {"error": "ValueError", "message": message}
+
+
+def test_json_syntax_error_names_its_file(workspace, capsys):
+    # at the parent the message named no file, so it did not say which input was broken
+    tmp, cfg, scene, _, _ = workspace
+    rec = tmp / "a.rec"
+    main(["simulate", "--scene", scene, "--config", cfg, "--out", str(rec)])
+    manifest = tmp / "m.json"
+    manifest.write_text('{"method": "dbf",')
+    trials = write_json(tmp / "t.json", [{"recording": str(rec)}])
+    capsys.readouterr()
+    assert main(["evaluate", "--trials", trials, "--manifest", str(manifest),
+                 "--out", str(tmp / "eval")]) == 1
+    assert json_error(capsys) == {
+        "error": "ValueError",
+        "message": f"{manifest}: Expecting property name enclosed in double quotes: "
+                   "line 1 column 18 (char 17)"}
 
 
 def test_corrupt_recording_error(workspace, capsys):

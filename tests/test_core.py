@@ -107,3 +107,17 @@ def test_geometry_json_round_trip():
     assert back == geom
     with pytest.raises(ValueError, match="geometry: unknown key 'azimuth_pairs'"):
         from_json(ArrayGeometry, {**to_json(geom), "azimuth_pairs": [[2, 0]]}, name="geometry")
+
+
+@pytest.mark.parametrize("d, message", [
+    # at the parent this message held the whole list: 1,488,923 characters
+    ({"num_rx": list(range(200_000))},
+     "num_rx: expected an integer, got [0, 1, 2, 3, 4, 5, ...]"),
+    ({"bandwidth": ["x" * 100_000]},
+     "bandwidth: expected a number, got ['xxxxxxxxxxxx...xxxxxxxxxxxxx']"),
+    ({"num_rx": [[[[[[[[1]]]]]]]]}, "num_rx: expected an integer, got [[[[[[[...]]]]]]]"),
+])
+def test_refused_value_is_cut_short_in_the_message(d, message):
+    with pytest.raises(ValueError) as info:
+        from_json(RadarConfig, d, name="config")
+    assert str(info.value) == message

@@ -413,7 +413,8 @@ def bench_recording_pair(tmp_path_factory):
 @pytest.mark.parametrize("method", ["dbf", "capon"])
 def test_windowed_chain_equals_the_full_cube_composition(bench_recording_pair, method, source):
     rec = bench_recording_pair[source]
-    assert rec.samples.dtype == (np.complex128 if source == "memory" else np.complex64)
+    assert next(iter(rec.samples)).dtype == (np.complex128 if source == "memory"
+                                             else np.complex64)
     manifest = bench_manifest(method, 4.6352 if method == "capon" else 7.5441)
     outs = list(process_recording(rec, manifest))
     assert len(outs) == rec.n_frames == 40

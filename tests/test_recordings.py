@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from floorwatch.bench import bench_manifest
 from floorwatch.cfar import CfarConfig
+from floorwatch import recordings
 from floorwatch.cli import main
 from floorwatch.core import ArrayGeometry, RadarConfig, default_geometry
 from floorwatch.dbf import default_grid
@@ -31,6 +32,11 @@ def make_recording(n_frames=3, occupied=True):
     return synthesize_recording(scene, CFG, default_geometry(CFG))
 
 
+def read_frames(rec):
+    """Every frame of a read recording, copied out of the buffer the reader reuses."""
+    return np.stack([frame.copy() for frame in rec.samples])
+
+
 def test_round_trip_bit_identical(tmp_path):
     rec = make_recording()
     path = tmp_path / "a.rec"
@@ -40,9 +46,10 @@ def test_round_trip_bit_identical(tmp_path):
     path2 = tmp_path / "b.rec"
     write_recording(path2, back)
     assert path.read_bytes() == path2.read_bytes()
-    assert rec.samples.dtype == np.complex128 and back.samples.dtype == np.complex64
-    assert np.array_equal(back.samples.real, rec.samples.real.astype(np.float32))
-    assert np.array_equal(back.samples.imag, rec.samples.imag.astype(np.float32))
+    samples = read_frames(back)
+    assert rec.samples.dtype == np.complex128 and samples.dtype == np.complex64
+    assert np.array_equal(samples.real, rec.samples.real.astype(np.float32))
+    assert np.array_equal(samples.imag, rec.samples.imag.astype(np.float32))
 
 
 def test_header_metadata_round_trip(tmp_path):
@@ -462,14 +469,61 @@ def test_non_finite_sample_in_file_is_rejected(tmp_path, bad, part):
         read_recording(path)
 
 
-def test_read_samples_are_one_complex64_view_of_the_file(tmp_path):
+def test_write_failing_mid_stream_leaves_no_file_and_keeps_the_old_one(tmp_path):
+    path = tmp_path / "a.rec"
+    write_recording(path, make_recording())
+    before = path.read_bytes()
+    rec = make_recording(n_frames=4)
+    samples = rec.samples.copy()
+    samples[2, 0, 0, 0] = 1e39
+    with pytest.raises(ValueError, match="^frame 2: a sample component exceeds the float32"):
+        write_recording(path, dataclasses.replace(rec, samples=samples))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["a.rec"]
+
+
+def test_read_frames_come_one_at_a_time_in_one_read_only_buffer(tmp_path):
     path = tmp_path / "a.rec"
     rec = make_recording()
     write_recording(path, rec)
     back = read_recording(path)
-    assert back.samples.shape == (3,) + CFG.frame_shape and back.samples.dtype == np.complex64
-    assert not back.samples.flags.writeable
-    assert np.array_equal(back.samples, rec.samples.astype(np.complex64))
+    assert len(back.samples) == back.n_frames == 3
+    first = None
+    for i, frame in enumerate(back.samples):
+        assert frame.shape == CFG.frame_shape and frame.dtype == np.complex64
+        assert not frame.flags.writeable
+        assert np.array_equal(frame, rec.samples[i].astype(np.complex64))
+        first = frame if first is None else first
+        assert np.shares_memory(frame, first)  # one buffer, reused for every frame
+    # two passes at once each read into a buffer of their own
+    for a, b, want in zip(back.samples, back.samples, rec.samples):
+        assert not np.shares_memory(a, b) and np.array_equal(a, want.astype(np.complex64))
+
+
+def test_frame_gone_from_the_file_after_reading_is_named(tmp_path):
+    path = tmp_path / "a.rec"
+    write_recording(path, make_recording())
+    back = read_recording(path)
+    path.write_bytes(path.read_bytes()[:-8])
+    frames = iter(back.samples)
+    next(frames), next(frames)
+    with pytest.raises(ValueError, match=re.escape(f"recording {path}: frame 2 is cut short")):
+        next(frames)
+
+
+def test_payload_is_scanned_in_blocks_naming_the_non_finite_frame(tmp_path, monkeypatch):
+    # blocks of 40 bytes end inside frames, so the frame comes from the byte offset
+    monkeypatch.setattr(recordings, "SCAN_BYTES", 40)
+    path = tmp_path / "a.rec"
+    write_recording(path, make_recording(n_frames=5))
+    read_recording(path)
+    raw = bytearray(path.read_bytes())
+    frame_bytes = payload_nbytes(CFG, 1)
+    start = len(raw) - 5 * frame_bytes
+    np.frombuffer(raw, "<f4", offset=start + 3 * frame_bytes + 44, count=1)[0] = np.nan
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="^frame 3: samples contain non-finite values$"):
+        read_recording(path)
 
 
 # --- property: no damage to a recording file gives a traceback ---
