@@ -79,7 +79,9 @@ def write_recording(path, rec: Recording) -> None:
     Each frame is checked before it is written: a real or imaginary part
     beyond float32's range, or NaN, raises. The file is written under a
     temporary name in the same directory and renamed to ``path`` once whole,
-    so a recording that raises leaves no file."""
+    so a recording that raises leaves no file. A ``path`` that exists and is
+    no regular file, such as a device or a pipe, is refused, since the
+    rename would replace it."""
     limit = np.finfo(np.float32).max
     header = _Header(
         format_version=FORMAT_VERSION, config=rec.config, geometry=rec.geometry,
@@ -88,8 +90,10 @@ def write_recording(path, rec: Recording) -> None:
         truth=tuple(_TruthBox(*b.center, *b.half_extents, b.view_tag, b.location_tag)
                     for b in rec.truth))
     header_bytes = json.dumps(to_json(header), sort_keys=True).encode("utf-8")
-    path = Path(path)
-    part = path.with_name(path.name + ".part")
+    target = Path(path).resolve()  # through a symlink, to the file it names
+    if target.exists() and not target.is_file():
+        raise ValueError(f"{path}: not a regular file")
+    part = target.with_name(target.name + ".part")
     try:
         with open(part, "wb") as fh:
             fh.write(MAGIC)
@@ -101,7 +105,7 @@ def write_recording(path, rec: Recording) -> None:
                     raise ValueError(f"frame {i}: a sample component exceeds the float32 "
                                      "range of the recording format")
                 fh.write(frame.astype("<c8"))
-        os.replace(part, path)
+        os.replace(part, target)
     except BaseException:
         part.unlink(missing_ok=True)
         raise

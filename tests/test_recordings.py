@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
 
 import numpy as np
@@ -480,6 +481,27 @@ def test_write_failing_mid_stream_leaves_no_file_and_keeps_the_old_one(tmp_path)
         write_recording(path, dataclasses.replace(rec, samples=samples))
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["a.rec"]
+
+
+@pytest.mark.parametrize("kind", ["fifo", "directory"])
+def test_write_refuses_a_path_that_is_no_regular_file(tmp_path, kind):
+    # the file is renamed into place, which would replace a device node or a pipe
+    path = tmp_path / "out"
+    if kind == "fifo":
+        os.mkfifo(path)
+    else:
+        path.mkdir()
+    with pytest.raises(ValueError, match=re.escape(f"{path}: not a regular file")):
+        write_recording(path, make_recording())
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+def test_write_through_a_symlink_replaces_the_file_it_names(tmp_path):
+    target, link = tmp_path / "a.rec", tmp_path / "link.rec"
+    target.write_bytes(b"old")
+    link.symlink_to(target)
+    write_recording(link, make_recording())
+    assert link.is_symlink() and read_recording(target).n_frames == 3
 
 
 def test_read_frames_come_one_at_a_time_in_one_read_only_buffer(tmp_path):
