@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from floorwatch import recordings
 from floorwatch.bench import bench_manifest
 from floorwatch.cfar import CfarConfig
-from floorwatch import recordings
 from floorwatch.cli import main
 from floorwatch.core import ArrayGeometry, RadarConfig, default_geometry
 from floorwatch.dbf import default_grid
