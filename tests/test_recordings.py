@@ -99,12 +99,138 @@ def test_empty_recording_round_trip(tmp_path):
     assert back.truth == ()
 
 
+NON_DEFAULT_MANIFEST = RunManifest(method="dbf", k=1.4, guard_cells=(1, 2), training_cells=(3, 5),
+                                   edge_policy="skip_cell", theta_max_deg=45.0,
+                                   theta_step_deg=0.5, elevations_deg=(0.0,),
+                                   doppler_half_width=3, mti_alpha=0.99)
+
+
 def test_manifest_round_trip():
-    m = RunManifest(method="dbf", k=1.4, guard_cells=(1, 2), training_cells=(3, 5),
-                    edge_policy="skip_cell", theta_max_deg=45.0, theta_step_deg=0.5,
-                    elevations_deg=(0.0,), doppler_half_width=3, mti_alpha=0.99)
-    back = manifest_from_dict(manifest_to_dict(m))
-    assert back == m
+    back = manifest_from_dict(manifest_to_dict(NON_DEFAULT_MANIFEST))
+    assert back == NON_DEFAULT_MANIFEST
+
+
+# The manifest files as dump_json writes them: the default, the two stream manifests of
+# perfbench/gen.py, and one with every field but capon_channels away from its default.
+MANIFEST_TEXTS = {
+    "default": (RunManifest(), """\
+{
+  "capon_channels": "pair",
+  "cfar": {
+    "edge_policy": "shrink_window",
+    "guard_cells": [
+      2,
+      2
+    ],
+    "training_cells": [
+      4,
+      4
+    ]
+  },
+  "doppler_half_width": 2,
+  "grid": {
+    "elevations_deg": [
+      -10.0,
+      0.0,
+      10.0
+    ],
+    "theta_max_deg": 60.0,
+    "theta_step_deg": 1.0
+  },
+  "k": 2.4,
+  "method": "capon",
+  "mti_alpha": 0.01
+}"""),
+    "bench_dbf": (bench_manifest("dbf", 7.5441), """\
+{
+  "capon_channels": "pair",
+  "cfar": {
+    "edge_policy": "shrink_window",
+    "guard_cells": [
+      2,
+      2
+    ],
+    "training_cells": [
+      4,
+      4
+    ]
+  },
+  "doppler_half_width": 5,
+  "grid": {
+    "elevations_deg": [
+      -10.0,
+      0.0,
+      10.0
+    ],
+    "theta_max_deg": 60.0,
+    "theta_step_deg": 1.0
+  },
+  "k": 7.5441,
+  "method": "dbf",
+  "mti_alpha": 0.99
+}"""),
+    "bench_capon": (bench_manifest("capon", 4.6352), """\
+{
+  "capon_channels": "pair",
+  "cfar": {
+    "edge_policy": "shrink_window",
+    "guard_cells": [
+      2,
+      2
+    ],
+    "training_cells": [
+      4,
+      4
+    ]
+  },
+  "doppler_half_width": 5,
+  "grid": {
+    "elevations_deg": [
+      -10.0,
+      0.0,
+      10.0
+    ],
+    "theta_max_deg": 60.0,
+    "theta_step_deg": 1.0
+  },
+  "k": 4.6352,
+  "method": "capon",
+  "mti_alpha": 0.99
+}"""),
+    "non_default": (NON_DEFAULT_MANIFEST, """\
+{
+  "capon_channels": "pair",
+  "cfar": {
+    "edge_policy": "skip_cell",
+    "guard_cells": [
+      1,
+      2
+    ],
+    "training_cells": [
+      3,
+      5
+    ]
+  },
+  "doppler_half_width": 3,
+  "grid": {
+    "elevations_deg": [
+      0.0
+    ],
+    "theta_max_deg": 45.0,
+    "theta_step_deg": 0.5
+  },
+  "k": 1.4,
+  "method": "dbf",
+  "mti_alpha": 0.99
+}"""),
+}
+
+
+@pytest.mark.parametrize("name", list(MANIFEST_TEXTS))
+def test_manifest_file_bytes_are_pinned(name):
+    manifest, text = MANIFEST_TEXTS[name]
+    assert json.dumps(manifest_to_dict(manifest), indent=2, sort_keys=True) == text
+    assert manifest_from_dict(json.loads(text)) == manifest
 
 
 @pytest.mark.parametrize("manifest", [
