@@ -30,6 +30,7 @@ from .sim import scene_from_dict, scene_recording
 MAX_K_POINTS = 10_000
 DETECTION_COLUMNS = ("frame_index", "range_bin", "azimuth_bin", "range_m",
                      "azimuth_deg", "power", "threshold")
+RATE_COLUMNS = ("view", "location", "subject", "method", "rate")
 
 
 class CliError(Exception):
@@ -69,6 +70,17 @@ def _write_table(path, header, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _read_table(path, header, kind: str):
+    """(where, row) for each row of the CSV ``path``, where names its file and line; a
+    header other than ``header`` raises. A row cut short has "" for its missing values."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh, restval="")
+        if tuple(reader.fieldnames or ()) != header:
+            raise CliError(f"{path}: not {kind}: its header is not {','.join(header)}")
+        for row in reader:
+            yield f"{path} line {reader.line_num}", row
 
 
 def cmd_simulate(args) -> int:
@@ -210,7 +222,7 @@ def cmd_evaluate(args) -> int:
             "n_frames": int(trial.flags.size),
             "frame_positive_rate": rate,
         })
-    _write_table(out_dir / "table.csv", ["view", "location", "subject", "method", "rate"], rows)
+    _write_table(out_dir / "table.csv", RATE_COLUMNS, rows)
     dump_json(metrics, out_dir / "metrics.json")
     print(f"wrote {out_dir / 'metrics.json'} and {out_dir / 'table.csv'} "
           f"({len(rows)} trials)")
@@ -220,39 +232,33 @@ def cmd_evaluate(args) -> int:
 def _read_detections(det_path, n_frames, axes):
     """The (frame, range bin, azimuth bin) arrays of a ``process`` CSV made on ``axes``."""
     cells = []
-    with open(det_path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh, restval="")
-        if tuple(reader.fieldnames or ()) != DETECTION_COLUMNS:
-            raise CliError(f"{det_path}: not a process CSV: its header is not "
-                           f"{','.join(DETECTION_COLUMNS)}")
-        for row in reader:
-            where = f"{det_path} line {reader.line_num}"
-            idx = int(row["frame_index"])
-            if not 0 <= idx < n_frames:
-                raise CliError(f"{where}: frame_index {idx} is "
-                               f"outside the recording's {n_frames} frames")
-            rb, ab = int(row["range_bin"]), int(row["azimuth_bin"])
-            if not (0 <= rb < axes.range_m.size and 0 <= ab < axes.azimuth_rad.size):
-                raise CliError(f"{where}: bin ({rb}, {ab}) is outside the manifest's "
-                               f"{axes.range_m.size}x{axes.azimuth_rad.size} map")
-            r, th = axes.range_m[rb], axes.azimuth_rad[ab]
-            if (row["range_m"], row["azimuth_deg"]) != (_fmt(r), _fmt(math.degrees(th))):
-                raise CliError(f"{where}: range_m/azimuth_deg are not bin ({rb}, {ab}) of "
-                               "the manifest's map; was the CSV made on another grid?")
-            cells.append((idx, rb, ab))
+    for where, row in _read_table(det_path, DETECTION_COLUMNS, "a process CSV"):
+        idx = int(row["frame_index"])
+        if not 0 <= idx < n_frames:
+            raise CliError(f"{where}: frame_index {idx} is "
+                           f"outside the recording's {n_frames} frames")
+        rb, ab = int(row["range_bin"]), int(row["azimuth_bin"])
+        if not (0 <= rb < axes.range_m.size and 0 <= ab < axes.azimuth_rad.size):
+            raise CliError(f"{where}: bin ({rb}, {ab}) is outside the manifest's "
+                           f"{axes.range_m.size}x{axes.azimuth_rad.size} map")
+        r, th = axes.range_m[rb], axes.azimuth_rad[ab]
+        if (row["range_m"], row["azimuth_deg"]) != (_fmt(r), _fmt(math.degrees(th))):
+            raise CliError(f"{where}: range_m/azimuth_deg are not bin ({rb}, {ab}) of "
+                           "the manifest's map; was the CSV made on another grid?")
+        cells.append((idx, rb, ab))
     return tuple(np.array(cells, dtype=np.intp).reshape(-1, 3).T)
 
 
 def cmd_report(args) -> int:
     rows = []
-    with open(args.table, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh, restval="")
-        for row in reader:
+    for where, row in _read_table(args.table, RATE_COLUMNS, "an evaluate table"):
+        try:
             rate = float(row["rate"])
-            if not 0.0 <= rate <= 1.0:
-                raise CliError(f"{args.table} line {reader.line_num}: rate {row['rate']!r} "
-                               "is not a number in [0, 1]")
-            rows.append({**row, "rate": rate})
+        except ValueError:
+            rate = math.nan  # refused below, as a number outside [0, 1] is
+        if not 0.0 <= rate <= 1.0:
+            raise CliError(f"{where}: rate {row['rate']!r} is not a number in [0, 1]")
+        rows.append({**row, "rate": rate})
     if not rows:
         raise CliError("metrics table is empty")
     out_dir = Path(args.out)
@@ -345,7 +351,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (CliError, ValueError, OSError, KeyError) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(payload), file=sys.stderr)
         return 1

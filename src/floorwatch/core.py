@@ -5,8 +5,8 @@ Everything downstream (FFT frontend, beamformers, simulator) consumes the
 types defined here; a frame of samples is a plain complex array of shape
 ``RadarConfig.frame_shape``. All values are SI: Hz, seconds, meters, radians.
 ``from_json`` and ``to_json`` read and write every JSON record a file holds
-(scenes, radar configs, recording headers and truth boxes, ``--trials``
-entries) from the fields of its dataclass.
+(scenes, radar configs, recording headers and truth boxes, run manifests,
+``--trials`` entries) from the fields of its dataclass.
 """
 
 from __future__ import annotations
@@ -161,18 +161,12 @@ def default_geometry(cfg: RadarConfig) -> ArrayGeometry:
 # plain tuple and is stored as its object. A "*_rad" field is stored in degrees
 # under the "*_deg" key. A float field must be at least the "minimum" in its
 # metadata, 0 by default; an int field and numbers in arrays have no bound
-# unless one is given. A field with a default may be left out, and a key that
-# no field maps to is an error, at every level.
+# unless one is given. An int field whose metadata is "integral" also takes an
+# integral float, such as 2.0, as that integer. A field with a default may be
+# left out, and a key that no field maps to is an error, at every level.
 
 SIGNED = {"minimum": None}  # field metadata: a float field that may be negative
-
-
-def json_number(name: str, value) -> float:
-    """A JSON number field as a float; a bool, a string, NaN and +/-inf are refused."""
-    if isinstance(value, bool) or not (isinstance(value, (int, float))
-                                       and abs(value) <= sys.float_info.max):  # False for NaN
-        raise ValueError(f"{name}: expected a number, got {reprlib.repr(value)}")
-    return float(value)
+INTEGRAL = {"integral": True}  # field metadata: an int field that takes 2.0 as 2
 
 
 def _json_key(name: str) -> str:
@@ -202,7 +196,7 @@ def _kinds(spec) -> dict:
     return typing.get_type_hints(spec)
 
 
-def _read(kind, value, where: str, minimum):
+def _read(kind, value, where: str, minimum, integral: bool):
     """One JSON value of ``kind``; an error names ``where`` it is."""
     if is_dataclass(kind):
         return from_json(kind, value, where)
@@ -213,7 +207,7 @@ def _read(kind, value, where: str, minimum):
             kinds = kinds[:1] * len(value)
         if not isinstance(value, list) or len(value) != len(kinds):
             raise ValueError(f"{where}: expected a JSON array{size}, got {reprlib.repr(value)}")
-        return tuple(_read(k, v, f"{where}[{i}]", minimum)
+        return tuple(_read(k, v, f"{where}[{i}]", minimum, integral)
                      for i, (k, v) in enumerate(zip(kinds, value)))
     if kind in (str, str | None):
         if not (isinstance(value, str) or (value is None and kind is not str)):
@@ -221,8 +215,14 @@ def _read(kind, value, where: str, minimum):
             raise ValueError(f"{where}: expected a string{nullable}, got {reprlib.repr(value)}")
         return value
     if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
-        raise ValueError(f"{where}: expected an integer, got {reprlib.repr(value)}")
-    value = value if kind is int else json_number(where, value)
+        if not (integral and isinstance(value, float) and value.is_integer()):
+            raise ValueError(f"{where}: expected an integer, got {reprlib.repr(value)}")
+        value = int(value)
+    if kind is float:
+        if isinstance(value, bool) or not (isinstance(value, (int, float))
+                                           and abs(value) <= sys.float_info.max):  # NaN too
+            raise ValueError(f"{where}: expected a number, got {reprlib.repr(value)}")
+        value = float(value)
     if minimum is not None and value < minimum:
         raise ValueError(f"{where}: must be >= {minimum}")
     return value
@@ -233,21 +233,23 @@ def from_json(spec, d, path: str = "", name: str = ""):
 
     An error names the path of the bad key or value: ``path`` is this
     object's own (fields of a top-level object have bare keys), and ``name``
-    labels a top-level object in errors about the object itself.
+    labels a top-level object, if given, in errors about the object itself.
     """
+    label = f"{path or name}: " if path or name else ""
     if not isinstance(d, dict):
-        raise ValueError(f"{path or name}: expected a JSON object, got {reprlib.repr(d)}")
+        raise ValueError(f"{label}expected a JSON object, got {reprlib.repr(d)}")
     by_key = {_json_key(f.name): f for f in fields(spec)}
     for key in d:
         if key not in by_key:
-            raise ValueError(f"{path or name}: unknown key {reprlib.repr(key)}")
+            raise ValueError(f"{label}unknown key {reprlib.repr(key)}")
     values = {}
     for key, f in by_key.items():
         if key not in d and f.default is not MISSING:
             continue
         kind = f.metadata.get("record", _kinds(spec)[f.name])
         value = _read(kind, d.get(key), f"{path}.{key}" if path else key,
-                      f.metadata.get("minimum", 0.0 if kind is float else None))
+                      f.metadata.get("minimum", 0.0 if kind is float else None),
+                      f.metadata.get("integral", False))
         if "record" in f.metadata:
             value = astuple(value)
         values[f.name] = math.radians(value) if f.name.endswith("_rad") else value

@@ -16,22 +16,22 @@ deeply to parse, an unknown format version, a negative frame count, a payload
 whose length disagrees with the header, a non-finite sample, and a geometry
 whose receiver count differs from the config's or whose wavelength is more
 than 1e-9 (relative) away from c / center_frequency: Capon steering assumes a
-half-wavelength pair. A run manifest has its own reader, whose integer fields
-take integral floats; it refuses a bad field when it is made, by
-``manifest_from_dict``, ``RunManifest`` or ``replace``."""
+half-wavelength pair. A run manifest file is the ``_ManifestFile`` record, made
+from ``RunManifest``'s fields; its errors start with "manifest: ", and its
+``INTEGRAL`` fields take integral floats."""
 
 from __future__ import annotations
 
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, make_dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .cfar import CfarConfig, GroundTruthBox
-from .core import SIGNED, ArrayGeometry, RadarConfig, from_json, json_number, to_json
+from .core import INTEGRAL, SIGNED, ArrayGeometry, RadarConfig, _kinds, from_json, to_json
 from .dbf import default_grid
 from .sim import Recording
 
@@ -214,13 +214,13 @@ class RunManifest:
 
     method: str = "capon"
     k: float = 2.4
-    guard_cells: tuple = (2, 2)
-    training_cells: tuple = (4, 4)
+    guard_cells: tuple[int, int] = field(default=(2, 2), metadata=INTEGRAL)
+    training_cells: tuple[int, int] = field(default=(4, 4), metadata=INTEGRAL)
     edge_policy: str = "shrink_window"
     theta_max_deg: float = 60.0
     theta_step_deg: float = 1.0
-    elevations_deg: tuple = (-10.0, 0.0, 10.0)
-    doppler_half_width: int = 2
+    elevations_deg: tuple[float, ...] = (-10.0, 0.0, 10.0)
+    doppler_half_width: int = field(default=2, metadata=INTEGRAL)
     mti_alpha: float = 0.01
     capon_channels: str = "pair"
 
@@ -246,52 +246,39 @@ class RunManifest:
                                                       self.elevations_deg))
 
 
-# Fields stored in the nested "cfar" and "grid" JSON objects; the rest sit at the top level.
-_GROUP_OF = {"guard_cells": "cfar", "training_cells": "cfar", "edge_policy": "cfar",
-             "theta_max_deg": "grid", "theta_step_deg": "grid", "elevations_deg": "grid"}
+def _file_record(name: str, names, *extra) -> type:
+    """A record of the ``RunManifest`` fields ``names`` (their types, defaults and metadata),
+    then the fields ``extra``; ``eq=False`` keeps it hashable, so it can be a default."""
+    kinds = _kinds(RunManifest)
+    own = [(f.name, kinds[f.name], field(default=f.default, metadata=f.metadata))
+           for f in fields(RunManifest) if f.name in names]
+    return make_dataclass(name, own + list(extra), eq=False)
+
+
+# The manifest file: its "cfar" and "grid" objects hold six of the fields, the top level the rest.
+_NESTED = {"cfar": _file_record("_Cfar", ("guard_cells", "training_cells", "edge_policy")),
+           "grid": _file_record("_Grid", ("theta_max_deg", "theta_step_deg", "elevations_deg"))}
+_ManifestFile = _file_record(
+    "_ManifestFile", ("method", "k", "doppler_half_width", "mti_alpha", "capon_channels"),
+    *((key, record, field(default=record())) for key, record in _NESTED.items()))
 
 
 def manifest_to_dict(m: RunManifest) -> dict:
-    out = {}
-    for f in fields(RunManifest):
-        value = getattr(m, f.name)
-        group = _GROUP_OF.get(f.name)
-        target = out.setdefault(group, {}) if group else out
-        target[f.name] = list(value) if isinstance(value, tuple) else value
-    return out
-
-
-def _coerce(name, default, value):
-    """Convert a JSON value to its field's type; 1.5 is no integer, true and "3" no number."""
-    if isinstance(default, tuple):
-        return tuple(_coerce(name, default[0], x) for x in value)
-    if isinstance(default, str):
-        return value
-    number = json_number(name, value)
-    if isinstance(default, int) and not number.is_integer():
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return type(default)(value)
+    """The JSON form of ``m``; ``manifest_from_dict`` reads it back."""
+    values = {f.name: getattr(m, f.name) for f in fields(m)}
+    for key, record in _NESTED.items():
+        values[key] = record(**{f.name: values.pop(f.name) for f in fields(record)})
+    return to_json(_ManifestFile(**values))
 
 
 def manifest_from_dict(d: dict) -> RunManifest:
     """Build a manifest from its JSON form; absent fields take their defaults."""
-    if not isinstance(d, dict):
-        raise ValueError("manifest: expected a JSON object")
-    groups = set(_GROUP_OF.values())
-    entries = [(None, name, value) for name, value in d.items() if name not in groups]
-    for group in sorted(groups & d.keys()):
-        if not isinstance(d[group], dict):
-            raise ValueError(f"manifest: {group!r} must be a JSON object")
-        entries += [(group, name, value) for name, value in d[group].items()]
-    defaults = {f.name: f.default for f in fields(RunManifest)}
-    unknown = [f"{group}.{name}" if group else name for group, name, _ in entries
-               if name not in defaults or _GROUP_OF.get(name) != group]
-    if unknown:
-        raise ValueError(f"manifest: unknown fields {sorted(unknown)}")
     try:
-        return RunManifest(**{name: _coerce(name, defaults[name], value)
-                              for _, name, value in entries})
-    except (TypeError, ValueError) as exc:
+        values = asdict(from_json(_ManifestFile, d))
+        for key in _NESTED:
+            values |= values.pop(key)
+        return RunManifest(**values)
+    except ValueError as exc:
         raise ValueError(f"manifest: {exc}") from exc
 
 

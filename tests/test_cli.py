@@ -11,7 +11,7 @@ import pytest
 from floorwatch import scoring
 from floorwatch.bench import CAPON_K_GRID, DBF_K_GRID
 from floorwatch.cfar import DetectionSet, hit_test
-from floorwatch.cli import DETECTION_COLUMNS, CliError, _fmt, _parse_k_grid, main
+from floorwatch.cli import DETECTION_COLUMNS, RATE_COLUMNS, CliError, _fmt, _parse_k_grid, main
 from floorwatch.core import RadarConfig, default_geometry
 from floorwatch.pipeline import build_axes, build_grid
 from floorwatch.recordings import manifest_to_dict, RunManifest, write_recording
@@ -541,8 +541,9 @@ def test_tune_rejects_fpr_cap_outside_unit_interval(tune_inputs, capsys, cap):
 @pytest.mark.parametrize("manifest, message", [
     ({"grid": {"theta_step_deg": 0.0}}, "theta_step_deg"),
     ({"grid": {"theta_max_deg": 0.0}}, "theta_max_deg"),
-    ({"doppler_half_width": 1.5}, "doppler_half_width must be an integer"),
-    ({"cfar": {"guard_cells": [1.5, 2]}}, "guard_cells must be an integer"),
+    ({"doppler_half_width": 1.5}, "manifest: doppler_half_width: expected an integer, got 1.5"),
+    ({"cfar": {"guard_cells": [1.5, 2]}},
+     "manifest: cfar.guard_cells[0]: expected an integer, got 1.5"),
     # a folded sin(theta) grid: DBF exited 0 and Capon failed after --out was opened
     ({"method": "dbf", "grid": {"theta_max_deg": 120.0}}, "theta_max_deg"),
     ({"method": "capon", "grid": {"theta_max_deg": 120.0}}, "theta_max_deg"),
@@ -566,9 +567,11 @@ def test_bad_manifest_grid_or_integer_is_a_json_error(workspace, capsys, manifes
 # name: (cfar object, a part of the error message)
 BAD_CFAR = {
     "edge_policy": ({"edge_policy": "bogus"}, "manifest: edge_policy must be one of"),
-    "one_guard_count": ({"guard_cells": [1]}, "manifest: guard_cells must be two"),
+    "one_guard_count": ({"guard_cells": [1]},
+                        "manifest: cfar.guard_cells: expected a JSON array of 2 items, got [1]"),
     "negative_guard": ({"guard_cells": [-1, 2]}, "manifest: guard_cells must be two"),
-    "guard_string": ({"guard_cells": [1, "2"]}, "manifest: guard_cells: expected a number, got '2'"),
+    "guard_string": ({"guard_cells": [1, "2"]},
+                     "manifest: cfar.guard_cells[1]: expected an integer, got '2'"),
     "no_training": ({"training_cells": [0, 4]}, "manifest: training_cells must be >= 1"),
 }
 BAD_RUN = {
@@ -782,4 +785,48 @@ def test_rows_cut_short_are_json_errors(tmp_path, capsys):
     table = tmp_path / "table.csv"
     table.write_text("view,location,subject,method,rate\ntv,P1,S1,dbf\n")
     assert main(["report", "--table", str(table), "--out", str(tmp_path / "report")]) == 1
-    assert json_error(capsys)["error"] == "ValueError"
+    assert json_error(capsys) == {"error": "CliError", "message": f"{table} line 2: rate '' "
+                                                                  "is not a number in [0, 1]"}
+
+
+@pytest.mark.parametrize("header", [
+    "view,location,subject,method",             # KeyError 'rate' at the parent
+    "view,location,method,rate",                # made --out, then KeyError 'subject'
+    "view,location,subject,method,rate,extra",
+    "rate,view,location,subject,method",
+    "",
+])
+def test_report_refuses_a_table_that_evaluate_did_not_write(tmp_path, capsys, header):
+    table = tmp_path / "table.csv"
+    table.write_text(f"{header}\ntv,P1,S1,dbf,0.5\n" if header else "")
+    capsys.readouterr()
+    assert main(["report", "--table", str(table), "--out", str(tmp_path / "report")]) == 1
+    assert json_error(capsys) == {
+        "error": "CliError", "message": f"{table}: not an evaluate table: its header is not "
+                                        "view,location,subject,method,rate"}
+    assert not (tmp_path / "report").exists()
+
+
+@pytest.mark.parametrize("rate", ["", "abc", "0.5x"])
+def test_report_refuses_a_rate_that_is_no_number(tmp_path, capsys, rate):
+    # at the parent: "could not convert string to float", naming neither file nor line
+    table = tmp_path / "table.csv"
+    table.write_text("view,location,subject,method,rate\ntv,P1,S1,dbf,0.5\n"
+                     f"tv,P1,S1,capon,{rate}\n")
+    capsys.readouterr()
+    assert main(["report", "--table", str(table), "--out", str(tmp_path / "report")]) == 1
+    message = f"{table} line 3: rate {rate!r} is not a number in [0, 1]"
+    assert json_error(capsys) == {"error": "CliError", "message": message}
+    assert not (tmp_path / "report").exists()
+
+
+def test_evaluate_writes_the_table_report_reads(workspace):
+    tmp, cfg, scene, _, manifest = workspace
+    rec = tmp / "a.rec"
+    main(["simulate", "--scene", scene, "--config", cfg, "--out", str(rec)])
+    assert main(["evaluate", "--recording", str(rec), "--manifest", manifest,
+                 "--out", str(tmp / "eval")]) == 0
+    header = (tmp / "eval" / "table.csv").read_text().splitlines()[0]
+    assert tuple(header.split(",")) == RATE_COLUMNS
+    assert main(["report", "--table", str(tmp / "eval" / "table.csv"),
+                 "--out", str(tmp / "report")]) == 0

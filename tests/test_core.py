@@ -1,8 +1,10 @@
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 
 from floorwatch.capon import check_pair_geometry
-from floorwatch.core import (SPEED_OF_LIGHT, ArrayGeometry, RadarConfig, chirp_slope,
+from floorwatch.core import (INTEGRAL, SPEED_OF_LIGHT, ArrayGeometry, RadarConfig, chirp_slope,
                              default_geometry, from_json, max_range, range_resolution, to_json)
 
 
@@ -121,3 +123,33 @@ def test_refused_value_is_cut_short_in_the_message(d, message):
     with pytest.raises(ValueError) as info:
         from_json(RadarConfig, d, name="config")
     assert str(info.value) == message
+
+
+@dataclass(frozen=True)
+class _Counts:
+    pair: tuple[int, int] = field(default=(0, 0), metadata=INTEGRAL)
+    count: int = 0
+
+
+def test_only_an_integral_field_takes_an_integral_float():
+    counts = from_json(_Counts, {"pair": [1.0, 2]})
+    assert counts == _Counts(pair=(1, 2)) and all(type(n) is int for n in counts.pair)
+    for d, message in [
+        ({"pair": [1.5, 2]}, "pair[0]: expected an integer, got 1.5"),
+        ({"pair": [1, True]}, "pair[1]: expected an integer, got True"),
+        ({"pair": [float("inf"), 2]}, "pair[0]: expected an integer, got inf"),
+        ({"pair": ["1", 2]}, "pair[0]: expected an integer, got '1'"),
+        ({"count": 2.0}, "count: expected an integer, got 2.0"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            from_json(_Counts, d)
+        assert str(info.value) == message
+    with pytest.raises(ValueError, match=r"^num_rx: expected an integer, got 3\.0$"):
+        from_json(RadarConfig, {"num_rx": 3.0}, name="config")
+
+
+def test_a_record_without_a_name_labels_no_object_error():
+    with pytest.raises(ValueError, match=r"^unknown key 'x'$"):
+        from_json(_Counts, {"x": 1})
+    with pytest.raises(ValueError, match=r"^expected a JSON object, got \[1\]$"):
+        from_json(_Counts, [1])

@@ -242,13 +242,16 @@ def test_manifest_file_bytes_are_pinned(name):
     {"grid": {"theta_max_deg": 45.0, "theta_min_deg": -45.0}},
 ])
 def test_manifest_unknown_fields_rejected(manifest):
-    with pytest.raises(ValueError, match="unknown fields"):
+    with pytest.raises(ValueError, match=r"^manifest: (cfar: |grid: )?unknown key '"):
         manifest_from_dict(manifest)
 
 
 def test_manifest_nested_objects_must_be_objects():
-    with pytest.raises(ValueError, match="'grid' must be a JSON object"):
+    with pytest.raises(ValueError, match=re.escape("manifest: grid: expected a JSON object, "
+                                                   "got [60.0]")):
         manifest_from_dict({"grid": [60.0]})
+    with pytest.raises(ValueError, match=re.escape("manifest: expected a JSON object, got [1]")):
+        manifest_from_dict([1])
 
 
 @pytest.mark.parametrize("manifest", [
@@ -272,7 +275,7 @@ def test_manifest_nested_objects_must_be_objects():
     {"cfar": {"guard_cells": [-1, 2]}}, {"cfar": {"training_cells": [0, 4]}},
 ])
 def test_manifest_rejects_non_finite_k_bad_theta_grid_and_non_integers(manifest):
-    with pytest.raises(ValueError, match="manifest: "):
+    with pytest.raises(ValueError, match="^manifest: "):
         manifest_from_dict(manifest)
 
 
