@@ -11,7 +11,7 @@ import pytest
 from floorwatch import scoring
 from floorwatch.bench import CAPON_K_GRID, DBF_K_GRID
 from floorwatch.cfar import DetectionSet, hit_test
-from floorwatch.cli import DETECTION_COLUMNS, RATE_COLUMNS, CliError, _fmt, _parse_k_grid, main
+from floorwatch.cli import DETECTION_COLUMNS, CliError, _fmt, _parse_k_grid, main
 from floorwatch.core import RadarConfig, default_geometry
 from floorwatch.pipeline import build_axes, build_grid
 from floorwatch.recordings import manifest_to_dict, RunManifest, write_recording
@@ -736,9 +736,10 @@ def test_replay_refuses_a_file_not_headed_as_process_writes(tmp_path, capsys, co
 
 
 @pytest.mark.parametrize("rate, line", [("nan", 3), ("2.5", 3), ("-1", 3), ("inf", 3),
-                                        ("-0.0001", 2)])
+                                        ("-0.0001", 2), ("abc", 3), ("0.5x", 2), ("", 3)])
 def test_report_refuses_a_rate_outside_the_unit_interval(tmp_path, capsys, rate, line):
-    # at the parent nan, 2.5 and -1 exited 0 with nan quartiles and a nan delta
+    # at the parent nan, 2.5 and -1 exited 0 with nan quartiles and a nan delta; a rate
+    # that is no number was "could not convert string to float", naming no file or line
     rows = [["tv", "P1", "S1", "dbf", "0.5"], ["tv", "P1", "S1", "capon", "0.75"]]
     rows[line - 2][4] = rate
     table = tmp_path / "table.csv"
@@ -805,28 +806,3 @@ def test_report_refuses_a_table_that_evaluate_did_not_write(tmp_path, capsys, he
         "error": "CliError", "message": f"{table}: not an evaluate table: its header is not "
                                         "view,location,subject,method,rate"}
     assert not (tmp_path / "report").exists()
-
-
-@pytest.mark.parametrize("rate", ["", "abc", "0.5x"])
-def test_report_refuses_a_rate_that_is_no_number(tmp_path, capsys, rate):
-    # at the parent: "could not convert string to float", naming neither file nor line
-    table = tmp_path / "table.csv"
-    table.write_text("view,location,subject,method,rate\ntv,P1,S1,dbf,0.5\n"
-                     f"tv,P1,S1,capon,{rate}\n")
-    capsys.readouterr()
-    assert main(["report", "--table", str(table), "--out", str(tmp_path / "report")]) == 1
-    message = f"{table} line 3: rate {rate!r} is not a number in [0, 1]"
-    assert json_error(capsys) == {"error": "CliError", "message": message}
-    assert not (tmp_path / "report").exists()
-
-
-def test_evaluate_writes_the_table_report_reads(workspace):
-    tmp, cfg, scene, _, manifest = workspace
-    rec = tmp / "a.rec"
-    main(["simulate", "--scene", scene, "--config", cfg, "--out", str(rec)])
-    assert main(["evaluate", "--recording", str(rec), "--manifest", manifest,
-                 "--out", str(tmp / "eval")]) == 0
-    header = (tmp / "eval" / "table.csv").read_text().splitlines()[0]
-    assert tuple(header.split(",")) == RATE_COLUMNS
-    assert main(["report", "--table", str(tmp / "eval" / "table.csv"),
-                 "--out", str(tmp / "report")]) == 0
