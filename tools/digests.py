@@ -17,7 +17,8 @@ change whose maps move in the last bits can show that no detection moved.
 ``stream/scene<i>/recording`` is the SHA-256 of the recording file itself, so
 a change to the header format shows too.
 
-``study/<path>``: the study inputs of ``gen.make_study`` go through ``cli.main``:
+``study/<path>``: the study inputs of ``gen.make_study`` go through ``cli.main``
+(``run_study``, which ``tools/study_answers.py`` shares):
 ``simulate`` every scene; per method, ``tune`` over the bench k grid and over
 ``DENSE_K_GRID`` (200 geometric steps from 1.01 to 5000: near-empty and
 tie-heavy k values), ``process --dump-maps`` and ``evaluate`` of every
@@ -108,12 +109,14 @@ def floorwatch(*argv) -> None:
         raise SystemExit(f"floorwatch {argv[0]} exited with {status}")
 
 
-def study_digests(seed: int, root: Path) -> dict:
+def run_study(seed: int, root: Path) -> None:
+    """Run the study chain at ``seed`` through ``cli.main``: its inputs go in
+    ROOT/inputs, its outputs in ROOT/out and its trial listings in ROOT/work."""
     from gen import make_study
 
     inputs_dir, work, out = root / "inputs", root / "work", root / "out"
     for d in (inputs_dir, work, out):
-        d.mkdir()
+        d.mkdir(parents=True)
     inputs = make_study(seed, inputs_dir)
     recordings = [out / f"rec{i}.rec" for i in range(len(inputs["scenes"]))]
     for scene, rec in zip(inputs["scenes"], recordings):
@@ -146,7 +149,11 @@ def study_digests(seed: int, root: Path) -> dict:
     (work / "table.csv").write_bytes(b"".join(tables[0] + tables[1][1:]))
     floorwatch("report", "--table", work / "table.csv", "--out", out / "report")
 
-    files = list(inputs_dir.glob("scene*.json")) + [p for p in out.rglob("*") if p.is_file()]
+
+def study_digests(seed: int, root: Path) -> dict:
+    run_study(seed, root)
+    files = (list((root / "inputs").glob("scene*.json"))
+             + [p for p in (root / "out").rglob("*") if p.is_file()])
     return {f"study/{p.relative_to(root)}": hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(files)}
 
